@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -78,15 +79,22 @@ def _resolve_seed(value: int | None, default: int = DEFAULT_SEED) -> int:
         raise CliError(f"SPANFEAT_SEED must be an integer, got {env!r}") from None
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _read_config_file(path: str) -> dict:
-    """key = value lines; values parse as JSON where possible, else strings."""
+    """key = value lines; values parse as JSON where possible, else strings.
+
+    ``#`` starts a comment at the start of a line or after whitespace only,
+    so a value such as ``run#1`` keeps its ``#``.
+    """
     overrides = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise CliError(f"cannot read config file: {err}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

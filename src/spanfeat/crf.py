@@ -1,9 +1,11 @@
 """Linear-chain CRF: log-partition, gold-path score, constrained Viterbi.
 
 Scores live in log space throughout. Transition constraints are applied by
-masking forbidden entries to a large negative constant rather than -inf; the
-masked entries then underflow to exact zeros inside log-sum-exp, which keeps
-gradients finite.
+masking forbidden entries to -inf, so no emission score, however large, can
+make an illegal path win or count. Log-sum-exp treats a column that is -inf
+throughout (a tag no legal path reaches at that position) as exactly -inf,
+and the backward pass gives it exactly zero weight, so values and gradients
+stay finite.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
     "viterbi",
 ]
 
-NEG_INF = -1e4
+NEG_INF = -np.inf
 
 
 class CrfParams:
@@ -116,6 +118,18 @@ def _masked_transitions(params: CrfParams, constraints: ConstraintMask | None) -
     return np.where(constraints.allowed, t, NEG_INF)
 
 
+# Stands in for a column maximum of -inf: that column's shifted scores stay
+# -inf, exp gives 0, and the log gives exactly -inf.
+_LOWEST = np.finfo(np.float64).min
+
+
+def _logsumexp(scores: np.ndarray) -> np.ndarray:
+    """log(sum(exp(scores))) over axis 0; exactly -inf where every entry is -inf."""
+    m = np.maximum(scores.max(axis=0), _LOWEST)
+    with np.errstate(divide="ignore"):
+        return m + np.log(np.exp(scores - m).sum(axis=0))
+
+
 def log_partition(
     emissions: Tensor,
     params: CrfParams,
@@ -141,14 +155,14 @@ def log_partition(
     pres[0] = masked[start, :k]
     alphas[0] = pres[0] + em[0]
     for t in range(1, n):
-        scores = alphas[t - 1][:, None] + masked[:k, :k]
-        m = scores.max(axis=0)
-        pres[t] = m + np.log(np.exp(scores - m).sum(axis=0))
+        pres[t] = _logsumexp(alphas[t - 1][:, None] + masked[:k, :k])
         alphas[t] = pres[t] + em[t]
     final = alphas[n - 1] + masked[:k, end]
-    fm = final.max()
-    logz = fm + np.log(np.exp(final - fm).sum())
+    logz = float(_logsumexp(final))
     out = Tensor(logz)
+    # unreachable tags have pres == -inf and zero weight; shifting them by 0
+    # keeps their weights exp(-inf) = 0 rather than exp(nan)
+    shift = np.where(np.isfinite(pres), pres, 0.0)
 
     def backward() -> None:
         g = float(out.grad)
@@ -158,7 +172,7 @@ def log_partition(
         dtrans[:k, end] += dalpha
         for t in range(n - 1, 0, -1):
             dem[t] += dalpha
-            weights = np.exp(alphas[t - 1][:, None] + masked[:k, :k] - pres[t][None, :])
+            weights = np.exp(alphas[t - 1][:, None] + masked[:k, :k] - shift[t][None, :])
             contrib = weights * dalpha[None, :]
             dtrans[:k, :k] += contrib
             dalpha = contrib.sum(axis=1)
@@ -204,7 +218,11 @@ def viterbi(
     params: CrfParams,
     constraints: ConstraintMask | None = None,
 ) -> list[int]:
-    """Highest-scoring tag sequence; score ties go to the lowest tag index."""
+    """Highest-scoring tag sequence; score ties go to the lowest tag index.
+
+    With constraints, each argmax runs over legal predecessors only: the
+    -inf mask leaves an illegal one below every legal score.
+    """
     em = np.asarray(emissions, dtype=np.float64)
     if em.ndim != 2:
         raise ValueError(f"emissions must be (positions, tags), got {em.shape}")

@@ -280,6 +280,8 @@ def utterance_from_json(obj) -> AnnotatedUtterance:
     tokens = obj.get("tokens")
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise CorpusError("'tokens' must be a list of strings")
+    if "" in tokens:
+        raise CorpusError(f"token {tokens.index('')} is an empty string")
     raw_spans = obj.get("spans")
     if not isinstance(raw_spans, list):
         raise CorpusError("'spans' must be a list")

@@ -14,12 +14,10 @@ from .tensor import (
     conv1d_same,
     gather_rows,
     glorot_uniform,
-    lstm_cell,
+    lstm_sequence,
     max_over_time,
     relu,
-    stack_rows,
     uniform_init,
-    unstack_rows,
 )
 
 __all__ = ["EncoderConfig", "TokenEncoder", "BiLstm", "read_embedding_table"]
@@ -90,15 +88,19 @@ class TokenEncoder:
         params["char_conv_bias"] = self.char_conv_bias
         return params
 
-    def char_cnn(self, token: str) -> Tensor:
-        """Convolve width-3 filters over the character embeddings, ReLU, then
-        take the per-filter maximum over positions."""
-        if not token:
+    def char_cnn(self, tokens: list[str]) -> Tensor:
+        """(len(tokens), char_filters) matrix: for each token, convolve the
+        filters over its character embeddings, ReLU, then take the per-filter
+        maximum over its positions. All tokens run as one padded batch."""
+        if any(not t for t in tokens):
             raise ValueError("cannot embed an empty token")
-        ids = [self.char_vocab.lookup(c) for c in token]
+        lengths = [len(t) for t in tokens]
+        ids = np.full((len(tokens), max(lengths)), self.char_vocab.PAD, dtype=np.intp)
+        for row, token in enumerate(tokens):
+            ids[row, : len(token)] = [self.char_vocab.lookup(c) for c in token]
         chars = gather_rows(self.char_table, ids)
-        responses = relu(conv1d_same(chars, self.char_conv_filters, self.char_conv_bias))
-        return max_over_time(responses)
+        responses = relu(conv1d_same(chars, self.char_conv_filters, self.char_conv_bias, lengths))
+        return max_over_time(responses, lengths)
 
     def encode(self, tokens: list[str]) -> Tensor:
         """(n, token_dim) matrix; repeated tokens share one computed vector."""
@@ -106,13 +108,9 @@ class TokenEncoder:
             raise ValueError("cannot encode an empty utterance")
         word_ids = [self.word_vocab.lookup(t.lower()) for t in tokens]
         word_parts = [gather_rows(table, word_ids) for table in self.word_tables]
-        char_cache: dict[str, Tensor] = {}
-        char_rows = []
-        for t in tokens:
-            if t not in char_cache:
-                char_cache[t] = self.char_cnn(t)
-            char_rows.append(char_cache[t])
-        return concat(word_parts + [stack_rows(char_rows)])
+        distinct = {t: row for row, t in enumerate(dict.fromkeys(tokens))}
+        char_rows = gather_rows(self.char_cnn(list(distinct)), [distinct[t] for t in tokens])
+        return concat(word_parts + [char_rows])
 
     def apply_pretrained(self, table_index: int, vectors: dict[str, np.ndarray]) -> int:
         """Overwrite rows of one word table with given vectors; returns hit count."""
@@ -151,21 +149,11 @@ def read_embedding_table(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
 
 class _LstmDirection:
     def __init__(self, input_dim: int, hidden: int, rng: np.random.Generator) -> None:
-        self.hidden = hidden
         self.wx = glorot_uniform(rng, (input_dim, 4 * hidden), fan_in=input_dim, fan_out=4 * hidden)
         self.wh = glorot_uniform(rng, (hidden, 4 * hidden), fan_in=hidden, fan_out=4 * hidden)
         bias = np.zeros(4 * hidden)
         bias[hidden : 2 * hidden] = 1.0  # open the forget gate at the start of training
         self.b = Tensor(bias)
-
-    def run(self, rows: list[Tensor]) -> list[Tensor]:
-        h = Tensor(np.zeros(self.hidden))
-        c = Tensor(np.zeros(self.hidden))
-        outputs = []
-        for x in rows:
-            h, c = lstm_cell(x, h, c, self.wx, self.wh, self.b)
-            outputs.append(h)
-        return outputs
 
 
 class BiLstm:
@@ -188,7 +176,8 @@ class BiLstm:
         n, e = seq.shape
         if e != self.input_dim:
             raise ValueError(f"sequence dim {e} does not match encoder input dim {self.input_dim}")
-        rows = unstack_rows(seq)
-        fwd_states = self.fwd.run(rows)
-        bwd_states = self.bwd.run(rows[::-1])[::-1]
-        return stack_rows([concat([f, b]) for f, b in zip(fwd_states, bwd_states)])
+        fwd, bwd = self.fwd, self.bwd
+        return concat([
+            lstm_sequence(seq, fwd.wx, fwd.wh, fwd.b),
+            lstm_sequence(seq, bwd.wx, bwd.wh, bwd.b, reverse=True),
+        ])

@@ -32,6 +32,7 @@ from .tensor import (
     gather_rows,
     grad_check,
     lstm_cell,
+    lstm_sequence,
     matmul,
     max_over_time,
     relu,
@@ -157,6 +158,25 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
         "crf-nll-constrained",
         lambda: crf_nll(emissions, params, gold, tags),
         [emissions, params.transitions],
+    )
+
+    # fused and batched kernels, drawn last so the instances above stay as they were
+    xs = _away_from_zero(rng, (5, 3))
+    u5 = Tensor(rng.normal(size=5))
+    for name, reverse in (("lstm-sequence", False), ("lstm-sequence-reverse", True)):
+        run(
+            name,
+            lambda reverse=reverse: _pin(lstm_sequence(xs, wx, wh, gb, reverse), u5, probes[0]),
+            [xs, wx, wh, gb],
+        )
+
+    batch = _away_from_zero(rng, (3, 5, 3))
+    lengths = [1, 2, 5]
+    u4b = Tensor(rng.normal(size=4))
+    run(
+        "conv1d-max-over-time-batched",
+        lambda: _pin(max_over_time(conv1d_same(batch, filters, cbias, lengths), lengths), u3, u4b),
+        [batch, filters, cbias],
     )
     return results
 

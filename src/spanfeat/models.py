@@ -687,5 +687,7 @@ def load_model(path: str | Path):
         values = np.array(entry["values"], dtype=np.float64)
         if values.size != t.values.size:
             raise ModelError(f"tensor {name!r} has {values.size} values, expected {t.values.size}")
+        if not np.all(np.isfinite(values)):
+            raise ModelError(f"tensor {name!r} holds non-finite values (NaN or Infinity)")
         t.values[...] = values.reshape(shape)
     return model

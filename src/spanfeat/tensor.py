@@ -28,6 +28,7 @@ __all__ = [
     "conv1d_same",
     "max_over_time",
     "lstm_cell",
+    "lstm_sequence",
     "softmax_cross_entropy",
     "index_sum",
     "grad_check",
@@ -243,10 +244,11 @@ def unstack_rows(mat: Tensor) -> list[Tensor]:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Select rows table[indices]; backward scatter-adds (repeats accumulate)."""
+    """Select rows table[indices] for a flat or (B, n) index array; backward
+    scatter-adds (repeats accumulate)."""
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValueError("gather_rows needs a flat index list")
+    if idx.ndim not in (1, 2):
+        raise ValueError("gather_rows needs a flat or (B, n) index array")
     out = Tensor(table.values[idx])
 
     def backward() -> None:
@@ -256,52 +258,95 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return out
 
 
-def conv1d_same(seq: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
-    """1-D convolution over an (n, e) sequence with (w, e, f) filters.
+def _valid_positions(shape: tuple[int, ...], lengths) -> np.ndarray | None:
+    """(B, n) mask of the positions below each row's length; None when every
+    position is valid (2-D input, or no lengths given)."""
+    if lengths is None:
+        return None
+    if len(shape) != 3:
+        raise ValueError(f"per-row lengths need a (B, n, d) batch, got {shape}")
+    b, n = shape[:2]
+    lens = np.asarray(lengths, dtype=np.intp)
+    if lens.shape != (b,) or lens.min(initial=1) < 1 or lens.max(initial=1) > n:
+        raise ValueError(f"lengths must hold {b} values in [1, {n}], got {list(lens)}")
+    return np.arange(n)[None, :] < lens[:, None]
+
+
+def conv1d_same(seq: Tensor, filters: Tensor, bias: Tensor, lengths=None) -> Tensor:
+    """1-D convolution over an (n, e) sequence, or a (B, n, e) batch of
+    sequences, with (w, e, f) filters.
 
     Zero padding keeps the output length at n; for even widths the extra pad
-    column goes on the left. Returns the linear response (no activation).
+    column goes on the left. In a batch, row b holds ``lengths[b]`` valid
+    positions (all n when lengths is None): the positions past it read as
+    zeros, give zero outputs and receive zero gradient, so each row equals
+    the convolution of its valid prefix alone. Returns the linear response
+    (no activation). The forward pass is one im2col matmul.
     """
-    n, e = seq.shape
+    if seq.values.ndim not in (2, 3):
+        raise ValueError(f"conv1d_same needs an (n, e) or (B, n, e) input, got {seq.shape}")
+    x = seq.values if seq.values.ndim == 3 else seq.values[None]
+    bsz, n, e = x.shape
     w, ef, f = filters.shape
     if ef != e:
         raise ValueError(f"conv1d_same channel mismatch: seq {seq.shape} vs filters {filters.shape}")
     if bias.shape != (f,):
         raise ValueError(f"conv1d_same bias shape {bias.shape} != ({f},)")
+    valid = _valid_positions(seq.shape, lengths)
     left = w // 2
-    padded = np.zeros((n + w - 1, e))
-    padded[left : left + n] = seq.values
-    out_values = np.tile(bias.values, (n, 1))
+    padded = np.zeros((bsz, n + w - 1, e))
+    padded[:, left : left + n] = x if valid is None else x * valid[..., None]
+    cols = np.empty((bsz * n, w * e))
+    cols3 = cols.reshape(bsz, n, w * e)
     for j in range(w):
-        out_values += padded[j : j + n] @ filters.values[j]
-    out = Tensor(out_values)
+        cols3[:, :, j * e : (j + 1) * e] = padded[:, j : j + n]
+    kernel = filters.values.reshape(w * e, f)
+    out_values = (cols @ kernel + bias.values).reshape(bsz, n, f)
+    if valid is not None:
+        out_values *= valid[..., None]
+    out = Tensor(out_values.reshape(seq.shape[:-1] + (f,)))
 
     def backward() -> None:
-        g = out.grad
+        g = out.grad.reshape(bsz * n, f)
+        if valid is not None:
+            g = g * valid.reshape(-1, 1)
         bias.grad += g.sum(axis=0)
+        filters.grad += (cols.T @ g).reshape(w, e, f)
+        dcols = (g @ kernel.T).reshape(bsz, n, w * e)
         dpad = np.zeros_like(padded)
         for j in range(w):
-            dpad[j : j + n] += g @ filters.values[j].T
-            filters.grad[j] += padded[j : j + n].T @ g
-        seq.grad += dpad[left : left + n]
+            dpad[:, j : j + n] += dcols[:, :, j * e : (j + 1) * e]
+        dx = dpad[:, left : left + n]
+        if valid is not None:
+            dx *= valid[..., None]
+        seq.grad += dx.reshape(seq.shape)
 
     _record(backward)
     return out
 
 
-def max_over_time(seq: Tensor) -> Tensor:
-    """Per-channel maximum over positions of an (n, f) sequence.
+def max_over_time(seq: Tensor, lengths=None) -> Tensor:
+    """Per-channel maximum over positions of an (n, f) sequence, giving (f,),
+    or of each row of a (B, n, f) batch, giving (B, f).
 
-    Backward routes each channel's gradient to its argmax position only; ties
-    go to the lowest position index.
+    In a batch, row b takes its maximum over its first ``lengths[b]``
+    positions (all n when lengths is None). Backward routes each channel's
+    gradient to its argmax position only; ties go to the lowest position
+    index.
     """
-    if seq.values.ndim != 2 or seq.shape[0] < 1:
-        raise ValueError(f"max_over_time needs a non-empty (n, f) input, got {seq.shape}")
-    idx = seq.values.argmax(axis=0)
-    out = Tensor(seq.values[idx, np.arange(seq.shape[1])])
+    if seq.values.ndim not in (2, 3) or seq.shape[-2] < 1:
+        raise ValueError(f"max_over_time needs a non-empty (n, f) or (B, n, f) input, got {seq.shape}")
+    x = seq.values if seq.values.ndim == 3 else seq.values[None]
+    valid = _valid_positions(seq.shape, lengths)
+    if valid is not None:
+        x = np.where(valid[..., None], x, -np.inf)
+    out = Tensor(x.max(axis=1).reshape(seq.shape[:-2] + seq.shape[-1:]))
 
     def backward() -> None:
-        seq.grad[idx, np.arange(seq.shape[1])] += out.grad
+        bsz, _, f = x.shape
+        idx = x.argmax(axis=1)
+        grad = seq.grad if seq.values.ndim == 3 else seq.grad[None]
+        grad[np.arange(bsz)[:, None], idx, np.arange(f)] += out.grad.reshape(bsz, f)
 
     _record(backward)
     return out
@@ -361,6 +406,86 @@ def lstm_cell(
 
     _record(backward)
     return h_out, c_out
+
+
+def lstm_sequence(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """Run ``lstm_cell`` over every row of an (n, e) sequence from zero states,
+    as one tape node; returns the (n, hidden) hidden states by position.
+
+    With ``reverse`` the steps run from the last row to the first. The input
+    projection of all positions is one (n, e) @ (e, 4h) product; the
+    hand-written BPTT collects the gate gradients of every step as an (n, 4h)
+    matrix and forms the input and weight gradients from it with one product
+    or sum each (Appleyard et al. 2016, arXiv:1604.01946).
+    """
+    if xs.values.ndim != 2 or xs.shape[0] < 1:
+        raise ValueError(f"lstm_sequence needs a non-empty (n, e) input, got {xs.shape}")
+    n, e = xs.shape
+    hd = wh.shape[0]
+    if wx.shape != (e, 4 * hd) or wh.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
+        raise ValueError(
+            f"lstm_sequence parameter shapes disagree with input {xs.shape}: "
+            f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
+        )
+    # Every array below is indexed by step, i.e. in the order the steps run.
+    # The gates use sigmoid(z) = tanh(z / 2) / 2 + 1/2, so one tanh over the
+    # whole gate vector serves all four gates. Halving is exact in floating
+    # point, so it is folded into the weights ahead of the loop.
+    x = xs.values[::-1] if reverse else xs.values
+    scale = np.full(4 * hd, 0.5)
+    scale[2 * hd : 3 * hd] = 1.0  # the candidate gate is a plain tanh
+    offset = 1.0 - scale
+    xz = (x @ wx.values + b.values) * scale
+    wh_scaled = wh.values * scale
+    gates = np.empty((n, 4 * hd))  # sigmoid of input/forget/output, tanh of candidate
+    h_all = np.zeros((n + 1, hd))  # h_all[t] is the state before step t
+    c_all = np.zeros((n + 1, hd))
+    tc_all = np.empty((n, hd))  # tanh of the new cell state
+    for act, xz_t, h_prev, h_new, c_prev, c_new, tc in zip(
+        gates, xz, h_all, h_all[1:], c_all, c_all[1:], tc_all
+    ):
+        np.dot(h_prev, wh_scaled, out=act)
+        act += xz_t
+        np.tanh(act, out=act)
+        act *= scale
+        act += offset
+        np.multiply(act[hd : 2 * hd], c_prev, out=c_new)
+        c_new += act[:hd] * act[2 * hd : 3 * hd]
+        np.tanh(c_new, out=tc)
+        np.multiply(act[3 * hd :], tc, out=h_new)
+    h_out = h_all[1:]
+    out = Tensor(h_out[::-1] if reverse else h_out)
+
+    def backward() -> None:
+        i, f, g, o = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
+        # dz of step t is [dc*gate_scale[t, 0:3], dh*out_scale[t]] block by block
+        gate_scale = np.stack(
+            [g * i * (1.0 - i), c_all[:-1] * f * (1.0 - f), i * (1.0 - g * g)], axis=1
+        )
+        out_scale = tc_all * o * (1.0 - o)
+        cell_scale = o * (1.0 - tc_all * tc_all)
+        dh_out = out.grad[::-1] if reverse else out.grad
+        dz = np.empty((n, 4 * hd))
+        wh_t = np.ascontiguousarray(wh.values.T)
+        dh_next = np.zeros(hd)
+        dc_next = np.zeros(hd)
+        steps = zip(dz[::-1], dh_out[::-1], cell_scale[::-1], gate_scale[::-1], out_scale[::-1], f[::-1])
+        for dz_t, dh_t, cell_t, gate_t, out_t, f_t in steps:
+            dh = dh_t + dh_next
+            dc = dh * cell_t
+            dc += dc_next
+            np.multiply(dc, gate_t, out=dz_t[: 3 * hd].reshape(3, hd))
+            np.multiply(dh, out_t, out=dz_t[3 * hd :])
+            dh_next = dz_t @ wh_t
+            dc_next = dc * f_t
+        dx = dz @ wx.values.T
+        xs.grad += dx[::-1] if reverse else dx
+        wx.grad += x.T @ dz
+        wh.grad += h_all[:-1].T @ dz
+        b.grad += dz.sum(axis=0)
+
+    _record(backward)
+    return out
 
 
 def softmax_cross_entropy(logits: Tensor, gold: int) -> Tensor:

@@ -238,6 +238,18 @@ def test_criterion_3_iobes_soundness():
         _, repairs = decode_iobes([tags[i] for i in path])
         assert repairs == 0, f"illegal decode {path}"
 
+    # extra instances: emission margins far beyond any finite mask constant
+    for scale in (1e2, 1e4, 1e6):
+        for _ in range(100):
+            num_labels = int(rng_np.integers(1, 5))
+            tags = iobes_tag_set([f"l{i}" for i in range(num_labels)])
+            params = CrfParams(len(tags))
+            params.transitions.values[:] = rng_np.normal(size=params.transitions.shape) * 2.0
+            emissions = rng_np.normal(size=(int(rng_np.integers(1, 13)), len(tags))) * scale
+            path = viterbi(emissions, params, build_iobes_constraints(tags))
+            _, repairs = decode_iobes([tags[i] for i in path])
+            assert repairs == 0, f"illegal decode {path} at emission scale {scale:g}"
+
     rng = random.Random(404)
     for _ in range(1000):
         spans, length = _random_layout(rng)
@@ -248,7 +260,9 @@ def test_criterion_3_iobes_soundness():
         ]
     _verdict(
         3, "constrained decodes always valid; span layouts round-trip",
-        True, "1000 fuzzed decodes repair-free, 1000 layouts round-tripped",
+        True,
+        "1000 fuzzed decodes and 300 at emission scales 1e2-1e6 repair-free, "
+        "1000 layouts round-tripped",
     )
 
 

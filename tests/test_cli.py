@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from spanfeat.cli import run
+from spanfeat.cli import _read_config_file, run
 from spanfeat.data import DEFAULT_FEATURE_VALUES, load_corpus, utterance_to_json
 from spanfeat.models import load_model
 
@@ -186,6 +186,21 @@ class TestConfigFile:
         assert code == 1
         assert "learning_rate_warmup" in capsys.readouterr().err
 
+    def test_hash_inside_value_is_kept(self, corpus_dir, tmp_path):
+        history_path = tmp_path / "run#1.txt"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"history = {history_path}\n")
+        assert run(train_args(
+            "span-cnn", corpus_dir, tmp_path / "m.json", "--dimension", "tense",
+            "--config", str(config), *TINY_CLASSIFIER,
+        )) == 0
+        assert len(history_path.read_text().splitlines()) == 1
+
+    def test_comment_after_whitespace_is_cut(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# header\nlr = 0.1  # note\n")
+        assert _read_config_file(str(config)) == {"lr": 0.1}
+
     def test_malformed_line_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("just some words\n")
@@ -302,6 +317,13 @@ class TestPredict:
         monkeypatch.setattr("sys.stdin", io.StringIO("\n\n"))
         assert run(["predict", "--model", str(trained["intent"])]) == 0
         assert capsys.readouterr().out == ""
+
+    def test_empty_token_names_line(self, trained, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"tokens": ["hi"], "spans": []}\n{"tokens": ["a", ""], "spans": []}\n'
+        ))
+        assert run(["predict", "--model", str(trained["intent"])]) == 1
+        assert "stdin:2: token 1 is an empty string" in capsys.readouterr().err
 
     def test_bad_json_names_line(self, trained, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"tokens": ["hi"], "spans": []}\nnot json\n'))

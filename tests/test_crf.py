@@ -209,6 +209,48 @@ class TestViterbi:
             assert repairs == 0
 
 
+class TestLargeEmissions:
+    """Masking must hold for any emission scale, not only below some constant."""
+
+    def test_one_token_inside_tag_cannot_escape_the_mask(self):
+        tags = iobes_tag_set(["x"])
+        em = np.zeros((1, len(tags)))
+        em[0, tags.index("I-x")] = 3e4
+        path = viterbi(em, CrfParams(len(tags)), build_iobes_constraints(tags))
+        _, repairs = decode_iobes([tags[i] for i in path])
+        assert repairs == 0
+
+    def test_log_partition_counts_legal_paths_only(self):
+        tags = iobes_tag_set(["x"])
+        constraints = build_iobes_constraints(tags)
+        params = CrfParams(len(tags))
+        em = Tensor(np.zeros((2, len(tags))))
+        em.values[0, tags.index("I-x")] = 3e4
+        legal = brute_force_scores(em.values, params.transitions.values, len(tags), constraints)
+        with Tape() as tape:
+            logz = log_partition(em, params, constraints)
+        tape.backward(logz)
+        # O-O, O-S, S-O, S-S and B-E, all scoring 0
+        assert logz.item() == pytest.approx(logsumexp([s for s, _ in legal]), abs=1e-12)
+        assert logz.item() == pytest.approx(np.log(5.0), abs=1e-12)
+        assert np.all(np.isfinite(em.grad)) and np.all(np.isfinite(params.transitions.grad))
+        assert em.grad[0, tags.index("I-x")] == 0.0
+
+    @pytest.mark.parametrize("scale", [1e2, 1e4, 1e6])
+    def test_viterbi_matches_legal_brute_force_at_scale(self, scale):
+        rng = np.random.default_rng(14)
+        tags = iobes_tag_set(["a", "b"])
+        constraints = build_iobes_constraints(tags)
+        k = len(tags)
+        for _ in range(30):
+            n = int(rng.integers(1, 5))
+            em, params = random_crf(rng, n, k)
+            em.values *= scale
+            legal = brute_force_scores(em.values, params.transitions.values, k, constraints)
+            best = max(legal, key=lambda sp: sp[0])
+            assert viterbi(em.values, params, constraints) == list(best[1])
+
+
 class TestIobesConstraints:
     def test_allowed_count_closed_form(self):
         # per label set of size L: 4L^2 + 12L + 3 permitted transitions

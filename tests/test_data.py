@@ -206,6 +206,13 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match=":2:"):
             load_corpus(path)
 
+    def test_empty_token_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"tokens": ["hi"], "spans": []})
+        path.write_text(good + "\n" + json.dumps({"tokens": ["a", ""], "spans": []}) + "\n")
+        with pytest.raises(CorpusError, match=r":2: token 1 is an empty string"):
+            load_corpus(path)
+
     def test_missing_feature_rejected_when_required(self, tmp_path):
         path = tmp_path / "partial.jsonl"
         row = {"tokens": ["go"], "spans": [{"start": 0, "end": 1, "intent": "x", "features": {"tense": "past"}}]}

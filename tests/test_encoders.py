@@ -71,14 +71,14 @@ class TestTokenEncoder:
 
     def test_single_char_token_defined(self):
         enc = small_encoder()
-        vec = enc.char_cnn("a")
-        assert vec.shape == (enc.config.char_filters,)
+        vec = enc.char_cnn(["a"])
+        assert vec.shape == (1, enc.config.char_filters)
         assert np.all(np.isfinite(vec.values))
 
     def test_empty_token_rejected(self):
         enc = small_encoder()
         with pytest.raises(ValueError, match="empty token"):
-            enc.char_cnn("")
+            enc.char_cnn(["a", ""])
         with pytest.raises(ValueError, match="empty utterance"):
             enc.encode([])
 
@@ -108,14 +108,14 @@ class TestTokenEncoder:
 
     def test_interior_permutation_changes_output(self):
         enc = small_encoder()
-        a = enc.char_cnn("abcde").values
-        b = enc.char_cnn("acbde").values
+        a = enc.char_cnn(["abcde"]).values[0]
+        b = enc.char_cnn(["acbde"]).values[0]
         assert not np.allclose(a, b)
 
     def test_palindrome_reversal_identical(self):
         enc = small_encoder()
-        a = enc.char_cnn("abcba").values
-        b = enc.char_cnn("abcba"[::-1]).values
+        a = enc.char_cnn(["abcba"]).values[0]
+        b = enc.char_cnn(["abcba"[::-1]]).values[0]
         assert np.array_equal(a, b)
 
     def test_pretrained_overwrite(self):
@@ -152,9 +152,45 @@ def char_window_responses(enc, token):
 
 def test_char_cnn_is_max_of_window_responses():
     enc = small_encoder()
-    for token in ("a", "ab", "abca", "printer"):
+    tokens = ["a", "ab", "abca", "printer"]
+    out = enc.char_cnn(tokens).values
+    for row, token in enumerate(tokens):
         expected = char_window_responses(enc, token).max(axis=0)
-        assert np.allclose(enc.char_cnn(token).values, expected, atol=1e-12)
+        assert np.allclose(out[row], expected, atol=1e-12)
+
+
+def test_batched_char_cnn_matches_per_token_pipeline():
+    # ragged batch: length 1, shorter than the width-3 filter, longer, and a
+    # repeated letter whose identical windows tie for a positive maximum in
+    # two channels at this seed
+    enc = small_encoder(seed=0)
+    tokens = ["a", "ab", "printer", "aaaaa"]
+    params = [enc.char_table, enc.char_conv_filters, enc.char_conv_bias]
+    probe = np.random.default_rng(9).normal(size=(len(tokens), enc.config.char_filters))
+
+    def per_token(token):
+        chars = T.gather_rows(enc.char_table, [enc.char_vocab.lookup(c) for c in token])
+        return T.max_over_time(T.relu(T.conv1d_same(chars, enc.char_conv_filters, enc.char_conv_bias)))
+
+    def grads(function):
+        for t in params:
+            t.zero_grad()
+        with Tape() as tape:
+            out = function()
+            loss = Tensor((out.values * probe).sum())
+
+            def backward():
+                out.grad += loss.grad * probe
+
+            T._record(backward)
+        tape.backward(loss)
+        return out.values, [t.grad.copy() for t in params]
+
+    batched, batched_grads = grads(lambda: enc.char_cnn(tokens))
+    single, single_grads = grads(lambda: T.stack_rows([per_token(t) for t in tokens]))
+    assert np.max(np.abs(batched - single)) < 1e-12
+    for got, want in zip(batched_grads, single_grads):
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_extension_changes_output_only_when_tail_maxima_beat_shared():
@@ -172,8 +208,8 @@ def test_extension_changes_output_only_when_tail_maxima_beat_shared():
             for c in alphabet:
                 ext = char_window_responses(enc, s + c)
                 assert np.allclose(ext[: n - 1], shared, atol=1e-12)
-                out_s = enc.char_cnn(s).values
-                out_ext = enc.char_cnn(s + c).values
+                out_s = enc.char_cnn([s]).values[0]
+                out_ext = enc.char_cnn([s + c]).values[0]
                 if shared.size:
                     shared_max = shared.max(axis=0)
                     tail_max = np.maximum(base[n - 1], ext[n - 1 :].max(axis=0))
@@ -192,8 +228,10 @@ class TestBiLstm:
         out = net.encode(seq)
         assert out.shape == (1, 6)
         # n=1: both halves are a single step over the same token
-        h_f = net.fwd.run([Tensor(seq.values[0])])[0]
-        h_b = net.bwd.run([Tensor(seq.values[0])])[0]
+        zero = Tensor(np.zeros(3))
+        x = Tensor(seq.values[0])
+        h_f, _ = T.lstm_cell(x, zero, zero, net.fwd.wx, net.fwd.wh, net.fwd.b)
+        h_b, _ = T.lstm_cell(x, zero, zero, net.bwd.wx, net.bwd.wh, net.bwd.b)
         assert np.allclose(out.values[0, :3], h_f.values)
         assert np.allclose(out.values[0, 3:], h_b.values)
 

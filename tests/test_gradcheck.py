@@ -16,7 +16,8 @@ def test_primitive_suite_covers_every_op_family():
     for expected in (
         "matmul", "add", "add-bias", "sub", "scale", "relu", "concat",
         "stack-unstack", "gather-rows", "conv1d-same", "max-over-time",
-        "lstm-cell", "softmax-cross-entropy", "crf-log-partition",
+        "lstm-cell", "lstm-sequence", "lstm-sequence-reverse",
+        "conv1d-max-over-time-batched", "softmax-cross-entropy", "crf-log-partition",
         "crf-log-partition-constrained", "crf-nll-constrained",
     ):
         assert expected in names

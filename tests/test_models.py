@@ -394,6 +394,18 @@ class TestSerialization:
         with pytest.raises(ModelError, match="projection.bias"):
             load_model(path)
 
+    def test_non_finite_value_names_tensor(self, vocabs, tmp_path):
+        import json
+
+        model = all_models(vocabs)[0]
+        path = tmp_path / "m.json"
+        serialize_model(model, path)
+        bundle = json.loads(path.read_text())
+        bundle["parameters"]["projection.bias"]["values"][0] = float("nan")
+        path.write_text(json.dumps(bundle))
+        with pytest.raises(ModelError, match="projection.bias.*non-finite"):
+            load_model(path)
+
     def test_version_mismatch(self, vocabs, tmp_path):
         import json
 

@@ -205,6 +205,106 @@ class TestBackwardAgainstFiniteDifferences:
         assert_matches_fd(lambda: T.index_sum(m, [0, 2, 2], [1, 3, 3]), [m])
 
 
+def _weighted_sum(t, weights):
+    """Scalar sum(t * weights); its backward seeds t.grad with the weights."""
+    out = Tensor((t.values * weights).sum())
+
+    def backward():
+        t.grad += out.grad * weights
+
+    T._record(backward)
+    return out
+
+
+def _lstm_cell_loop(xs, wx, wh, b, reverse):
+    """Reference for lstm_sequence: one lstm_cell node per step."""
+    hd = wh.shape[0]
+    h, c = Tensor(np.zeros(hd)), Tensor(np.zeros(hd))
+    rows = T.unstack_rows(xs)
+    states = [None] * len(rows)
+    for t in (range(len(rows) - 1, -1, -1) if reverse else range(len(rows))):
+        h, c = T.lstm_cell(rows[t], h, c, wx, wh, b)
+        states[t] = h
+    return T.stack_rows(states)
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("n", [1, 7])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_sequence_matches_cell_loop(self, n, reverse):
+        rng = np.random.default_rng(20 + n)
+        e, hd = 3, 4
+        xs = Tensor(rng.normal(size=(n, e)))
+        wx = Tensor(rng.normal(size=(e, 4 * hd)) * 0.5)
+        wh = Tensor(rng.normal(size=(hd, 4 * hd)) * 0.5)
+        b = Tensor(rng.normal(size=4 * hd) * 0.5)
+        probe = rng.normal(size=(n, hd))
+        inputs = [xs, wx, wh, b]
+        fused = run_backward(lambda: _weighted_sum(T.lstm_sequence(xs, wx, wh, b, reverse), probe), inputs)
+        fused_grads = [t.grad.copy() for t in inputs]
+        looped = run_backward(lambda: _weighted_sum(_lstm_cell_loop(xs, wx, wh, b, reverse), probe), inputs)
+        states = T.lstm_sequence(xs, wx, wh, b, reverse).values
+        assert np.max(np.abs(states - _lstm_cell_loop(xs, wx, wh, b, reverse).values)) < 1e-12
+        assert abs(fused.item() - looped.item()) < 1e-12
+        for got, t in zip(fused_grads, inputs):
+            assert np.max(np.abs(got - t.grad)) < 1e-10
+
+    def test_lstm_sequence_one_tape_node(self):
+        rng = np.random.default_rng(25)
+        with Tape() as tape:
+            T.lstm_sequence(Tensor(rng.normal(size=(6, 2))), Tensor(np.zeros((2, 12))),
+                            Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
+        assert len(tape) == 1
+
+    def test_batched_conv_and_max_match_each_row(self):
+        # lengths 1, 2 (shorter than the width-3 filter) and 5; the padded
+        # positions hold junk that must neither count nor receive gradient
+        rng = np.random.default_rng(26)
+        lengths = [1, 2, 5]
+        batch = Tensor(rng.normal(size=(3, 5, 3)) * 4.0)
+        batch.values[2] = batch.values[2, 0]  # identical interior windows tie for the max
+        filters = Tensor(rng.normal(size=(3, 3, 4)))
+        bias = Tensor(rng.normal(size=4))
+        probe = rng.normal(size=(3, 4))
+        params = [batch, filters, bias]
+        out = run_backward(
+            lambda: _weighted_sum(T.max_over_time(T.relu(T.conv1d_same(batch, filters, bias, lengths)), lengths), probe),
+            params,
+        )
+        batched = [t.grad.copy() for t in params]
+        assert np.all(batched[0][0, 1:] == 0.0) and np.all(batched[0][1, 2:] == 0.0)
+
+        total = 0.0
+        for t in params:
+            t.zero_grad()
+        for row, n in enumerate(lengths):
+            seq = Tensor(batch.values[row, :n])
+            with Tape() as tape:
+                pooled = _weighted_sum(T.max_over_time(T.relu(T.conv1d_same(seq, filters, bias))), probe[row])
+            tape.backward(pooled)
+            total += pooled.item()
+            batch.grad[row, :n] += seq.grad
+        assert abs(out.item() - total) < 1e-12
+        for got, t in zip(batched, params):
+            assert np.max(np.abs(got - t.grad)) < 1e-12
+
+    def test_batched_max_ignores_padding_and_breaks_ties_low(self):
+        seq = Tensor([[[5.0, 1.0], [5.0, 2.0], [99.0, 99.0]],
+                      [[3.0, 2.0], [3.0, 2.0], [1.0, 2.0]]])
+        out = run_backward(lambda: _sum_all(T.max_over_time(seq, [2, 3])), [seq])
+        assert out.item() == 12.0
+        assert seq.grad.tolist() == [
+            [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+            [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],
+        ]
+
+    def test_lengths_validated(self):
+        with pytest.raises(ValueError, match="lengths"):
+            T.max_over_time(Tensor(np.zeros((2, 3, 1))), [0, 3])
+        with pytest.raises(ValueError, match="lengths"):
+            T.conv1d_same(Tensor(np.zeros((1, 3, 1))), Tensor(np.zeros((3, 1, 1))), Tensor(np.zeros(1)), [4])
+
+
 class TestTapeSemantics:
     def test_reuse_accumulates_double_gradient(self):
         x = Tensor(np.array([1.0, 2.0]))
