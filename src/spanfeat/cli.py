@@ -32,6 +32,7 @@ from .data import (
 )
 from .encoders import EncoderConfig
 from .evaluation import (
+    COMPARISON_ROLES,
     classifier_accuracy,
     compare_models,
     evaluate_feature_model,
@@ -44,22 +45,17 @@ from .evaluation import (
 from .gradcheck import report_lines, run_gradient_checks
 from .models import (
     ARCHITECTURES,
-    FeatureTaggerCascaded,
+    CLASSIFIER_ARCHS,
+    TAGGER_ARCHS,
     FeatureTaggerFlat,
-    GlobalLocalClassifier,
-    GlobalLocalConfig,
     IntentTagger,
     ModelError,
-    SpanCnnClassifier,
-    SpanCnnConfig,
     load_model,
     serialize_model,
 )
 from .synthetic import SyntheticConfig, generate_synthetic
 from .training import TrainingError, history_lines, recipe_for, train
 
-TAGGER_ARCHS = ("intent-tagger", "feature-tagger-flat", "feature-tagger-cascaded")
-CLASSIFIER_ARCHS = ("span-cnn", "global-local")
 DEFAULT_SEED = 13
 
 
@@ -242,6 +238,20 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+# train flags that only some architectures read: argparse dest -> those architectures
+_ARCH_FLAGS = {
+    "word_dim": TAGGER_ARCHS,
+    "lstm_hidden": TAGGER_ARCHS,
+    "constrain_training": TAGGER_ARCHS,
+    "boundary_dim": ("feature-tagger-cascaded",),
+    "embedding_dim": CLASSIFIER_ARCHS,
+    "filters": CLASSIFIER_ARCHS,
+    "no_global_context": ("global-local",),
+    "no_shared_embedding": ("global-local",),
+    "share_pooling": ("global-local",),
+}
+
+
 def _check_train_flags(args) -> None:
     arch = args.arch
     if arch == "intent-tagger":
@@ -249,74 +259,46 @@ def _check_train_flags(args) -> None:
             raise CliError("--dimension applies to feature models, not intent-tagger")
     elif not args.dimension:
         raise CliError(f"--dimension is required for {arch}")
-    for flag in ("no_global_context", "no_shared_embedding", "share_pooling"):
-        if getattr(args, flag) and arch != "global-local":
-            raise CliError(f"--{flag.replace('_', '-')} requires --arch global-local")
-    if args.constrain_training and arch not in TAGGER_ARCHS:
-        raise CliError("--constrain-training applies to tagger architectures only")
-    if args.boundary_dim is not None and arch != "feature-tagger-cascaded":
-        raise CliError("--boundary-dim applies to feature-tagger-cascaded only")
+    for dest, archs in _ARCH_FLAGS.items():
+        value = getattr(args, dest)
+        if value is not None and value is not False and arch not in archs:
+            raise CliError(f"--{dest.replace('_', '-')} applies to {', '.join(archs)} only")
 
 
-def _encoder_config(args) -> EncoderConfig:
-    base = EncoderConfig()
-    return dataclasses.replace(
-        base,
-        word_embedding_dims=[args.word_dim] if args.word_dim else base.word_embedding_dims,
-        lstm_hidden=args.lstm_hidden or base.lstm_hidden,
-    )
+def _given(**values) -> dict:
+    """The keyword arguments whose flag was given (is not None)."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
-def _classifier_kwargs(args) -> dict:
-    out = {}
-    if args.embedding_dim:
-        out["embedding_dim"] = args.embedding_dim
-    if args.filters:
-        out["filters_per_width"] = args.filters
-    return out
+def _classifier_sizes(args) -> dict:
+    return _given(embedding_dim=args.embedding_dim, filters_per_width=args.filters)
 
 
 def _build_model(args, seed, word_vocab, char_vocab, intents):
-    arch = args.arch
-    if arch == "intent-tagger":
-        return IntentTagger(
-            word_vocab, char_vocab, intents, _encoder_config(args),
-            seed=seed, constrain_training=args.constrain_training,
-        )
-    if arch == "feature-tagger-flat":
-        return FeatureTaggerFlat(
-            word_vocab, char_vocab, args.dimension, _encoder_config(args),
-            seed=seed, constrain_training=args.constrain_training,
-        )
-    if arch == "feature-tagger-cascaded":
-        return FeatureTaggerCascaded(
-            word_vocab, char_vocab, args.dimension, _encoder_config(args),
-            seed=seed, constrain_training=args.constrain_training,
-            boundary_dim=args.boundary_dim or 10,
-        )
-    if arch == "span-cnn":
-        return SpanCnnClassifier(
-            word_vocab, args.dimension, SpanCnnConfig(**_classifier_kwargs(args)), seed=seed,
-        )
-    config = GlobalLocalConfig(
-        share_encoder_embedding=not args.no_shared_embedding,
-        use_global_context=not args.no_global_context,
-        share_pooling_params=args.share_pooling,
-        **_classifier_kwargs(args),
+    cls = ARCHITECTURES[args.arch]
+    if args.arch in CLASSIFIER_ARCHS:
+        switches = {}
+        if args.arch == "global-local":
+            switches = dict(
+                share_encoder_embedding=not args.no_shared_embedding,
+                use_global_context=not args.no_global_context,
+                share_pooling_params=args.share_pooling,
+            )
+        config = cls.config_type(**_classifier_sizes(args), **switches)
+        return cls(word_vocab, args.dimension, config, seed=seed)
+    word_dims = None if args.word_dim is None else [args.word_dim]
+    encoder = EncoderConfig(**_given(word_embedding_dims=word_dims, lstm_hidden=args.lstm_hidden))
+    subject = intents if args.arch == "intent-tagger" else args.dimension
+    return cls(
+        word_vocab, char_vocab, subject, encoder, seed=seed,
+        constrain_training=args.constrain_training, **_given(boundary_dim=args.boundary_dim),
     )
-    return GlobalLocalClassifier(word_vocab, args.dimension, config, seed=seed)
 
 
 def _train_one(model, train_corpus, dev_corpus, epochs, seed, batch_size=None, lr=None):
     """Wire a model to its stock optimizer recipe and run the loop."""
     config, clip = recipe_for(model.architecture, epochs=epochs, seed=seed)
-    replacements = {}
-    if batch_size:
-        replacements["batch_size"] = batch_size
-    if lr:
-        replacements["learning_rate"] = lr
-    if replacements:
-        config = dataclasses.replace(config, **replacements)
+    config = dataclasses.replace(config, **_given(batch_size=batch_size, learning_rate=lr))
 
     if model.architecture in CLASSIFIER_ARCHS:
         examples = masked_examples(train_corpus, model.dimension)
@@ -399,16 +381,11 @@ def _predict_utterance(model, u: AnnotatedUtterance) -> AnnotatedUtterance:
             for s in model.tag(u.tokens)
         ]
         return AnnotatedUtterance(tokens=u.tokens, spans=spans)
-    if isinstance(model, (FeatureTaggerFlat, FeatureTaggerCascaded)):
+    if isinstance(model, FeatureTaggerFlat):
         labels = model.labels_for(u.tokens, u.spans)
     else:
-        labels = []
-        for s in u.spans:
-            mask = [0] * len(u.tokens)
-            for i in s.token_range():
-                mask[i] = 1
-            example = MaskedExample(tokens=u.tokens, mask=mask, gold=0)
-            labels.append(model.labels[model.classify(example)])
+        examples = [MaskedExample.for_span(u.tokens, s) for s in u.spans]
+        labels = [model.labels[model.classify(e)] for e in examples]
     spans = [
         IntentSpan(s.start, s.end, s.intent, _full_features(s, model.dimension, label))
         for s, label in zip(u.spans, labels)
@@ -430,36 +407,19 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-ABLATION_ROLES = (
-    ("global-local", {}),
-    ("span-cnn", {}),
-    ("no-global-context", {"use_global_context": False}),
-    ("no-shared-embedding", {"share_encoder_embedding": False}),
-)
-
-
 def _cmd_ablate(args) -> int:
     seed = _resolve_seed(args.seed)
     train_corpus = load_corpus(args.train_path)
     test_corpus = load_corpus(args.test_path)
     word_vocab, _ = build_vocabularies(train_corpus)
     dimensions = args.dimension or _dimension_choices()
-    size = {}
-    if args.embedding_dim:
-        size["embedding_dim"] = args.embedding_dim
-    if args.filters:
-        size["filters_per_width"] = args.filters
+    sizes = _classifier_sizes(args)
 
     reports = {}
-    for role, tweaks in ABLATION_ROLES:
+    for role, (cls, overrides) in COMPARISON_ROLES.items():
         sections = []
         for dimension in dimensions:
-            if role == "span-cnn":
-                model = SpanCnnClassifier(word_vocab, dimension, SpanCnnConfig(**size), seed=seed)
-            else:
-                model = GlobalLocalClassifier(
-                    word_vocab, dimension, GlobalLocalConfig(**size, **tweaks), seed=seed,
-                )
+            model = cls(word_vocab, dimension, cls.config_type(**sizes, **overrides), seed=seed)
             _train_one(model, train_corpus, None, args.epochs, seed)
             sections.append(
                 evaluate_feature_model(model, test_corpus, corpus_tag=Path(args.test_path).name)

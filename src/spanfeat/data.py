@@ -80,9 +80,6 @@ class IntentSpan:
             if value not in FEATURE_DIMENSIONS[dim]:
                 raise CorpusError(f"bad value {value!r} for dimension {dim!r}")
 
-    def token_range(self) -> range:
-        return range(self.start, self.end)
-
 
 @dataclass
 class AnnotatedUtterance:
@@ -128,8 +125,12 @@ class MaskedExample:
         if any(bit not in (0, 1) for bit in self.mask):
             raise CorpusError("mask entries must be 0 or 1")
 
-    def span_positions(self) -> list[int]:
-        return [i for i, bit in enumerate(self.mask) if bit]
+    @classmethod
+    def for_span(cls, tokens: Sequence[str], span: IntentSpan, gold: int = 0) -> "MaskedExample":
+        """The example that masks ``span`` within ``tokens``."""
+        mask = [0] * len(tokens)
+        mask[span.start : span.end] = [1] * (span.end - span.start)
+        return cls(tokens=list(tokens), mask=mask, gold=gold)
 
 
 class Vocabulary:
@@ -173,6 +174,11 @@ class Vocabulary:
 
     @classmethod
     def from_dict(cls, mapping: dict[str, int]) -> "Vocabulary":
+        if not isinstance(mapping, dict):
+            raise CorpusError("vocabulary is not a token-to-index mapping")
+        for token, idx in mapping.items():
+            if type(idx) is not int:
+                raise CorpusError(f"index {idx!r} of {token!r} is not an integer")
         if mapping.get(cls.PAD_TOKEN) != cls.PAD or mapping.get(cls.UNK_TOKEN) != cls.UNK:
             raise CorpusError("vocabulary mapping lacks reserved pad/unk entries")
         vocab = cls()
@@ -362,17 +368,8 @@ def masked_examples(
     labels = FEATURE_DIMENSIONS.get(dimension)
     if labels is None:
         raise CorpusError(f"unknown feature dimension {dimension!r}")
-    examples = []
-    for u in corpus:
-        for s in u.spans:
-            mask = [0] * len(u.tokens)
-            for i in s.token_range():
-                mask[i] = 1
-            examples.append(
-                MaskedExample(
-                    tokens=list(u.tokens),
-                    mask=mask,
-                    gold=labels.index(s.features[dimension]),
-                )
-            )
-    return examples
+    return [
+        MaskedExample.for_span(u.tokens, s, labels.index(s.features[dimension]))
+        for u in corpus
+        for s in u.spans
+    ]

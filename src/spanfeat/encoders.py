@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .tensor import (
     uniform_init,
 )
 
-__all__ = ["EncoderConfig", "TokenEncoder", "BiLstm", "read_embedding_table"]
+__all__ = ["EncoderConfig", "TokenEncoder", "BiLstm"]
 
 EMBEDDING_INIT_BOUND = 0.25
 
@@ -29,8 +28,8 @@ EMBEDDING_INIT_BOUND = 0.25
 class EncoderConfig:
     """Sizes for the shared token representation.
 
-    ``word_embedding_dims`` holds one entry per word table; tables are
-    concatenated, so multiple pretrained sources can sit side by side.
+    ``word_embedding_dims`` holds one entry per word table; the tables'
+    rows are concatenated.
     """
 
     word_embedding_dims: list[int] = field(default_factory=lambda: [100])
@@ -111,40 +110,6 @@ class TokenEncoder:
         distinct = {t: row for row, t in enumerate(dict.fromkeys(tokens))}
         char_rows = gather_rows(self.char_cnn(list(distinct)), [distinct[t] for t in tokens])
         return concat(word_parts + [char_rows])
-
-    def apply_pretrained(self, table_index: int, vectors: dict[str, np.ndarray]) -> int:
-        """Overwrite rows of one word table with given vectors; returns hit count."""
-        table = self.word_tables[table_index]
-        hits = 0
-        for token, vec in vectors.items():
-            key = token.lower()
-            if key in self.word_vocab:
-                if vec.shape != (table.shape[1],):
-                    raise ValueError(
-                        f"pretrained vector for {token!r} has dim {vec.shape[0]}, "
-                        f"table {table_index} holds {table.shape[1]}"
-                    )
-                table.values[self.word_vocab.lookup(key)] = vec
-                hits += 1
-        return hits
-
-
-def read_embedding_table(path: str | Path) -> tuple[dict[str, np.ndarray], int]:
-    """Read a text embedding file: header "count dim", then "token v1 .. vdim"."""
-    vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: header must be 'count dim'")
-        count, dim = int(header[0]), int(header[1])
-        for lineno, line in enumerate(handle, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}:{lineno}: expected {dim} values")
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]])
-    if len(vectors) != count:
-        raise ValueError(f"{path}: header promised {count} rows, found {len(vectors)}")
-    return vectors, dim
 
 
 class _LstmDirection:

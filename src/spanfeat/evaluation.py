@@ -8,7 +8,6 @@ from typing import Mapping, Sequence
 
 from .data import FEATURE_DIMENSIONS, AnnotatedUtterance, IntentSpan, MaskedExample
 from .models import (
-    FeatureTaggerCascaded,
     FeatureTaggerFlat,
     GlobalLocalClassifier,
     IntentTagger,
@@ -228,7 +227,14 @@ def merge_reports(reports: Sequence[EvalReport], model_tag: str) -> EvalReport:
 # model comparison (ablation table)
 # ---------------------------------------------------------------------------
 
-COMPARISON_ROLES = ("global-local", "span-cnn", "no-global-context", "no-shared-embedding")
+# The full model and the three baselines it is compared with, by role name:
+# (classifier class, overrides of the class's default config).
+COMPARISON_ROLES = {
+    "global-local": (GlobalLocalClassifier, {}),
+    "span-cnn": (SpanCnnClassifier, {}),
+    "no-global-context": (GlobalLocalClassifier, {"use_global_context": False}),
+    "no-shared-embedding": (GlobalLocalClassifier, {"share_encoder_embedding": False}),
+}
 GLOBAL_LOCAL_MARGIN = 0.05
 SHARED_EMBEDDING_SLACK = 0.02
 
@@ -313,13 +319,6 @@ def gold_feature_spans(utterance: AnnotatedUtterance, dimension: str) -> list[In
     ]
 
 
-def _span_mask(n: int, span: IntentSpan) -> list[int]:
-    mask = [0] * n
-    for i in span.token_range():
-        mask[i] = 1
-    return mask
-
-
 def evaluate_feature_model(
     model,
     corpus: Sequence[AnnotatedUtterance],
@@ -332,8 +331,8 @@ def evaluate_feature_model(
     boundaries (pipeline mode) and its outputs are aligned back onto the gold
     spans, so reports stay comparable across span modes.
     """
-    is_tagger = isinstance(model, (FeatureTaggerFlat, FeatureTaggerCascaded))
-    if not is_tagger and not isinstance(model, (SpanCnnClassifier, GlobalLocalClassifier)):
+    is_tagger = isinstance(model, FeatureTaggerFlat)
+    if not is_tagger and not isinstance(model, GlobalLocalClassifier):
         raise TypeError(f"not a feature model: {type(model).__name__}")
     dimension = model.dimension
     mode = "pipeline" if intent_tagger is not None else "gold"
@@ -351,8 +350,8 @@ def evaluate_feature_model(
         else:
             labeled = []
             for s in ref_spans:
-                example = MaskedExample(tokens=u.tokens, mask=_span_mask(len(u.tokens), s), gold=0)
-                labeled.append(IntentSpan(s.start, s.end, model.labels[model.classify(example)]))
+                label = model.labels[model.classify(MaskedExample.for_span(u.tokens, s))]
+                labeled.append(IntentSpan(s.start, s.end, label))
             if mode == "gold":
                 labels = [s.intent for s in labeled]
             else:

@@ -1,5 +1,5 @@
 """The five architectures: intent-span tagger, flat and cascaded feature
-taggers, span-level CNN classifier, and the Global-Local classifier.
+taggers, the Global-Local classifier, and span-cnn, its local view alone.
 
 Taggers consume whole annotated utterances; classifiers consume masked
 examples. Every model exposes ``loss`` (tape-recorded scalar), a prediction
@@ -9,7 +9,7 @@ method (tape-free), ``parameters`` (named tensors), and bundle serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from .data import (
     DEFAULT_FEATURE_VALUES,
     FEATURE_DIMENSIONS,
     AnnotatedUtterance,
+    CorpusError,
     IntentSpan,
     MaskedExample,
     Vocabulary,
@@ -44,20 +45,16 @@ from .tensor import (
 __all__ = [
     "GlobalLocalConfig",
     "SpanCnnConfig",
-    "SpanRepresentation",
     "IntentTagger",
     "FeatureTaggerFlat",
     "FeatureTaggerCascaded",
     "SpanCnnClassifier",
     "GlobalLocalClassifier",
     "ARCHITECTURES",
+    "TAGGER_ARCHS",
+    "CLASSIFIER_ARCHS",
     "ModelError",
     "align_feature_spans",
-    "tag_intents",
-    "tag_features_flat",
-    "tag_features_cascaded",
-    "classify_span_cnn",
-    "classify_global_local",
     "serialize_model",
     "load_model",
 ]
@@ -76,6 +73,8 @@ class ModelError(ValueError):
 
 @dataclass
 class SpanCnnConfig:
+    """Sizes of the conv/max-over-time block over word embeddings."""
+
     embedding_dim: int = 100
     filter_widths: list[int] = field(default_factory=lambda: [3, 4, 5])
     filters_per_width: int = 20
@@ -88,27 +87,20 @@ class SpanCnnConfig:
 
 
 @dataclass
-class GlobalLocalConfig:
-    embedding_dim: int = 100
-    filter_widths: list[int] = field(default_factory=lambda: [3, 4, 5])
-    filters_per_width: int = 20
+class GlobalLocalConfig(SpanCnnConfig):
+    """The span-cnn sizes plus the switches of the global-local ablations."""
+
     share_encoder_embedding: bool = True
     use_global_context: bool = True
     share_pooling_params: bool = False
 
-    def __post_init__(self) -> None:
-        if self.embedding_dim < 1 or self.filters_per_width < 1:
-            raise ValueError("embedding and filter counts must be positive")
-        if not self.filter_widths or min(self.filter_widths) < 1:
-            raise ValueError("filter widths must be positive")
-
 
 @dataclass
 class SpanRepresentation:
-    """Pooled span view: the full-context vector, the span-only vector, and
-    their concatenation (global first)."""
+    """Pooled span view: the full-context vector (None without a global
+    view), the span-only vector, and what the projection reads (global first)."""
 
-    global_vec: Tensor
+    global_vec: Tensor | None
     local_vec: Tensor
     joint: Tensor
 
@@ -187,16 +179,23 @@ class _SequenceTagger:
     them inside the partition function only when constrain_training is set.
     """
 
+    vocab_names = ("word", "char")
+    # bundle config keys beyond encoder, seed and constrain_training; each
+    # names both a constructor argument and an attribute
+    own_config_keys: tuple[str, ...] = ()
+    dimension: str | None = None  # the feature dimension tagged; None tags intents
+
     def __init__(
         self,
         word_vocab: Vocabulary,
         char_vocab: Vocabulary,
         labels: list[str],
-        encoder_config: EncoderConfig,
-        seed: int,
-        constrain_training: bool,
+        encoder_config: EncoderConfig | None = None,
+        seed: int = 13,
+        constrain_training: bool = False,
         extra_input_dim: int = 0,
     ) -> None:
+        encoder_config = encoder_config or EncoderConfig()
         self.word_vocab = word_vocab
         self.char_vocab = char_vocab
         self.labels = list(labels)
@@ -225,7 +224,8 @@ class _SequenceTagger:
         return self.projection.apply(self.bilstm.encode(self._token_matrix(utterance)))
 
     def _gold_tag_ids(self, utterance: AnnotatedUtterance) -> list[int]:
-        raise NotImplementedError
+        tags = encode_iobes(utterance.spans, len(utterance.tokens), key=self.dimension)
+        return [self.tags.index(t) for t in tags]
 
     def loss(self, utterance: AnnotatedUtterance) -> Tensor:
         emissions = self._emissions(utterance)
@@ -237,61 +237,42 @@ class _SequenceTagger:
         emissions = self._emissions(utterance)
         return viterbi(emissions.values, self.crf, self.constraints)
 
-    def tag(self, tokens: list[str]) -> list[IntentSpan]:
-        utterance = AnnotatedUtterance(tokens=list(tokens), spans=[])
-        path = self.decode(utterance)
-        spans, _ = decode_iobes([self.tags[i] for i in path])
-        return spans
+    def tag(self, tokens: list[str], spans: list[IntentSpan] = ()) -> list[IntentSpan]:
+        """Decoded spans; ``spans`` reach only the cascaded tagger's boundary input."""
+        path = self.decode(AnnotatedUtterance(tokens=list(tokens), spans=list(spans)))
+        decoded, _ = decode_iobes([self.tags[i] for i in path])
+        return decoded
+
+    def to_config(self) -> dict:
+        config = {key: getattr(self, key) for key in self.own_config_keys}
+        config.update(
+            encoder=asdict(self.encoder_config), seed=self.seed,
+            constrain_training=self.constrain_training,
+        )
+        return config
+
+    @classmethod
+    def from_config(cls, config: dict, vocabs: dict[str, Vocabulary]) -> "_SequenceTagger":
+        keys = ("encoder", "seed", "constrain_training") + cls.own_config_keys
+        _exact_keys(config, keys, "config")
+        return cls(
+            vocabs["word"], vocabs["char"],
+            encoder_config=_decode_config(EncoderConfig, config["encoder"], "config.encoder"),
+            seed=config["seed"], constrain_training=config["constrain_training"],
+            **{key: config[key] for key in cls.own_config_keys},
+        )
 
 
 class IntentTagger(_SequenceTagger):
     architecture = "intent-tagger"
-
-    def __init__(
-        self,
-        word_vocab: Vocabulary,
-        char_vocab: Vocabulary,
-        intents: list[str],
-        encoder_config: EncoderConfig | None = None,
-        seed: int = 13,
-        constrain_training: bool = False,
-    ) -> None:
-        super().__init__(
-            word_vocab, char_vocab, intents, encoder_config or EncoderConfig(),
-            seed, constrain_training,
-        )
-
-    def _gold_tag_ids(self, utterance: AnnotatedUtterance) -> list[int]:
-        tags = encode_iobes(utterance.spans, len(utterance.tokens))
-        return [self.tags.index(t) for t in tags]
-
-    def to_config(self) -> dict:
-        return {
-            "labels": self.labels,
-            "encoder": asdict(self.encoder_config),
-            "seed": self.seed,
-            "constrain_training": self.constrain_training,
-        }
-
-    @classmethod
-    def from_config(cls, config: dict, vocabularies: dict) -> "IntentTagger":
-        return cls(
-            Vocabulary.from_dict(vocabularies["word"]),
-            Vocabulary.from_dict(vocabularies["char"]),
-            config["labels"],
-            EncoderConfig(**config["encoder"]),
-            seed=config["seed"],
-            constrain_training=config["constrain_training"],
-        )
-
-    def vocabularies(self) -> dict:
-        return {"word": self.word_vocab.to_dict(), "char": self.char_vocab.to_dict()}
+    own_config_keys = ("labels",)
 
 
 class FeatureTaggerFlat(_SequenceTagger):
     """IOBES tagger over one feature dimension's labels, boundaries unsupervised."""
 
     architecture = "feature-tagger-flat"
+    own_config_keys = ("dimension",)
 
     def __init__(
         self,
@@ -308,12 +289,8 @@ class FeatureTaggerFlat(_SequenceTagger):
         self.dimension = dimension
         super().__init__(
             word_vocab, char_vocab, list(FEATURE_DIMENSIONS[dimension]),
-            encoder_config or EncoderConfig(), seed, constrain_training, extra_input_dim,
+            encoder_config, seed, constrain_training, extra_input_dim,
         )
-
-    def _gold_tag_ids(self, utterance: AnnotatedUtterance) -> list[int]:
-        tags = encode_iobes(utterance.spans, len(utterance.tokens), key=self.dimension)
-        return [self.tags.index(t) for t in tags]
 
     def feature_spans(self, tokens: list[str], spans: list[IntentSpan] | None = None) -> list[IntentSpan]:
         """Raw decoded feature spans; reference spans are ignored by the flat
@@ -323,28 +300,6 @@ class FeatureTaggerFlat(_SequenceTagger):
     def labels_for(self, tokens: list[str], spans: list[IntentSpan]) -> list[str]:
         """Tag the utterance, then map feature spans onto the given spans."""
         return align_feature_spans(spans, self.feature_spans(tokens, spans), self.dimension)
-
-    def to_config(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "encoder": asdict(self.encoder_config),
-            "seed": self.seed,
-            "constrain_training": self.constrain_training,
-        }
-
-    @classmethod
-    def from_config(cls, config: dict, vocabularies: dict) -> "FeatureTaggerFlat":
-        return cls(
-            Vocabulary.from_dict(vocabularies["word"]),
-            Vocabulary.from_dict(vocabularies["char"]),
-            config["dimension"],
-            EncoderConfig(**config["encoder"]),
-            seed=config["seed"],
-            constrain_training=config["constrain_training"],
-        )
-
-    def vocabularies(self) -> dict:
-        return {"word": self.word_vocab.to_dict(), "char": self.char_vocab.to_dict()}
 
 
 OUTSIDE, INSIDE = 0, 1
@@ -358,6 +313,7 @@ class FeatureTaggerCascaded(FeatureTaggerFlat):
     """
 
     architecture = "feature-tagger-cascaded"
+    own_config_keys = ("dimension", "boundary_dim")
 
     def __init__(
         self,
@@ -384,46 +340,17 @@ class FeatureTaggerCascaded(FeatureTaggerFlat):
         params["boundary_table"] = self.boundary_table
         return params
 
-    def _boundary_ids(self, n: int, spans: list[IntentSpan]) -> list[int]:
-        ids = [OUTSIDE] * n
-        for s in spans:
-            if s.end > n:
-                raise ModelError(f"span [{s.start}, {s.end}) exceeds utterance length {n}")
-            for i in s.token_range():
-                ids[i] = INSIDE
-        return ids
-
     def _token_matrix(self, utterance: AnnotatedUtterance) -> Tensor:
         base = self.encoder.encode(utterance.tokens)
-        ids = self._boundary_ids(len(utterance.tokens), utterance.spans)
+        ids = [OUTSIDE] * len(utterance.tokens)
+        for s in utterance.spans:
+            ids[s.start : s.end] = [INSIDE] * (s.end - s.start)
         return concat([base, gather_rows(self.boundary_table, ids)])
 
     def feature_spans(self, tokens: list[str], spans: list[IntentSpan] | None = None) -> list[IntentSpan]:
         if spans is None:
             raise ModelError("the cascaded tagger needs reference spans")
-        utterance = AnnotatedUtterance(tokens=list(tokens), spans=[
-            IntentSpan(s.start, s.end, "span") for s in spans
-        ])
-        path = self.decode(utterance)
-        decoded, _ = decode_iobes([self.tags[i] for i in path])
-        return decoded
-
-    def to_config(self) -> dict:
-        config = super().to_config()
-        config["boundary_dim"] = self.boundary_dim
-        return config
-
-    @classmethod
-    def from_config(cls, config: dict, vocabularies: dict) -> "FeatureTaggerCascaded":
-        return cls(
-            Vocabulary.from_dict(vocabularies["word"]),
-            Vocabulary.from_dict(vocabularies["char"]),
-            config["dimension"],
-            EncoderConfig(**config["encoder"]),
-            seed=config["seed"],
-            constrain_training=config["constrain_training"],
-            boundary_dim=config["boundary_dim"],
-        )
+        return self.tag(tokens, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +358,20 @@ class FeatureTaggerCascaded(FeatureTaggerFlat):
 # ---------------------------------------------------------------------------
 
 
-class SpanCnnClassifier:
-    """Classifies a span from its own tokens only: embed, parallel convs,
-    max-over-time, project."""
+class GlobalLocalClassifier:
+    """Two pooled views of a masked span: one over the whole utterance, one
+    over the span tokens alone, concatenated global-then-local and projected.
 
-    architecture = "span-cnn"
+    Ablations: use_global_context=False restricts both views to the span;
+    share_encoder_embedding=False embeds the two views with separate tables.
+    A subclass with ``global_view = False`` keeps the local view alone.
+    """
+
+    architecture = "global-local"
+    config_type = GlobalLocalConfig
+    config_key = "global_local"  # the config's key in a bundle
+    global_view = True
+    vocab_names = ("word",)
 
     def __init__(
         self,
@@ -446,102 +382,38 @@ class SpanCnnClassifier:
     ) -> None:
         if dimension not in FEATURE_DIMENSIONS:
             raise ModelError(f"unknown feature dimension {dimension!r}")
+        c = config or self.config_type()
+        if type(c) is not self.config_type:
+            raise ModelError(f"{self.architecture} takes a {self.config_type.__name__}")
         self.word_vocab = word_vocab
         self.dimension = dimension
         self.labels = list(FEATURE_DIMENSIONS[dimension])
-        self.config = config or SpanCnnConfig()
+        self.config = c
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        self.embedding = uniform_init(
-            rng, (len(word_vocab), self.config.embedding_dim), 0.25
-        )
-        self.pool = _ParallelConvPool(
-            self.config.embedding_dim, self.config.filter_widths,
-            self.config.filters_per_width, rng,
-        )
-        self.projection = _Projection(self.pool.output_dim, len(self.labels), rng)
-
-    def parameters(self) -> dict[str, Tensor]:
-        params = {"embedding": self.embedding}
-        params.update(self.pool.parameters("pool"))
-        params.update(self.projection.parameters("projection"))
-        return params
-
-    def _logits(self, example: MaskedExample) -> Tensor:
-        span_ids = [self.word_vocab.lookup(example.tokens[i].lower()) for i in example.span_positions()]
-        matrix = gather_rows(self.embedding, span_ids)
-        return self.projection.apply(self.pool.apply(matrix))
-
-    def loss(self, example: MaskedExample) -> Tensor:
-        return softmax_cross_entropy(self._logits(example), example.gold)
-
-    def classify(self, example: MaskedExample) -> int:
-        return int(self._logits(example).values.argmax())
-
-    def to_config(self) -> dict:
-        return {"dimension": self.dimension, "cnn": asdict(self.config), "seed": self.seed}
-
-    @classmethod
-    def from_config(cls, config: dict, vocabularies: dict) -> "SpanCnnClassifier":
-        return cls(
-            Vocabulary.from_dict(vocabularies["word"]),
-            config["dimension"],
-            SpanCnnConfig(**config["cnn"]),
-            seed=config["seed"],
-        )
-
-    def vocabularies(self) -> dict:
-        return {"word": self.word_vocab.to_dict()}
-
-
-class GlobalLocalClassifier:
-    """Two pooled views of a masked span: one over the whole utterance, one
-    over the span tokens alone, concatenated global-then-local and projected.
-
-    Ablations: use_global_context=False restricts both views to the span;
-    share_encoder_embedding=False embeds the two views with separate tables.
-    """
-
-    architecture = "global-local"
-
-    def __init__(
-        self,
-        word_vocab: Vocabulary,
-        dimension: str,
-        config: GlobalLocalConfig | None = None,
-        seed: int = 13,
-    ) -> None:
-        if dimension not in FEATURE_DIMENSIONS:
-            raise ModelError(f"unknown feature dimension {dimension!r}")
-        self.word_vocab = word_vocab
-        self.dimension = dimension
-        self.labels = list(FEATURE_DIMENSIONS[dimension])
-        self.config = config or GlobalLocalConfig()
-        self.seed = seed
-        c = self.config
         rng = np.random.default_rng(seed)
         shape = (len(word_vocab), c.embedding_dim)
-        if c.share_encoder_embedding:
-            self.embedding = uniform_init(rng, shape, 0.25)
-        else:
-            self.global_embedding = uniform_init(rng, shape, 0.25)
-            self.local_embedding = uniform_init(rng, shape, 0.25)
-        self.global_pool = _ParallelConvPool(c.embedding_dim, c.filter_widths, c.filters_per_width, rng)
-        if c.share_pooling_params:
-            self.local_pool = self.global_pool
-        else:
-            self.local_pool = _ParallelConvPool(c.embedding_dim, c.filter_widths, c.filters_per_width, rng)
-        self.projection = _Projection(2 * self.global_pool.output_dim, len(self.labels), rng)
+        two_tables = self.global_view and not c.share_encoder_embedding
+        tables = [uniform_init(rng, shape, 0.25) for _ in range(1 + two_tables)]
+        self.global_embedding, self.local_embedding = tables[0], tables[-1]
+        two_pools = self.global_view and not c.share_pooling_params
+        pools = [
+            _ParallelConvPool(c.embedding_dim, c.filter_widths, c.filters_per_width, rng)
+            for _ in range(1 + two_pools)
+        ]
+        self.global_pool, self.local_pool = pools[0], pools[-1]
+        views = 2 if self.global_view else 1
+        self.projection = _Projection(views * self.local_pool.output_dim, len(self.labels), rng)
 
     def parameters(self) -> dict[str, Tensor]:
-        params = {}
-        if self.config.share_encoder_embedding:
-            params["embedding"] = self.embedding
+        if self.local_embedding is self.global_embedding:
+            params = {"embedding": self.local_embedding}
         else:
-            params["global_embedding"] = self.global_embedding
-            params["local_embedding"] = self.local_embedding
-        if self.config.share_pooling_params:
-            params.update(self.global_pool.parameters("pool"))
+            params = {
+                "global_embedding": self.global_embedding,
+                "local_embedding": self.local_embedding,
+            }
+        if self.local_pool is self.global_pool:
+            params.update(self.local_pool.parameters("pool"))
         else:
             params.update(self.global_pool.parameters("global_pool"))
             params.update(self.local_pool.parameters("local_pool"))
@@ -556,23 +428,24 @@ class GlobalLocalClassifier:
             raise ModelError("mask length disagrees with token count")
         word_ids = [self.word_vocab.lookup(t.lower()) for t in tokens]
         span_ids = [word_ids[i] for i in positions]
-        c = self.config
-        if c.share_encoder_embedding:
-            if c.use_global_context:
-                global_matrix = gather_rows(self.embedding, word_ids)
-                local_matrix = gather_rows(global_matrix, positions)
-            else:
-                global_matrix = gather_rows(self.embedding, span_ids)
-                local_matrix = global_matrix
-        else:
-            global_ids = word_ids if c.use_global_context else span_ids
-            global_matrix = gather_rows(self.global_embedding, global_ids)
+        if not self.global_view:
+            local = self.local_pool.apply(gather_rows(self.local_embedding, span_ids))
+            return SpanRepresentation(global_vec=None, local_vec=local, joint=local)
+        use_context = self.config.use_global_context
+        global_matrix = gather_rows(self.global_embedding, word_ids if use_context else span_ids)
+        if self.local_embedding is not self.global_embedding:
             local_matrix = gather_rows(self.local_embedding, span_ids)
+        elif use_context:
+            local_matrix = gather_rows(global_matrix, positions)
+        else:
+            local_matrix = global_matrix
         g = self.global_pool.apply(global_matrix)
         l = self.local_pool.apply(local_matrix)
         return SpanRepresentation(global_vec=g, local_vec=l, joint=concat([g, l]))
 
-    def _logits(self, tokens: list[str], mask: list[int]) -> Tensor:
+    def _logits(self, tokens: list[str] | MaskedExample, mask: list[int] | None = None) -> Tensor:
+        if mask is None:  # a whole MaskedExample, as the benchmark's span-cnn check passes it
+            tokens, mask = tokens.tokens, tokens.mask
         return self.projection.apply(self.represent(tokens, mask).joint)
 
     def loss(self, example: MaskedExample) -> Tensor:
@@ -582,48 +455,28 @@ class GlobalLocalClassifier:
         return int(self._logits(example.tokens, example.mask).values.argmax())
 
     def to_config(self) -> dict:
-        return {"dimension": self.dimension, "global_local": asdict(self.config), "seed": self.seed}
+        return {
+            "dimension": self.dimension, self.config_key: asdict(self.config), "seed": self.seed,
+        }
 
     @classmethod
-    def from_config(cls, config: dict, vocabularies: dict) -> "GlobalLocalClassifier":
+    def from_config(cls, config: dict, vocabs: dict[str, Vocabulary]) -> "GlobalLocalClassifier":
+        _exact_keys(config, ("dimension", cls.config_key, "seed"), "config")
+        where = f"config.{cls.config_key}"
         return cls(
-            Vocabulary.from_dict(vocabularies["word"]),
-            config["dimension"],
-            GlobalLocalConfig(**config["global_local"]),
-            seed=config["seed"],
+            vocabs["word"], config["dimension"],
+            _decode_config(cls.config_type, config[cls.config_key], where), seed=config["seed"],
         )
 
-    def vocabularies(self) -> dict:
-        return {"word": self.word_vocab.to_dict()}
 
+class SpanCnnClassifier(GlobalLocalClassifier):
+    """Global-local without its global view: embed the span's own tokens,
+    parallel convs, max-over-time, project (Kim 2014)."""
 
-# ---------------------------------------------------------------------------
-# operation wrappers (stable API surface over the model methods)
-# ---------------------------------------------------------------------------
-
-
-def tag_intents(tokens: list[str], model: IntentTagger) -> list[IntentSpan]:
-    return model.tag(tokens)
-
-
-def tag_features_flat(tokens: list[str], model: FeatureTaggerFlat) -> list[IntentSpan]:
-    return model.tag(tokens)
-
-
-def tag_features_cascaded(
-    tokens: list[str], spans: list[IntentSpan], model: FeatureTaggerCascaded
-) -> list[str]:
-    return model.labels_for(tokens, spans)
-
-
-def classify_span_cnn(example: MaskedExample, model: SpanCnnClassifier) -> str:
-    return model.labels[model.classify(example)]
-
-
-def classify_global_local(
-    tokens: list[str], mask: list[int], model: GlobalLocalClassifier
-) -> str:
-    return model.labels[model.classify(MaskedExample(tokens=list(tokens), mask=list(mask), gold=0))]
+    architecture = "span-cnn"
+    config_type = SpanCnnConfig
+    config_key = "cnn"
+    global_view = False
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +494,29 @@ ARCHITECTURES = {
         GlobalLocalClassifier,
     )
 }
+TAGGER_ARCHS = tuple(a for a, c in ARCHITECTURES.items() if issubclass(c, _SequenceTagger))
+CLASSIFIER_ARCHS = tuple(a for a, c in ARCHITECTURES.items() if issubclass(c, GlobalLocalClassifier))
+
+BUNDLE_KEYS = ("format_version", "architecture", "config", "vocabularies", "parameters")
+
+
+def _exact_keys(obj, expected, where: str) -> dict:
+    """``obj`` itself if it is a JSON object with exactly the expected keys."""
+    if not isinstance(obj, dict):
+        raise ModelError(f"{where} is a {type(obj).__name__}, not an object")
+    missing = sorted(set(expected) - set(obj))
+    unknown = sorted(set(obj) - set(expected))
+    if missing or unknown:
+        raise ModelError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+    return obj
+
+
+def _decode_config(config_type, raw, where: str):
+    _exact_keys(raw, [f.name for f in fields(config_type)], where)
+    try:
+        return config_type(**raw)
+    except (TypeError, ValueError) as err:
+        raise ModelError(f"{where}: {err}") from None
 
 
 def serialize_model(model, path: str | Path) -> None:
@@ -648,7 +524,9 @@ def serialize_model(model, path: str | Path) -> None:
         "format_version": FORMAT_VERSION,
         "architecture": model.architecture,
         "config": model.to_config(),
-        "vocabularies": model.vocabularies(),
+        "vocabularies": {
+            name: getattr(model, f"{name}_vocab").to_dict() for name in model.vocab_names
+        },
         "parameters": {
             name: {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
             for name, t in sorted(model.parameters().items())
@@ -665,29 +543,42 @@ def load_model(path: str | Path):
             bundle = json.load(handle)
         except json.JSONDecodeError as err:
             raise ModelError(f"{path}: not a model bundle: {err}") from None
+    if not isinstance(bundle, dict):
+        raise ModelError(f"{path}: not a model bundle: the top level is a {type(bundle).__name__}")
     version = bundle.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelError(f"unsupported format version {version!r} (expected {FORMAT_VERSION})")
     arch = bundle.get("architecture")
-    cls = ARCHITECTURES.get(arch)
+    cls = ARCHITECTURES.get(arch) if isinstance(arch, str) else None
     if cls is None:
         raise ModelError(f"unknown architecture tag {arch!r}")
-    model = cls.from_config(bundle["config"], bundle["vocabularies"])
+    _exact_keys(bundle, BUNDLE_KEYS, "bundle")
+    vocabs = {}
+    for name, raw in _exact_keys(bundle["vocabularies"], cls.vocab_names, "vocabularies").items():
+        try:
+            vocabs[name] = Vocabulary.from_dict(raw)
+        except CorpusError as err:
+            raise ModelError(f"vocabularies.{name}: {err}") from None
+    try:
+        model = cls.from_config(bundle["config"], vocabs)
+    except ModelError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ModelError(f"config: {err}") from None
     params = model.parameters()
-    stored = bundle["parameters"]
-    missing = sorted(set(params) - set(stored))
-    extra = sorted(set(stored) - set(params))
-    if missing or extra:
-        raise ModelError(f"parameter names disagree: missing {missing}, unexpected {extra}")
+    stored = _exact_keys(bundle["parameters"], params, "parameters")
     for name, t in params.items():
-        entry = stored[name]
-        shape = tuple(entry["shape"])
-        if shape != t.shape:
-            raise ModelError(f"tensor {name!r} has shape {list(shape)}, expected {list(t.shape)}")
-        values = np.array(entry["values"], dtype=np.float64)
+        entry = _exact_keys(stored[name], ("shape", "values"), f"parameters.{name}")
+        shape = entry["shape"]
+        if shape != list(t.shape):
+            raise ModelError(f"tensor {name!r} has shape {shape!r}, expected {list(t.shape)}")
+        try:
+            values = np.array(entry["values"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ModelError(f"tensor {name!r} holds values that are not numbers") from None
         if values.size != t.values.size:
             raise ModelError(f"tensor {name!r} has {values.size} values, expected {t.values.size}")
         if not np.all(np.isfinite(values)):
             raise ModelError(f"tensor {name!r} holds non-finite values (NaN or Infinity)")
-        t.values[...] = values.reshape(shape)
+        t.values[...] = values.reshape(t.shape)
     return model

@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .models import CLASSIFIER_ARCHS, TAGGER_ARCHS
 from .tensor import Tape, Tensor
 
 __all__ = [
@@ -205,8 +206,8 @@ def recipe_for(architecture: str, epochs: int = 30, seed: int = 13):
     Returns (optimizer config, grad_clip). Taggers train with SGD+momentum and
     a 5.0 global-norm clip; classifiers with Adadelta and no clipping.
     """
-    if architecture in ("intent-tagger", "feature-tagger-flat", "feature-tagger-cascaded"):
+    if architecture in TAGGER_ARCHS:
         return SgdMomentumConfig(epochs=epochs, seed=seed), TAGGER_CLIP_NORM
-    if architecture in ("span-cnn", "global-local"):
+    if architecture in CLASSIFIER_ARCHS:
         return AdadeltaConfig(epochs=epochs, seed=seed), None
     raise ValueError(f"unknown architecture tag {architecture!r}")

@@ -23,6 +23,7 @@ from spanfeat.data import (
     iobes_tag_set,
     masked_examples,
 )
+from spanfeat.evaluation import COMPARISON_ROLES as GRID_ROLES
 from spanfeat.evaluation import (
     classifier_accuracy,
     compare_models,
@@ -93,13 +94,6 @@ def _train_classifier(model, corpus, epochs, seed=13):
 
 GRID_EPOCHS = 2
 
-GRID_ROLES = (
-    ("global-local", {}),
-    ("span-cnn", None),
-    ("no-global-context", {"use_global_context": False}),
-    ("no-shared-embedding", {"share_encoder_embedding": False}),
-)
-
 
 @pytest.fixture(scope="module")
 def classifier_grid(full_data):
@@ -107,13 +101,10 @@ def classifier_grid(full_data):
     started = time.time()
     word = full_data["word"]
     reports = {}
-    for role, tweaks in GRID_ROLES:
+    for role, (cls, overrides) in GRID_ROLES.items():
         sections = []
         for dimension in sorted(FEATURE_DIMENSIONS):
-            if tweaks is None:
-                model = SpanCnnClassifier(word, dimension, seed=13)
-            else:
-                model = GlobalLocalClassifier(word, dimension, GlobalLocalConfig(**tweaks), seed=13)
+            model = cls(word, dimension, cls.config_type(**overrides), seed=13)
             _train_classifier(model, full_data["train"], GRID_EPOCHS)
             sections.append(evaluate_feature_model(model, full_data["test"], corpus_tag="test"))
             print(

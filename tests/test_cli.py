@@ -3,8 +3,12 @@ paths, config-file precedence, and reproducibility."""
 
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanfeat.cli import _read_config_file, run
 from spanfeat.data import DEFAULT_FEATURE_VALUES, load_corpus, utterance_to_json
@@ -161,6 +165,34 @@ class TestTrain:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+    @pytest.mark.parametrize("arch, flag, value, message", [
+        ("span-cnn", "--batch-size", "0", "batch_size"),
+        ("span-cnn", "--lr", "0", "learning_rate"),
+        ("span-cnn", "--embedding-dim", "0", "embedding"),
+        ("feature-tagger-cascaded", "--boundary-dim", "0", "boundary_dim"),
+    ])
+    def test_explicit_zero_is_not_replaced_by_default(
+        self, corpus_dir, tmp_path, capsys, arch, flag, value, message
+    ):
+        model_path = tmp_path / "x.json"
+        code = run(train_args(arch, corpus_dir, model_path, "--dimension", "tense", flag, value, "--epochs", "1"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("arch, flag", [
+        ("intent-tagger", "--filters"),
+        ("intent-tagger", "--embedding-dim"),
+        ("span-cnn", "--word-dim"),
+        ("global-local", "--lstm-hidden"),
+    ])
+    def test_flag_of_other_architecture_rejected(self, corpus_dir, tmp_path, capsys, arch, flag):
+        dimension = [] if arch == "intent-tagger" else ["--dimension", "tense"]
+        code = run(train_args(arch, corpus_dir, tmp_path / "x.json", *dimension, flag, "12"))
+        assert code == 1
+        assert f"{flag} applies to" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_flags_win(self, corpus_dir, tmp_path):
         config = tmp_path / "run.cfg"
@@ -200,6 +232,25 @@ class TestConfigFile:
         config = tmp_path / "run.cfg"
         config.write_text("# header\nlr = 0.1  # note\n")
         assert _read_config_file(str(config)) == {"lr": 0.1}
+
+    @settings(max_examples=100, deadline=None)
+    @given(entries=st.dictionaries(
+        st.from_regex(r"[a-z][a-z_]{0,8}", fullmatch=True),
+        st.one_of(
+            st.integers(), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+            st.from_regex(r"[abcxyz][abcxyz0-9#/._=-]{0,10}", fullmatch=True),
+        ),
+        max_size=6,
+    ), comments=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_written_values_read_back(self, entries, comments):
+        lines = ["# written by the test"]
+        for (key, value), comment in zip(entries.items(), comments):
+            text = value if isinstance(value, str) else json.dumps(value)
+            lines.append(f"{key} = {text}" + ("  # note" if comment else ""))
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "run.cfg"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert _read_config_file(str(path)) == entries
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -17,6 +17,8 @@ from spanfeat.data import (
     load_corpus,
     masked_examples,
     save_corpus,
+    utterance_from_json,
+    utterance_to_json,
 )
 
 FULL = {
@@ -241,4 +243,26 @@ def test_masked_examples_one_per_span():
     assert len(examples) == 2
     assert examples[0].mask == [1, 1, 0, 0, 0]
     assert examples[0].gold == FEATURE_DIMENSIONS["tense"].index("future")
-    assert examples[1].span_positions() == [3, 4]
+    assert examples[1].mask == [0, 0, 0, 1, 1]
+
+
+@st.composite
+def corpus_rows(draw):
+    tokens = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8))
+    cuts = sorted(draw(st.sets(st.integers(0, len(tokens)), max_size=6)))
+    spans = []
+    for start, end in zip(cuts[::2], cuts[1::2]):
+        features = {}
+        for dim, values in FEATURE_DIMENSIONS.items():
+            value = draw(st.one_of(st.none(), st.sampled_from(values)))
+            if value is not None:
+                features[dim] = value
+        spans.append(IntentSpan(start, end, draw(st.text(max_size=5)), features))
+    return AnnotatedUtterance(tokens=tokens, spans=spans)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_rows())
+def test_corpus_row_json_round_trip(u):
+    line = json.dumps(utterance_to_json(u), ensure_ascii=False)
+    assert utterance_from_json(json.loads(line)) == u

@@ -5,7 +5,7 @@ import pytest
 
 from spanfeat import tensor as T
 from spanfeat.data import Vocabulary
-from spanfeat.encoders import BiLstm, EncoderConfig, TokenEncoder, read_embedding_table
+from spanfeat.encoders import BiLstm, EncoderConfig, TokenEncoder
 from spanfeat.tensor import Tape, Tensor
 
 
@@ -118,18 +118,6 @@ class TestTokenEncoder:
         b = enc.char_cnn(["abcba"[::-1]]).values[0]
         assert np.array_equal(a, b)
 
-    def test_pretrained_overwrite(self):
-        enc = small_encoder()
-        d = enc.config.word_embedding_dims[0]
-        hits = enc.apply_pretrained(0, {"PRINTER": np.arange(float(d)), "unused": np.zeros(d)})
-        assert hits == 1
-        out = enc.encode(["printer"]).values
-        assert np.array_equal(out[0, :d], np.arange(float(d)))
-
-    def test_pretrained_dim_mismatch(self):
-        enc = small_encoder()
-        with pytest.raises(ValueError, match="dim"):
-            enc.apply_pretrained(0, {"printer": np.zeros(3)})
 
 
 def char_window_responses(enc, token):
@@ -284,25 +272,3 @@ class TestBiLstm:
             return T.index_sum(out, [i for i in range(n) for _ in range(d)], list(range(d)) * n)
 
         assert T.grad_check(f, targets) < 1e-5
-
-
-def test_read_embedding_table(tmp_path):
-    path = tmp_path / "vectors.txt"
-    path.write_text("2 3\nfoo 1.0 2.0 3.0\nbar 0.5 0.5 0.5\n", encoding="utf-8")
-    vectors, dim = read_embedding_table(path)
-    assert dim == 3
-    assert np.array_equal(vectors["foo"], [1.0, 2.0, 3.0])
-
-
-def test_read_embedding_table_bad_row(tmp_path):
-    path = tmp_path / "vectors.txt"
-    path.write_text("1 3\nfoo 1.0 2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=":2:"):
-        read_embedding_table(path)
-
-
-def test_read_embedding_table_count_mismatch(tmp_path):
-    path = tmp_path / "vectors.txt"
-    path.write_text("2 2\nfoo 1.0 2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="promised"):
-        read_embedding_table(path)

@@ -1,5 +1,11 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanfeat.data import (
     FEATURE_DIMENSIONS,
@@ -8,10 +14,14 @@ from spanfeat.data import (
     MaskedExample,
     Vocabulary,
     build_vocabularies,
+    decode_iobes,
     masked_examples,
 )
 from spanfeat.encoders import EncoderConfig
 from spanfeat.models import (
+    ARCHITECTURES,
+    CLASSIFIER_ARCHS,
+    FORMAT_VERSION,
     FeatureTaggerCascaded,
     FeatureTaggerFlat,
     GlobalLocalClassifier,
@@ -21,12 +31,8 @@ from spanfeat.models import (
     SpanCnnClassifier,
     SpanCnnConfig,
     align_feature_spans,
-    classify_global_local,
-    classify_span_cnn,
     load_model,
     serialize_model,
-    tag_features_cascaded,
-    tag_intents,
 )
 from spanfeat.synthetic import SyntheticConfig, generate_synthetic
 from spanfeat.tensor import Tape
@@ -87,10 +93,13 @@ class TestIntentTagger:
         assert np.any(model.crf.transitions.grad != 0)
 
     def test_wrapper_matches_method(self, vocabs):
+        # tag() wraps decode(): the spans of the decoded IOBES path
         model = small_intent_tagger(vocabs)
         tokens = "i install the printer".split()
-        assert [(s.start, s.end) for s in tag_intents(tokens, model)] == [
-            (s.start, s.end) for s in model.tag(tokens)
+        path = model.decode(AnnotatedUtterance(tokens=tokens, spans=[]))
+        spans, _ = decode_iobes([model.tags[i] for i in path])
+        assert [(s.start, s.end, s.intent) for s in model.tag(tokens)] == [
+            (s.start, s.end, s.intent) for s in spans
         ]
 
 
@@ -194,7 +203,7 @@ class TestCascadedTagger:
         model = self.make(vocabs)
         tokens = "i install the printer and we cancel my folder".split()
         spans = [IntentSpan(0, 4, "a"), IntentSpan(5, 9, "b")]
-        labels = tag_features_cascaded(tokens, spans, model)
+        labels = model.labels_for(tokens, spans)
         assert len(labels) == len(spans)
 
     def test_span_exceeding_tokens_rejected(self, vocabs):
@@ -229,7 +238,9 @@ class TestSpanCnn:
                 mutated_tokens[i] = words[int(rng.integers(len(words)))]
             mutated = MaskedExample(tokens=mutated_tokens, mask=mask, gold=0)
             assert model.classify(base) == model.classify(mutated)
-            assert np.array_equal(model._logits(base).values, model._logits(mutated).values)
+            assert np.array_equal(
+                model._logits(tokens, mask).values, model._logits(mutated_tokens, mask).values
+            )
 
     def test_loss_decreases_after_gradient_step(self, vocabs):
         model = classifier_fixture(vocabs, SpanCnnClassifier)
@@ -248,15 +259,27 @@ class TestSpanCnn:
             t.values -= 0.1 * t.grad
         assert loss_value() < before
 
+    def test_is_global_local_without_global_view(self, vocabs):
+        model = classifier_fixture(vocabs, SpanCnnClassifier)
+        assert isinstance(model, GlobalLocalClassifier)
+        rep = model.represent("i install the printer".split(), [0, 1, 1, 0])
+        assert rep.global_vec is None
+        assert rep.joint is rep.local_vec
+
+    def test_rejects_global_local_config(self, vocabs):
+        with pytest.raises(ModelError, match="SpanCnnConfig"):
+            SpanCnnClassifier(vocabs[0], "tense", GlobalLocalConfig(embedding_dim=8))
+
     def test_single_token_span_works_with_wide_filters(self, vocabs):
         model = classifier_fixture(vocabs, SpanCnnClassifier)
         example = MaskedExample(tokens=["install"], mask=[1], gold=0)
         assert 0 <= model.classify(example) < len(model.labels)
 
-    def test_label_wrapper(self, vocabs):
+    def test_label_is_argmax_of_logits(self, vocabs):
         model = classifier_fixture(vocabs, SpanCnnClassifier)
         example = MaskedExample(tokens="i install".split(), mask=[0, 1], gold=0)
-        assert classify_span_cnn(example, model) == model.labels[model.classify(example)]
+        logits = model._logits(example.tokens, example.mask).values
+        assert model.labels[model.classify(example)] == model.labels[int(logits.argmax())]
 
 
 class TestGlobalLocal:
@@ -277,8 +300,8 @@ class TestGlobalLocal:
 
     def test_non_contiguous_mask_accepted(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
-        label = classify_global_local(["i", "install", "printer"], [1, 0, 1], model)
-        assert label in model.labels
+        example = MaskedExample(tokens=["i", "install", "printer"], mask=[1, 0, 1], gold=0)
+        assert model.labels[model.classify(example)] in model.labels
 
     def test_unmasked_token_moves_global_not_local(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
@@ -441,6 +464,186 @@ class TestSerialization:
         path.write_text(json.dumps(bundle))
         with pytest.raises(ModelError, match="embedding"):
             load_model(path)
+
+
+def _bundle_of(model, tmp_path) -> dict:
+    path = tmp_path / "m.json"
+    serialize_model(model, path)
+    return json.loads(path.read_text())
+
+
+def _drop(*keys):
+    def mutate(bundle):
+        target = bundle
+        for key in keys[:-1]:
+            target = target[key]
+        del target[keys[-1]]
+        return bundle
+    return mutate
+
+
+def _set(value, *keys):
+    def mutate(bundle):
+        target = bundle
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return bundle
+    return mutate
+
+
+MALFORMED_BUNDLES = {
+    "top level is a list": (lambda bundle: [bundle], "top level is a list"),
+    "config missing": (_drop("config"), r"bundle: missing keys \['config'\]"),
+    "parameters missing": (_drop("parameters"), r"bundle: missing keys \['parameters'\]"),
+    "unknown config key": (_set(0.5, "config", "dropout"), r"config: .*unknown keys \['dropout'\]"),
+    "unknown nested config key": (
+        _set(0.5, "config", "global_local", "dropout"),
+        r"config.global_local: .*unknown keys \['dropout'\]",
+    ),
+    "parameter without shape": (
+        _drop("parameters", "projection.bias", "shape"),
+        r"parameters.projection.bias: missing keys \['shape'\]",
+    ),
+    "string vocabulary index": (
+        _set("2", "vocabularies", "word", "printer"),
+        "vocabularies.word: index '2' of 'printer' is not an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
+def test_malformed_bundle_names_field(vocabs, tmp_path, case):
+    mutate, message = MALFORMED_BUNDLES[case]
+    bundle = _bundle_of(all_models(vocabs)[4], tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(bundle)))
+    with pytest.raises(ModelError, match=message):
+        load_model(path)
+
+
+def _flat_keys(config: dict, prefix: str = "") -> list[str]:
+    keys = []
+    for key, value in config.items():
+        keys += _flat_keys(value, f"{prefix}{key}.") if isinstance(value, dict) else [prefix + key]
+    return sorted(keys)
+
+
+ENCODER_KEYS = [f"encoder.{k}" for k in (
+    "char_embedding_dim", "char_filter_width", "char_filters", "lstm_hidden", "word_embedding_dims",
+)]
+TAGGER_PARAMETERS = [
+    "bilstm.bwd_b", "bilstm.bwd_wh", "bilstm.bwd_wx", "bilstm.fwd_b", "bilstm.fwd_wh", "bilstm.fwd_wx",
+    "crf.transitions", "encoder.char_conv_bias", "encoder.char_conv_filters", "encoder.char_table",
+    "encoder.word_table_0", "projection.bias", "projection.weight",
+]
+CNN_KEYS = ["embedding_dim", "filter_widths", "filters_per_width"]
+GLOBAL_LOCAL_KEYS = CNN_KEYS + ["share_encoder_embedding", "share_pooling_params", "use_global_context"]
+
+
+def _pool(prefix: str) -> list[str]:
+    return [f"{prefix}.width{w}.{p}" for w in (3, 4, 5) for p in ("bias", "filters")]
+
+
+PROJECTION = ["projection.bias", "projection.weight"]
+
+# Changing any of these changes what a bundle means on disk, so it needs a
+# FORMAT_VERSION bump as well as a change here.
+BUNDLE_FORMAT = {
+    "intent-tagger": (
+        sorted(["constrain_training", "labels", "seed"] + ENCODER_KEYS), ["char", "word"], TAGGER_PARAMETERS,
+    ),
+    "feature-tagger-flat": (
+        sorted(["constrain_training", "dimension", "seed"] + ENCODER_KEYS), ["char", "word"], TAGGER_PARAMETERS,
+    ),
+    "feature-tagger-cascaded": (
+        sorted(["boundary_dim", "constrain_training", "dimension", "seed"] + ENCODER_KEYS),
+        ["char", "word"],
+        sorted(TAGGER_PARAMETERS + ["boundary_table"]),
+    ),
+    "span-cnn": (
+        ["cnn." + k for k in CNN_KEYS] + ["dimension", "seed"], ["word"],
+        ["embedding"] + _pool("pool") + PROJECTION,
+    ),
+    "global-local": (
+        ["dimension"] + ["global_local." + k for k in GLOBAL_LOCAL_KEYS] + ["seed"], ["word"],
+        ["embedding"] + _pool("global_pool") + _pool("local_pool") + PROJECTION,
+    ),
+}
+
+
+def test_bundle_format_is_pinned(vocabs, tmp_path):
+    assert FORMAT_VERSION == 1
+    for model in all_models(vocabs):
+        bundle = _bundle_of(model, tmp_path)
+        assert sorted(bundle) == ["architecture", "config", "format_version", "parameters", "vocabularies"]
+        config_keys, vocab_names, parameter_names = BUNDLE_FORMAT[model.architecture]
+        assert _flat_keys(bundle["config"]) == config_keys, model.architecture
+        assert sorted(bundle["vocabularies"]) == vocab_names, model.architecture
+        assert sorted(bundle["parameters"]) == parameter_names, model.architecture
+
+
+@pytest.mark.parametrize("switch, names", [
+    ("share_encoder_embedding", ["global_embedding", "local_embedding"] + _pool("global_pool") + _pool("local_pool")),
+    ("share_pooling_params", ["embedding"] + _pool("pool")),
+])
+def test_global_local_ablation_parameter_names_are_pinned(vocabs, tmp_path, switch, names):
+    value = switch == "share_pooling_params"
+    config = GlobalLocalConfig(embedding_dim=8, filters_per_width=4, **{switch: value})
+    bundle = _bundle_of(GlobalLocalClassifier(vocabs[0], "tense", config), tmp_path)
+    assert sorted(bundle["parameters"]) == sorted(names + PROJECTION)
+
+
+SMALL = st.integers(1, 3)
+
+
+@st.composite
+def small_models(draw, vocabs):
+    word, char = vocabs
+    arch = draw(st.sampled_from(sorted(ARCHITECTURES)))
+    cls = ARCHITECTURES[arch]
+    seed = draw(st.integers(0, 2**32 - 1))
+    dimension = draw(st.sampled_from(sorted(FEATURE_DIMENSIONS)))
+    if arch in CLASSIFIER_ARCHS:
+        switches = {}
+        if arch == "global-local":
+            switches = {name: draw(st.booleans()) for name in (
+                "share_encoder_embedding", "use_global_context", "share_pooling_params",
+            )}
+        config = cls.config_type(
+            embedding_dim=draw(SMALL), filters_per_width=draw(SMALL),
+            filter_widths=draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)), **switches,
+        )
+        return cls(word, dimension, config, seed=seed)
+    encoder = EncoderConfig(
+        word_embedding_dims=draw(st.lists(SMALL, min_size=1, max_size=2)), char_embedding_dim=draw(SMALL),
+        char_filters=draw(SMALL), char_filter_width=draw(SMALL), lstm_hidden=draw(SMALL),
+    )
+    kwargs = dict(seed=seed, constrain_training=draw(st.booleans()))
+    if arch == "feature-tagger-cascaded":
+        kwargs["boundary_dim"] = draw(SMALL)
+    if arch == "intent-tagger":
+        intents = st.sampled_from(["cancel", "install", "refund"])
+        return cls(word, char, draw(st.lists(intents, min_size=1, max_size=3, unique=True)), encoder, **kwargs)
+    return cls(word, char, dimension, encoder, **kwargs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+def test_round_trip_random_models(vocabs, data, values):
+    model = data.draw(small_models(vocabs))
+    bias = model.parameters()["projection.bias"].values
+    bias[: len(values)] = values[: bias.size]
+    with tempfile.TemporaryDirectory() as root:
+        first, second = Path(root) / "a.json", Path(root) / "b.json"
+        serialize_model(model, first)
+        loaded = load_model(first)
+        serialize_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert type(loaded) is type(model)
+    restored = loaded.parameters()
+    for name, t in model.parameters().items():
+        assert np.array_equal(t.values, restored[name].values), name
 
 
 def test_masked_examples_feed_classifiers(vocabs, corpus):
