@@ -296,16 +296,17 @@ def utterance_from_json(obj) -> AnnotatedUtterance:
         if not isinstance(raw, dict):
             raise CorpusError("span entry is not an object")
         try:
-            spans.append(
-                IntentSpan(
-                    start=int(raw["start"]),
-                    end=int(raw["end"]),
-                    intent=str(raw["intent"]),
-                    features=dict(raw.get("features", {})),
-                )
-            )
+            start, end, intent = raw["start"], raw["end"], raw["intent"]
         except KeyError as missing:
             raise CorpusError(f"span entry missing field {missing}") from None
+        if type(start) is not int or type(end) is not int:
+            raise CorpusError(f"span bounds must be integers, got {start!r} and {end!r}")
+        if not isinstance(intent, str):
+            raise CorpusError(f"span intent must be a string, got {intent!r}")
+        features = raw.get("features", {})
+        if not isinstance(features, dict):
+            raise CorpusError(f"span features must be an object, got {features!r}")
+        spans.append(IntentSpan(start, end, intent, dict(features)))
     return AnnotatedUtterance(tokens=list(tokens), spans=spans)
 
 

@@ -10,12 +10,10 @@ from .data import Vocabulary
 from .tensor import (
     Tensor,
     concat,
-    conv1d_same,
+    conv_relu_max,
     gather_rows,
     glorot_uniform,
     lstm_sequence,
-    max_over_time,
-    relu,
     uniform_init,
 )
 
@@ -98,8 +96,7 @@ class TokenEncoder:
         for row, token in enumerate(tokens):
             ids[row, : len(token)] = [self.char_vocab.lookup(c) for c in token]
         chars = gather_rows(self.char_table, ids)
-        responses = relu(conv1d_same(chars, self.char_conv_filters, self.char_conv_bias, lengths))
-        return max_over_time(responses, lengths)
+        return conv_relu_max(chars, [self.char_conv_filters], [self.char_conv_bias], lengths)
 
     def encode(self, tokens: list[str]) -> Tensor:
         """(n, token_dim) matrix; repeated tokens share one computed vector."""

@@ -29,6 +29,7 @@ from .tensor import (
     add,
     concat,
     conv1d_same,
+    conv_relu_max,
     gather_rows,
     grad_check,
     lstm_cell,
@@ -177,6 +178,15 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
         "conv1d-max-over-time-batched",
         lambda: _pin(max_over_time(conv1d_same(batch, filters, cbias, lengths), lengths), u3, u4b),
         [batch, filters, cbias],
+    )
+
+    banks = [filters, Tensor(rng.normal(size=(2, 3, 2)) * 0.5)]
+    bank_biases = [cbias, Tensor(rng.normal(size=2) * 0.1)]
+    u6b = Tensor(rng.normal(size=6))
+    run(
+        "conv-relu-max",
+        lambda: _pin(conv_relu_max(batch, banks, bank_biases, lengths), u3, u6b),
+        [batch, *banks, *bank_biases],
     )
     return results
 

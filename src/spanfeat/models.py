@@ -2,8 +2,9 @@
 taggers, the Global-Local classifier, and span-cnn, its local view alone.
 
 Taggers consume whole annotated utterances; classifiers consume masked
-examples. Every model exposes ``loss`` (tape-recorded scalar), a prediction
-method (tape-free), ``parameters`` (named tensors), and bundle serialization.
+examples. Every model exposes ``loss`` and ``batch_loss`` (tape-recorded
+scalars; the latter the mean over a minibatch), a prediction method
+(tape-free), ``parameters`` (named tensors), and bundle serialization.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,12 +34,11 @@ from .tensor import (
     Tensor,
     add,
     concat,
-    conv1d_same,
+    conv_relu_max,
     gather_rows,
     glorot_uniform,
     matmul,
-    max_over_time,
-    relu,
+    scale,
     softmax_cross_entropy,
     uniform_init,
 )
@@ -97,8 +98,9 @@ class GlobalLocalConfig(SpanCnnConfig):
 
 @dataclass
 class SpanRepresentation:
-    """Pooled span view: the full-context vector (None without a global
-    view), the span-only vector, and what the projection reads (global first)."""
+    """Pooled views of a batch of spans, one row per span: the full-context
+    vectors (None without a global view), the span-only vectors, and what
+    the projection reads (global first)."""
 
     global_vec: Tensor | None
     local_vec: Tensor
@@ -129,12 +131,11 @@ class _ParallelConvPool:
             self.biases[w] = Tensor(np.zeros(filters))
         self.output_dim = len(self.widths) * filters
 
-    def apply(self, matrix: Tensor) -> Tensor:
-        pooled = [
-            max_over_time(relu(conv1d_same(matrix, self.filters[w], self.biases[w])))
-            for w in self.widths
-        ]
-        return concat(pooled)
+    def apply(self, batch: Tensor, lengths) -> Tensor:
+        """(B, n, e) rows of ``lengths`` valid positions -> (B, output_dim)."""
+        return conv_relu_max(
+            batch, [self.filters[w] for w in self.widths], [self.biases[w] for w in self.widths], lengths
+        )
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
         params = {}
@@ -142,6 +143,15 @@ class _ParallelConvPool:
             params[f"{prefix}.width{w}.filters"] = self.filters[w]
             params[f"{prefix}.width{w}.bias"] = self.biases[w]
         return params
+
+
+def _padded(rows: list[list[int]]) -> tuple[np.ndarray, list[int]]:
+    """Index rows padded into a (B, n) array, with each row's length."""
+    lengths = [len(r) for r in rows]
+    ids = np.full((len(rows), max(lengths)), Vocabulary.PAD, dtype=np.intp)
+    for b, r in enumerate(rows):
+        ids[b, : len(r)] = r
+    return ids, lengths
 
 
 def align_feature_spans(
@@ -233,6 +243,13 @@ class _SequenceTagger:
         constraints = self.constraints if self.constrain_training else None
         return crf_nll(emissions, self.crf, gold, constraints)
 
+    def batch_loss(self, utterances: Sequence[AnnotatedUtterance]) -> Tensor:
+        """Mean of the utterances' ``loss``, each its own subgraph of the tape."""
+        total = self.loss(utterances[0])
+        for utterance in utterances[1:]:
+            total = add(total, self.loss(utterance))
+        return scale(total, 1.0 / len(utterances))
+
     def decode(self, utterance: AnnotatedUtterance) -> list[int]:
         emissions = self._emissions(utterance)
         return viterbi(emissions.values, self.crf, self.constraints)
@@ -255,6 +272,7 @@ class _SequenceTagger:
     def from_config(cls, config: dict, vocabs: dict[str, Vocabulary]) -> "_SequenceTagger":
         keys = ("encoder", "seed", "constrain_training") + cls.own_config_keys
         _exact_keys(config, keys, "config")
+        _check_types(config, get_type_hints(cls.__init__), "config")
         return cls(
             vocabs["word"], vocabs["char"],
             encoder_config=_decode_config(EncoderConfig, config["encoder"], "config.encoder"),
@@ -420,36 +438,51 @@ class GlobalLocalClassifier:
         params.update(self.projection.parameters("projection"))
         return params
 
-    def represent(self, tokens: list[str], mask: list[int]) -> SpanRepresentation:
-        positions = [i for i, bit in enumerate(mask) if bit]
-        if not positions:
-            raise ModelError("mask selects no tokens")
-        if len(mask) != len(tokens):
-            raise ModelError("mask length disagrees with token count")
-        word_ids = [self.word_vocab.lookup(t.lower()) for t in tokens]
-        span_ids = [word_ids[i] for i in positions]
+    def represent(self, tokens: Sequence[list[str]], masks: Sequence[list[int]]) -> SpanRepresentation:
+        """Pooled views of a batch of masked spans, one (B, d) row per span.
+
+        Each view pads its rows to the batch's longest and pools every row
+        over its own length only, so a row's vectors do not depend on the
+        rest of the batch.
+        """
+        if len(tokens) != len(masks) or not tokens:
+            raise ModelError("represent needs one mask per token list, and at least one of each")
+        lookup = self.word_vocab.lookup
+        word_ids, span_ids = [], []
+        for toks, mask in zip(tokens, masks):
+            if len(mask) != len(toks):
+                raise ModelError("mask length disagrees with token count")
+            ids = [lookup(t.lower()) for t in toks]
+            span = [i for i, bit in zip(ids, mask) if bit]
+            if not span:
+                raise ModelError("mask selects no tokens")
+            word_ids.append(ids)
+            span_ids.append(span)
+        local_ids, local_lengths = _padded(span_ids)
+        if self.global_view:  # first, so backward frees the local view before the larger global one
+            global_ids, global_lengths = (
+                _padded(word_ids) if self.config.use_global_context else (local_ids, local_lengths)
+            )
+            g = self.global_pool.apply(gather_rows(self.global_embedding, global_ids), global_lengths)
+        local = self.local_pool.apply(gather_rows(self.local_embedding, local_ids), local_lengths)
         if not self.global_view:
-            local = self.local_pool.apply(gather_rows(self.local_embedding, span_ids))
             return SpanRepresentation(global_vec=None, local_vec=local, joint=local)
-        use_context = self.config.use_global_context
-        global_matrix = gather_rows(self.global_embedding, word_ids if use_context else span_ids)
-        if self.local_embedding is not self.global_embedding:
-            local_matrix = gather_rows(self.local_embedding, span_ids)
-        elif use_context:
-            local_matrix = gather_rows(global_matrix, positions)
-        else:
-            local_matrix = global_matrix
-        g = self.global_pool.apply(global_matrix)
-        l = self.local_pool.apply(local_matrix)
-        return SpanRepresentation(global_vec=g, local_vec=l, joint=concat([g, l]))
+        return SpanRepresentation(global_vec=g, local_vec=local, joint=concat([g, local]))
 
     def _logits(self, tokens: list[str] | MaskedExample, mask: list[int] | None = None) -> Tensor:
+        """(c,) logits of one masked span; the batched forward at B=1, off the tape."""
         if mask is None:  # a whole MaskedExample, as the benchmark's span-cnn check passes it
             tokens, mask = tokens.tokens, tokens.mask
-        return self.projection.apply(self.represent(tokens, mask).joint)
+        logits = self.projection.apply(self.represent([tokens], [mask]).joint)
+        return Tensor(logits.values[0])
+
+    def batch_loss(self, examples: Sequence[MaskedExample]) -> Tensor:
+        """Mean cross-entropy of a batch of masked examples, one forward for all."""
+        joint = self.represent([e.tokens for e in examples], [e.mask for e in examples]).joint
+        return softmax_cross_entropy(self.projection.apply(joint), [e.gold for e in examples])
 
     def loss(self, example: MaskedExample) -> Tensor:
-        return softmax_cross_entropy(self._logits(example.tokens, example.mask), example.gold)
+        return self.batch_loss([example])
 
     def classify(self, example: MaskedExample) -> int:
         return int(self._logits(example.tokens, example.mask).values.argmax())
@@ -462,6 +495,7 @@ class GlobalLocalClassifier:
     @classmethod
     def from_config(cls, config: dict, vocabs: dict[str, Vocabulary]) -> "GlobalLocalClassifier":
         _exact_keys(config, ("dimension", cls.config_key, "seed"), "config")
+        _check_types(config, get_type_hints(cls.__init__), "config")
         where = f"config.{cls.config_key}"
         return cls(
             vocabs["word"], config["dimension"],
@@ -511,8 +545,28 @@ def _exact_keys(obj, expected, where: str) -> dict:
     return obj
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value has exactly the annotated type: a JSON bool is
+    never an int, and a list is checked item by item."""
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        return type(value) is list and all(_has_type(v, item) for v in value)
+    return type(value) is hint
+
+
+def _check_types(raw: dict, hints: dict, where: str) -> None:
+    """Every value of ``raw`` whose key ``hints`` annotates has that type;
+    nested configs are decoded, and so checked, on their own."""
+    for key, value in raw.items():
+        if key in hints and not _has_type(value, hints[key]):
+            hint = hints[key]
+            name = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ModelError(f"{where}.{key} must be of type {name}, got {value!r}")
+
+
 def _decode_config(config_type, raw, where: str):
     _exact_keys(raw, [f.name for f in fields(config_type)], where)
+    _check_types(raw, get_type_hints(config_type), where)
     try:
         return config_type(**raw)
     except (TypeError, ValueError) as err:
@@ -546,7 +600,7 @@ def load_model(path: str | Path):
     if not isinstance(bundle, dict):
         raise ModelError(f"{path}: not a model bundle: the top level is a {type(bundle).__name__}")
     version = bundle.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ModelError(f"unsupported format version {version!r} (expected {FORMAT_VERSION})")
     arch = bundle.get("architecture")
     cls = ARCHITECTURES.get(arch) if isinstance(arch, str) else None

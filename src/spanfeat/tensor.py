@@ -27,6 +27,7 @@ __all__ = [
     "gather_rows",
     "conv1d_same",
     "max_over_time",
+    "conv_relu_max",
     "lstm_cell",
     "lstm_sequence",
     "softmax_cross_entropy",
@@ -40,13 +41,25 @@ __all__ = [
 class Tensor:
     """A dense float64 array plus an accumulated-gradient buffer of the same shape."""
 
-    __slots__ = ("values", "grad")
+    __slots__ = ("values", "_grad")
 
     def __init__(self, values) -> None:
         v = np.asarray(values, dtype=np.float64)
         # ascontiguousarray would promote 0-d scalars to shape (1,)
         self.values = v if v.flags["C_CONTIGUOUS"] else np.ascontiguousarray(v)
-        self.grad = np.zeros_like(self.values)
+        self._grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The accumulated gradient; zeros are allocated on first use, so a
+        tensor no backward pass reaches never holds a buffer."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,7 +71,8 @@ class Tensor:
         return float(self.values.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self._grad is not None:
+            self._grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -87,12 +101,17 @@ class Tape:
         return len(self._steps)
 
     def backward(self, loss: Tensor, seed: float = 1.0) -> None:
-        """Seed the loss gradient and replay recorded steps in reverse order."""
+        """Seed the loss gradient and replay recorded steps in reverse order.
+
+        Each step is dropped once it has run, so the arrays only it kept
+        alive are freed during the pass; a tape replays once.
+        """
         if loss.values.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {loss.shape}")
         loss.grad += seed
-        for step in reversed(self._steps):
-            step()
+        steps = self._steps
+        while steps:
+            steps.pop()()
 
 
 def _record(step: Callable[[], None]) -> None:
@@ -258,17 +277,24 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     return out
 
 
+# Elements in the per-block gradient buffers of conv_relu_max's backward.
+_BLOCK_ELEMENTS = 1 << 13
+
+
 def _valid_positions(shape: tuple[int, ...], lengths) -> np.ndarray | None:
     """(B, n) mask of the positions below each row's length; None when every
-    position is valid (2-D input, or no lengths given)."""
+    position is valid (2-D input, no lengths given, or every row full)."""
     if lengths is None:
         return None
     if len(shape) != 3:
         raise ValueError(f"per-row lengths need a (B, n, d) batch, got {shape}")
     b, n = shape[:2]
     lens = np.asarray(lengths, dtype=np.intp)
-    if lens.shape != (b,) or lens.min(initial=1) < 1 or lens.max(initial=1) > n:
+    shortest, longest = (lens.min(), lens.max()) if lens.shape == (b,) and b else (0, 0)
+    if shortest < 1 or longest > n:
         raise ValueError(f"lengths must hold {b} values in [1, {n}], got {list(lens)}")
+    if shortest == n:
+        return None
     return np.arange(n)[None, :] < lens[:, None]
 
 
@@ -347,6 +373,103 @@ def max_over_time(seq: Tensor, lengths=None) -> Tensor:
         idx = x.argmax(axis=1)
         grad = seq.grad if seq.values.ndim == 3 else seq.grad[None]
         grad[np.arange(bsz)[:, None], idx, np.arange(f)] += out.grad.reshape(bsz, f)
+
+    _record(backward)
+    return out
+
+
+def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor], lengths=None) -> Tensor:
+    """Kim's conv block as one node: for each (w, e, f) filter bank in turn,
+    ``max_over_time(relu(conv1d_same(x, filters, bias, lengths)), lengths)``
+    over a (B, n, e) batch, concatenated by bank into (B, sum of f).
+
+    The convolution is shift-and-add ("kn2row", Vasudevan et al. 2017,
+    arXiv:1704.04428): one product of the batch with each bank as stored
+    gives every offset's response, and the w offset slices are summed
+    shifted. The bias is constant over positions, so it is added after the
+    maximum, and ReLU commutes with the maximum, so it is applied to the
+    pooled values alone. Row b pools over its first ``lengths[b]`` positions
+    only (all n when lengths is None), as in ``conv1d_same`` and
+    ``max_over_time``. Backward routes each pooled gradient to its argmax
+    position (lowest index on ties) when that pre-activation is positive,
+    and forms the input and filter gradients with one product each per bank
+    and block of batch rows.
+    """
+    xv = x.values
+    if xv.ndim != 3 or xv.shape[1] < 1:
+        raise ValueError(f"conv_relu_max needs a non-empty (B, n, e) batch, got {x.shape}")
+    bsz, n, e = xv.shape
+    banks = list(zip(filters, biases, strict=True))
+    valid = _valid_positions(xv.shape, lengths)
+    padding = None if valid is None else ~valid
+    widths = [filt.values.shape[0] for filt, _ in banks]
+    sizes = [filt.values.shape[-1] for filt, _ in banks]
+    pooled = np.empty((bsz, sum(sizes)))
+    taping = bool(_TAPES)
+    argmaxes = []
+    offset = 0
+    for (filt, bias), w, f in zip(banks, widths, sizes):
+        if filt.values.shape != (w, e, f) or bias.values.shape != (f,):
+            raise ValueError(
+                f"conv_relu_max filters {filt.shape} and bias {bias.shape} do not fit the batch {x.shape}"
+            )
+        left = w // 2
+        # responses[j] is offset j's contribution from each input position;
+        # output position t reads input t + j - left
+        responses = np.matmul(xv.reshape(bsz * n, e), filt.values).reshape(w, bsz, n, f)
+        if padding is not None:  # the positions past a row's length read as zeros
+            responses[:, padding] = 0.0
+        pre = responses[left]
+        for j in range(max(0, left - n + 1), min(w, left + n)):
+            s = j - left
+            if s > 0:
+                pre[:, : n - s] += responses[j, :, s:]
+            elif s < 0:
+                pre[:, -s:] += responses[j, :, : n + s]
+        if padding is not None:
+            pre[padding] = -np.inf
+        if taping:  # backward needs only where each maximum sits
+            argmaxes.append(pre.argmax(axis=1))
+        part = pooled[:, offset : offset + f]
+        np.max(pre, axis=1, out=part)
+        part += bias.values
+        offset += f
+        del responses, pre  # before the next bank allocates its own
+    out = Tensor(np.maximum(pooled, 0.0, out=pooled))
+
+    def backward() -> None:
+        g = out.grad * (out.values > 0.0)
+        xgrad = x.grad
+        # batch rows per block, so that the block's gradient buffers stay
+        # small next to the batch itself
+        block = max(1, _BLOCK_ELEMENTS // (n * max(e, max(w * f for w, f in zip(widths, sizes)))))
+        offset = 0
+        for (filt, bias), argmax, w, f in zip(banks, argmaxes, widths, sizes):
+            left = w // 2
+            gk = g[:, offset : offset + f]
+            offset += f
+            bias.grad += gk.sum(axis=0)
+            kernel = filt.values.transpose(0, 2, 1).reshape(w * f, e)
+            dfilt = np.zeros((e, w * f))
+            for lo in range(0, bsz, block):
+                hi = min(bsz, lo + block)
+                dpre = np.zeros((hi - lo, n, f))
+                dpre[np.arange(hi - lo)[:, None], argmax[lo:hi], np.arange(f)] = gk[lo:hi]
+                # dresp[:, u, j] is the gradient of offset j's response at input u
+                dresp = np.zeros((hi - lo, n, w, f))
+                for j in range(max(0, left - n + 1), min(w, left + n)):
+                    s = j - left
+                    if s >= 0:
+                        dresp[:, s:, j] = dpre[:, : n - s]
+                    else:
+                        dresp[:, : n + s, j] = dpre[:, -s:]
+                if padding is not None:  # so padding gets, and gives, no gradient
+                    dresp[padding[lo:hi]] = 0.0
+                dresp = dresp.reshape(-1, w * f)
+                dfilt += xv[lo:hi].reshape(-1, e).T @ dresp
+                dx = xgrad[lo:hi].reshape(-1, e)
+                dx += dresp @ kernel
+            filt.grad += dfilt.reshape(e, w, f).transpose(1, 0, 2)
 
     _record(backward)
     return out
@@ -488,22 +611,30 @@ def lstm_sequence(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool =
     return out
 
 
-def softmax_cross_entropy(logits: Tensor, gold: int) -> Tensor:
-    """-log softmax(logits)[gold] via a shifted log-sum-exp; gradient softmax - onehot."""
-    if logits.values.ndim != 1:
-        raise ValueError(f"softmax_cross_entropy needs a 1-D logit vector, got {logits.shape}")
-    c = logits.shape[0]
-    if not 0 <= gold < c:
+def softmax_cross_entropy(logits: Tensor, gold) -> Tensor:
+    """-log softmax(logits)[gold] via a shifted log-sum-exp for a 1-D logit
+    vector and an int gold; for (B, c) logits and B gold indices, the mean of
+    the B rows' losses. Gradient (softmax - onehot), divided by B."""
+    if logits.values.ndim not in (1, 2):
+        raise ValueError(f"softmax_cross_entropy needs (c,) or (B, c) logits, got {logits.shape}")
+    v = logits.values if logits.values.ndim == 2 else logits.values[None]
+    bsz, c = v.shape
+    golds = np.asarray(gold, dtype=np.intp).reshape(-1)
+    if golds.shape != (bsz,):
+        raise ValueError(f"softmax_cross_entropy needs {bsz} gold labels, got {golds.size}")
+    if golds.min() < 0 or golds.max() >= c:
         raise ValueError(f"gold label {gold} out of range for {c} classes")
-    m = logits.values.max()
-    lse = m + np.log(np.exp(logits.values - m).sum())
-    out = Tensor(lse - logits.values[gold])
-    probs = np.exp(logits.values - lse)
+    rows = np.arange(bsz)
+    m = v.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(v - m).sum(axis=1, keepdims=True))
+    out = Tensor((lse[:, 0] - v[rows, golds]).sum() / bsz)
+    probs = np.exp(v - lse)
 
     def backward() -> None:
-        g = float(out.grad)
-        logits.grad += g * probs
-        logits.grad[gold] -= g
+        g = float(out.grad) / bsz
+        dlogits = g * probs
+        dlogits[rows, golds] -= g
+        logits.grad += dlogits.reshape(logits.shape)
 
     _record(backward)
     return out

@@ -1,13 +1,16 @@
 """Optimizers and the training loop.
 
 Two recipes: SGD with momentum for the sequence taggers (with global-norm
-gradient clipping) and Adadelta for the span classifiers. Batches are
-processed example by example with the backward pass seeded by 1/batch_size,
-so parameter gradients accumulate to the batch-mean gradient without padding.
+gradient clipping) and Adadelta for the span classifiers. Each minibatch is
+one tape: the model's ``batch_loss`` returns the batch-mean loss, and one
+backward pass from it leaves the batch-mean gradient in every parameter.
+The classifiers run the whole batch as one padded forward; the taggers add
+up one subgraph per utterance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +36,13 @@ class TrainingError(RuntimeError):
     pass
 
 
+def _require_finite(config, *names: str) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class SgdMomentumConfig:
     learning_rate: float = 0.0015
@@ -42,6 +52,7 @@ class SgdMomentumConfig:
     seed: int = 13
 
     def __post_init__(self) -> None:
+        _require_finite(self, "learning_rate", "momentum")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -60,6 +71,7 @@ class AdadeltaConfig:
     seed: int = 13
 
     def __post_init__(self) -> None:
+        _require_finite(self, "learning_rate", "rho", "epsilon")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.rho < 1.0:
@@ -167,20 +179,19 @@ def train(
         order = rng.permutation(len(examples))
         epoch_loss = 0.0
         for batch_start in range(0, len(order), config.batch_size):
-            batch = order[batch_start : batch_start + config.batch_size]
+            batch = [examples[int(i)] for i in order[batch_start : batch_start + config.batch_size]]
             for t in params.values():
                 t.zero_grad()
-            for idx in batch:
-                with Tape() as tape:
-                    loss = model.loss(examples[int(idx)])
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingError(
-                        f"non-finite loss {value} at epoch {epoch}, "
-                        f"batch {batch_start // config.batch_size}"
-                    )
-                epoch_loss += value
-                tape.backward(loss, seed=1.0 / len(batch))
+            with Tape() as tape:
+                loss = model.batch_loss(batch)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise TrainingError(
+                    f"non-finite loss {value} at epoch {epoch}, "
+                    f"batch {batch_start // config.batch_size}"
+                )
+            epoch_loss += value * len(batch)
+            tape.backward(loss)
             if grad_clip is not None:
                 _global_norm_clip(params, grad_clip)
             optimizer.step()

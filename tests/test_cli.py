@@ -180,6 +180,16 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("arch, value", [("span-cnn", "nan"), ("span-cnn", "-inf"), ("intent-tagger", "inf")])
+    def test_non_finite_learning_rate_rejected_before_training(self, corpus_dir, tmp_path, capsys, arch, value):
+        model_path = tmp_path / "x.json"
+        dimension = [] if arch == "intent-tagger" else ["--dimension", "tense"]
+        code = run(train_args(arch, corpus_dir, model_path, *dimension, f"--lr={value}", "--epochs", "1"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "learning_rate must be a finite number" in err and "loss" not in err
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("arch, flag", [
         ("intent-tagger", "--filters"),
         ("intent-tagger", "--embedding-dim"),
@@ -207,6 +217,17 @@ class TestConfigFile:
         assert len(history_path.read_text().splitlines()) == 1
         # the file's embedding size reached the model
         assert load_model(model_path).config.embedding_dim == 12
+
+    def test_non_finite_learning_rate_rejected(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("lr = nan\n")
+        model_path = tmp_path / "m.json"
+        code = run(train_args(
+            "span-cnn", corpus_dir, model_path, "--dimension", "tense", "--config", str(config),
+        ))
+        assert code == 1
+        assert "learning_rate must be a finite number, got nan" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_unknown_key_rejected(self, corpus_dir, tmp_path, capsys):
         config = tmp_path / "run.cfg"

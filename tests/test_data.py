@@ -266,3 +266,26 @@ def corpus_rows(draw):
 def test_corpus_row_json_round_trip(u):
     line = json.dumps(utterance_to_json(u), ensure_ascii=False)
     assert utterance_from_json(json.loads(line)) == u
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_rows(), st.data())
+def test_mutated_corpus_rows_parse_or_raise_corpus_error(mutate_json, u, data):
+    row = utterance_to_json(u)
+    mutate_json(data, row)
+    try:
+        utterance_from_json(json.loads(json.dumps(row)))
+    except CorpusError:
+        pass
+
+
+@pytest.mark.parametrize("span, message", [
+    ({"start": "0", "end": 1, "intent": "x"}, "bounds must be integers"),
+    ({"start": 0, "end": True, "intent": "x"}, "bounds must be integers"),
+    ({"start": 0.0, "end": 1, "intent": "x"}, "bounds must be integers"),
+    ({"start": 0, "end": 1, "intent": 7}, "intent must be a string"),
+    ({"start": 0, "end": 1, "intent": "x", "features": ["tense"]}, "features must be an object"),
+])
+def test_span_field_types_checked(span, message):
+    with pytest.raises(CorpusError, match=message):
+        utterance_from_json({"tokens": ["a", "b"], "spans": [span]})

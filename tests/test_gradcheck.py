@@ -17,7 +17,7 @@ def test_primitive_suite_covers_every_op_family():
         "matmul", "add", "add-bias", "sub", "scale", "relu", "concat",
         "stack-unstack", "gather-rows", "conv1d-same", "max-over-time",
         "lstm-cell", "lstm-sequence", "lstm-sequence-reverse",
-        "conv1d-max-over-time-batched", "softmax-cross-entropy", "crf-log-partition",
+        "conv1d-max-over-time-batched", "conv-relu-max", "softmax-cross-entropy", "crf-log-partition",
         "crf-log-partition-constrained", "crf-nll-constrained",
     ):
         assert expected in names

@@ -262,7 +262,7 @@ class TestSpanCnn:
     def test_is_global_local_without_global_view(self, vocabs):
         model = classifier_fixture(vocabs, SpanCnnClassifier)
         assert isinstance(model, GlobalLocalClassifier)
-        rep = model.represent("i install the printer".split(), [0, 1, 1, 0])
+        rep = model.represent(["i install the printer".split()], [[0, 1, 1, 0]])
         assert rep.global_vec is None
         assert rep.joint is rep.local_vec
 
@@ -286,17 +286,17 @@ class TestGlobalLocal:
     def test_full_mask_with_shared_pooling_collapses(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier, share_pooling_params=True)
         tokens = "i install the printer".split()
-        rep = model.represent(tokens, [1, 1, 1, 1])
+        rep = model.represent([tokens], [[1, 1, 1, 1]])
         assert np.array_equal(rep.global_vec.values, rep.local_vec.values)
-        assert np.array_equal(rep.joint.values[: rep.global_vec.shape[0]], rep.global_vec.values)
+        assert np.array_equal(rep.joint.values[:, : rep.global_vec.shape[1]], rep.global_vec.values)
 
     def test_joint_order_global_then_local(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
         tokens = "i install the printer".split()
-        rep = model.represent(tokens, [0, 1, 1, 0])
-        d = rep.global_vec.shape[0]
-        assert np.array_equal(rep.joint.values[:d], rep.global_vec.values)
-        assert np.array_equal(rep.joint.values[d:], rep.local_vec.values)
+        rep = model.represent([tokens], [[0, 1, 1, 0]])
+        d = rep.global_vec.shape[1]
+        assert np.array_equal(rep.joint.values[:, :d], rep.global_vec.values)
+        assert np.array_equal(rep.joint.values[:, d:], rep.local_vec.values)
 
     def test_non_contiguous_mask_accepted(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
@@ -307,8 +307,8 @@ class TestGlobalLocal:
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
         tokens = "i install the printer".split()
         mask = [0, 1, 1, 0]
-        base = model.represent(tokens, mask)
-        changed = model.represent(["we"] + tokens[1:], mask)
+        base = model.represent([tokens], [mask])
+        changed = model.represent([["we"] + tokens[1:]], [mask])
         assert np.array_equal(base.local_vec.values, changed.local_vec.values)
         assert not np.array_equal(base.global_vec.values, changed.global_vec.values)
 
@@ -345,14 +345,14 @@ class TestGlobalLocal:
     def test_local_path_preserves_token_order(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
         tokens = ["install", "cancel", "printer"]
-        fwd = model.represent(tokens, [1, 1, 1]).local_vec.values
-        rev = model.represent(tokens[::-1], [1, 1, 1]).local_vec.values
+        fwd = model.represent([tokens], [[1, 1, 1]]).local_vec.values
+        rev = model.represent([tokens[::-1]], [[1, 1, 1]]).local_vec.values
         assert not np.array_equal(fwd, rev)
 
     def test_empty_mask_rejected(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
         with pytest.raises(ModelError, match="mask"):
-            model.represent(["a", "b"], [0, 0])
+            model.represent([["a", "b"]], [[0, 0]])
 
 
 def all_models(vocabs):
@@ -652,3 +652,154 @@ def test_masked_examples_feed_classifiers(vocabs, corpus):
     with Tape() as tape:
         loss = model.loss(examples[0])
     assert loss.item() > 0
+
+
+BATCH_VARIANTS = {
+    "span-cnn": (SpanCnnClassifier, {}),
+    "global-local": (GlobalLocalClassifier, {}),
+    "no-global-context": (GlobalLocalClassifier, {"use_global_context": False}),
+    "two-embedding-tables": (GlobalLocalClassifier, {"share_encoder_embedding": False}),
+    "shared-pooling": (GlobalLocalClassifier, {"share_pooling_params": True}),
+}
+
+# a one-token utterance, spans shorter than the widest filter, a non-contiguous
+# mask, an unknown word and the longest utterance in the middle of the batch
+RAGGED_BATCH = [
+    MaskedExample(tokens=["install"], mask=[1], gold=0),
+    MaskedExample(tokens="i will install the printer".split(), mask=[0, 1, 1, 0, 0], gold=2),
+    MaskedExample(tokens="we cancel my folder and i install the zzz printer".split(),
+                  mask=[0, 1, 1, 1, 0, 0, 1, 0, 1, 1], gold=1),
+    MaskedExample(tokens="i cancel the printer".split(), mask=[1, 0, 1, 1], gold=0),
+    MaskedExample(tokens="refund it".split(), mask=[0, 1], gold=1),
+]
+
+
+def _batch_logits(model, examples):
+    rep = model.represent([e.tokens for e in examples], [e.mask for e in examples])
+    return model.projection.apply(rep.joint).values
+
+
+@pytest.mark.parametrize("variant", sorted(BATCH_VARIANTS))
+def test_batched_forward_and_gradients_match_one_span_at_a_time(vocabs, variant):
+    cls, switches = BATCH_VARIANTS[variant]
+    model = classifier_fixture(vocabs, cls, **switches)
+    params = model.parameters()
+
+    def gradients(step) -> tuple[float, dict]:
+        for t in params.values():
+            t.zero_grad()
+        value = step()
+        return value, {name: t.grad.copy() for name, t in params.items()}
+
+    def batched() -> float:
+        with Tape() as tape:
+            loss = model.batch_loss(RAGGED_BATCH)
+        tape.backward(loss)
+        return loss.item()
+
+    def looped() -> float:
+        total = 0.0
+        for example in RAGGED_BATCH:
+            with Tape() as tape:
+                loss = model.loss(example)
+            tape.backward(loss, seed=1.0 / len(RAGGED_BATCH))
+            total += loss.item()
+        return total / len(RAGGED_BATCH)
+
+    batch_value, batch_grads = gradients(batched)
+    loop_value, loop_grads = gradients(looped)
+    assert abs(batch_value - loop_value) < 1e-12
+    for name in params:
+        assert np.max(np.abs(batch_grads[name] - loop_grads[name])) < 1e-12, name
+    assert any(np.any(g != 0.0) for g in batch_grads.values())
+
+    rep = model.represent([e.tokens for e in RAGGED_BATCH], [e.mask for e in RAGGED_BATCH])
+    for row, example in enumerate(RAGGED_BATCH):
+        one = model.represent([example.tokens], [example.mask])
+        for view in ("global_vec", "local_vec", "joint"):
+            if getattr(rep, view) is None:
+                assert getattr(one, view) is None
+                continue
+            got, want = getattr(rep, view).values[row], getattr(one, view).values[0]
+            assert np.max(np.abs(got - want)) < 1e-12, (view, row)
+        assert np.max(np.abs(_batch_logits(model, RAGGED_BATCH)[row] - model._logits(example).values)) < 1e-12
+
+
+@pytest.mark.parametrize("variant", sorted(BATCH_VARIANTS))
+def test_row_logits_do_not_depend_on_the_rest_of_the_batch(vocabs, variant):
+    cls, switches = BATCH_VARIANTS[variant]
+    model = classifier_fixture(vocabs, cls, **switches)
+    target = RAGGED_BATCH[1]
+    alone = _batch_logits(model, [target])[0]
+    longest = RAGGED_BATCH[2]
+    for batch, row in (
+        (RAGGED_BATCH, 1),                       # padded to the longest utterance
+        ([RAGGED_BATCH[0], target], 1),          # padded only to its own length
+        ([target, longest, longest], 0),         # other rows changed
+        ([RAGGED_BATCH[3], RAGGED_BATCH[4], target], 2),
+    ):
+        assert np.max(np.abs(_batch_logits(model, batch)[row] - alone)) < 1e-12
+
+
+def test_batch_loss_is_one_tape_per_batch(vocabs):
+    model = classifier_fixture(vocabs, GlobalLocalClassifier)
+    with Tape() as one:
+        model.batch_loss(RAGGED_BATCH[:1])
+    with Tape() as five:
+        model.batch_loss(RAGGED_BATCH)
+    assert len(one) == len(five)
+
+
+def test_tagger_batch_loss_is_mean_of_losses(vocabs, corpus):
+    utterances = corpus[0][:3]
+    intents = sorted({s.intent for u in utterances for s in u.spans})
+    model = IntentTagger(*vocabs, intents, EncoderConfig(**SMALL_ENCODER))
+    with Tape() as tape:
+        loss = model.batch_loss(utterances)
+    tape.backward(loss)
+    mean = sum(model.loss(u).item() for u in utterances) / 3
+    assert abs(loss.item() - mean) < 1e-12
+
+
+MISTYPED_CONFIGS = {
+    "intent tagger with a string flag": (0, _set("no", "config", "constrain_training"), "config.constrain_training"),
+    "intent tagger with a boolean seed": (0, _set(True, "config", "seed"), "config.seed"),
+    "tagger with a string encoder size": (1, _set("4", "config", "encoder", "lstm_hidden"), "config.encoder.lstm_hidden"),
+    "intent labels not strings": (0, _set([1, 2], "config", "labels"), "config.labels"),
+    "cascaded boundary size as a float": (2, _set(3.0, "config", "boundary_dim"), "config.boundary_dim"),
+    "classifier with a boolean filter count": (
+        4, _set(True, "config", "global_local", "filters_per_width"), "config.global_local.filters_per_width",
+    ),
+    "span-cnn widths with a string": (3, _set([3, "4"], "config", "cnn", "filter_widths"), "config.cnn.filter_widths"),
+    "classifier with a numeric dimension": (4, _set(5, "config", "dimension"), "config.dimension"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_CONFIGS))
+def test_mistyped_config_value_names_field(vocabs, tmp_path, case):
+    index, mutate, field_name = MISTYPED_CONFIGS[case]
+    bundle = _bundle_of(all_models(vocabs)[index], tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(bundle)))
+    with pytest.raises(ModelError, match=rf"^{field_name} must be of type "):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def serialized_small_models(vocabs):
+    with tempfile.TemporaryDirectory() as root:
+        return [_bundle_of(model, Path(root)) for model in all_models(vocabs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_bundles_load_or_raise_model_error(mutate_json, serialized_small_models, data):
+    bundle = json.loads(json.dumps(data.draw(st.sampled_from(serialized_small_models))))
+    mutate_json(data, bundle)
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "m.json"
+        path.write_text(json.dumps(bundle))
+        try:
+            load_model(path)
+        except ModelError:
+            pass

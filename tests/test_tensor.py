@@ -199,6 +199,22 @@ class TestBackwardAgainstFiniteDifferences:
         logits = Tensor(rng.normal(size=5))
         assert_matches_fd(lambda: T.softmax_cross_entropy(logits, 3), [logits])
 
+    def test_batched_cross_entropy_is_mean_of_rows(self):
+        rng = np.random.default_rng(9)
+        batch = Tensor(rng.normal(size=(4, 3)) * 3.0)
+        gold = [2, 0, 0, 1]
+        assert_matches_fd(lambda: T.softmax_cross_entropy(batch, gold), [batch])
+        mean = run_backward(lambda: T.softmax_cross_entropy(batch, gold), [batch])
+        batched_grad = batch.grad.copy()
+        for row, label in enumerate(gold):
+            logits = Tensor(batch.values[row])
+            run_backward(lambda: T.softmax_cross_entropy(logits, label), [logits])
+            assert np.max(np.abs(batched_grad[row] - logits.grad / len(gold))) < 1e-15
+        rows = [T.softmax_cross_entropy(Tensor(batch.values[r]), g).item() for r, g in enumerate(gold)]
+        assert abs(mean.item() - np.mean(rows)) < 1e-15
+        with pytest.raises(ValueError, match="gold labels"):
+            T.softmax_cross_entropy(batch, [0, 1])
+
     def test_index_sum(self):
         rng = np.random.default_rng(9)
         m = Tensor(rng.normal(size=(4, 4)))
@@ -303,6 +319,49 @@ class TestFusedKernels:
             T.max_over_time(Tensor(np.zeros((2, 3, 1))), [0, 3])
         with pytest.raises(ValueError, match="lengths"):
             T.conv1d_same(Tensor(np.zeros((1, 3, 1))), Tensor(np.zeros((3, 1, 1))), Tensor(np.zeros(1)), [4])
+        with pytest.raises(ValueError, match="lengths"):
+            T.conv_relu_max(Tensor(np.zeros((2, 3, 1))), [Tensor(np.zeros((3, 1, 1)))], [Tensor(np.zeros(1))], [1])
+
+    @pytest.mark.parametrize("seed", [27, 28])
+    def test_conv_relu_max_matches_conv_relu_max_over_time_per_width(self, seed):
+        # ragged rows (a length-1 row, rows shorter than the widest filter,
+        # a full row), banks of every width from 1 to 5, one channel whose
+        # bias keeps it negative everywhere, and a row of identical positions
+        # whose interior windows tie for the maximum
+        rng = np.random.default_rng(seed)
+        lengths = [1, 2, 7, 4]
+        batch = Tensor(rng.normal(size=(4, 7, 3)) * 2.0)
+        batch.values[2] = batch.values[2, 0]
+        filters = [Tensor(rng.normal(size=(w, 3, 2))) for w in range(1, 6)]
+        biases = [Tensor(rng.normal(size=2)) for _ in filters]
+        biases[2].values[1] = -1e3
+        probe = rng.normal(size=(4, 10))
+        params = [batch] + filters + biases
+        fused = run_backward(lambda: _weighted_sum(T.conv_relu_max(batch, filters, biases, lengths), probe), params)
+        fused_grads = [t.grad.copy() for t in params]
+        pooled = T.conv_relu_max(batch, filters, biases, lengths).values
+        assert np.all(pooled[:, 5] == 0.0)
+
+        def reference():
+            return T.concat([
+                T.max_over_time(T.relu(T.conv1d_same(batch, f, b, lengths)), lengths)
+                for f, b in zip(filters, biases)
+            ])
+
+        looped = run_backward(lambda: _weighted_sum(reference(), probe), params)
+        assert np.max(np.abs(pooled - reference().values)) < 1e-12
+        assert abs(fused.item() - looped.item()) < 1e-12
+        for got, t in zip(fused_grads, params):
+            assert np.max(np.abs(got - t.grad)) < 1e-12
+        assert np.all(fused_grads[0][0, 1:] == 0.0) and np.all(fused_grads[0][1, 2:] == 0.0)
+        assert fused_grads[1 + len(filters) + 2][1] == 0.0  # the negative channel
+
+    def test_conv_relu_max_one_tape_node(self):
+        rng = np.random.default_rng(29)
+        with Tape() as tape:
+            T.conv_relu_max(Tensor(rng.normal(size=(2, 4, 3))), [Tensor(np.ones((2, 3, 1)))] * 2,
+                            [Tensor(np.zeros(1))] * 2, [4, 1])
+        assert len(tape) == 1
 
 
 class TestTapeSemantics:

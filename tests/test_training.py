@@ -47,6 +47,10 @@ class TestSgdMomentum:
             SgdMomentumConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             SgdMomentumConfig(momentum=1.0)
+        for name in ("learning_rate", "momentum"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                    SgdMomentumConfig(**{name: value})
 
 
 class TestAdadelta:
@@ -97,6 +101,10 @@ class TestAdadelta:
             AdadeltaConfig(rho=1.0)
         with pytest.raises(ValueError):
             AdadeltaConfig(epsilon=0.0)
+        for name in ("learning_rate", "rho", "epsilon"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                    AdadeltaConfig(**{name: value})
 
 
 class _QuadraticModel:
@@ -120,6 +128,14 @@ class _QuadraticModel:
 
         _record(backward)
         return out
+
+    def batch_loss(self, batch):
+        from spanfeat.tensor import add, scale
+
+        total = self.loss(batch[0])
+        for example in batch[1:]:
+            total = add(total, self.loss(example))
+        return scale(total, 1.0 / len(batch))
 
 
 class TestTrainLoop:
