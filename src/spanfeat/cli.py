@@ -171,6 +171,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     pr = command("predict", "annotate utterances from stdin to stdout")
     pr.add_argument("--model", required=True)
+    pr.add_argument("--on-error", choices=("fail", "skip"), default="fail",
+                    help="fail: stop at the first line that cannot be parsed or labelled; "
+                         "skip: write nothing for it, go on, and list the skipped lines on stderr")
 
     ab = command("ablate", "train global-local, both ablations, and span-cnn; compare")
     ab.add_argument("--train", required=True, dest="train_path")
@@ -395,16 +398,26 @@ def _predict_utterance(model, u: AnnotatedUtterance) -> AnnotatedUtterance:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
+    read, written, skipped = 0, 0, []
     for lineno, line in enumerate(sys.stdin, start=1):
         if not line.strip():
             continue
-        try:
-            utterance = utterance_from_json(json.loads(line))
-        except (json.JSONDecodeError, CorpusError) as err:
-            raise CorpusError(f"stdin:{lineno}: {err}") from None
-        annotated = _predict_utterance(model, utterance)
+        read += 1
+        try:  # a line that does not parse or cannot be labelled
+            annotated = _predict_utterance(model, utterance_from_json(json.loads(line)))
+        except ValueError as err:  # JSON, corpus and model errors alike
+            if args.on_error == "fail":
+                raise CorpusError(f"stdin:{lineno}: {err}") from None
+            skipped.append(f"stdin:{lineno}: {err}")
+            continue
         sys.stdout.write(json.dumps(utterance_to_json(annotated), ensure_ascii=False) + "\n")
-    return 0
+        written += 1
+    if args.on_error == "skip":
+        sys.stdout.flush()
+        print(f"skipped {len(skipped)} of {read} lines", file=sys.stderr)
+        for reason in skipped:
+            print(reason, file=sys.stderr)
+    return 0 if written or not skipped else 1
 
 
 def _cmd_ablate(args) -> int:

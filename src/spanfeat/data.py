@@ -167,7 +167,8 @@ class Vocabulary:
         return self._index.get(token, self.UNK)
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self.lookup(t) for t in tokens]
+        get, unk = self._index.get, self.UNK
+        return [get(t, unk) for t in tokens]
 
     def to_dict(self) -> dict[str, int]:
         return dict(self._index)

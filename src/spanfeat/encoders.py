@@ -88,21 +88,18 @@ class TokenEncoder:
     def char_cnn(self, tokens: list[str]) -> Tensor:
         """(len(tokens), char_filters) matrix: for each token, convolve the
         filters over its character embeddings, ReLU, then take the per-filter
-        maximum over its positions. All tokens run as one padded batch."""
+        maximum over its positions. All tokens run as one batch, their
+        characters packed end to end."""
         if any(not t for t in tokens):
             raise ValueError("cannot embed an empty token")
-        lengths = [len(t) for t in tokens]
-        ids = np.full((len(tokens), max(lengths)), self.char_vocab.PAD, dtype=np.intp)
-        for row, token in enumerate(tokens):
-            ids[row, : len(token)] = [self.char_vocab.lookup(c) for c in token]
-        chars = gather_rows(self.char_table, ids)
-        return conv_relu_max(chars, [self.char_conv_filters], [self.char_conv_bias], lengths)
+        chars = gather_rows(self.char_table, self.char_vocab.encode("".join(tokens)))
+        return conv_relu_max(chars, [self.char_conv_filters], [self.char_conv_bias], [len(t) for t in tokens])
 
     def encode(self, tokens: list[str]) -> Tensor:
         """(n, token_dim) matrix; repeated tokens share one computed vector."""
         if not tokens:
             raise ValueError("cannot encode an empty utterance")
-        word_ids = [self.word_vocab.lookup(t.lower()) for t in tokens]
+        word_ids = self.word_vocab.encode([t.lower() for t in tokens])
         word_parts = [gather_rows(table, word_ids) for table in self.word_tables]
         distinct = {t: row for row, t in enumerate(dict.fromkeys(tokens))}
         char_rows = gather_rows(self.char_cnn(list(distinct)), [distinct[t] for t in tokens])

@@ -183,10 +183,11 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
     banks = [filters, Tensor(rng.normal(size=(2, 3, 2)) * 0.5)]
     bank_biases = [cbias, Tensor(rng.normal(size=2) * 0.1)]
     u6b = Tensor(rng.normal(size=6))
+    packed = Tensor(np.concatenate([row[:n] for row, n in zip(batch.values, lengths)]))
     run(
         "conv-relu-max",
-        lambda: _pin(conv_relu_max(batch, banks, bank_biases, lengths), u3, u6b),
-        [batch, *banks, *bank_biases],
+        lambda: _pin(conv_relu_max(packed, banks, bank_biases, lengths), u3, u6b),
+        [packed, *banks, *bank_biases],
     )
     return results
 

@@ -131,10 +131,10 @@ class _ParallelConvPool:
             self.biases[w] = Tensor(np.zeros(filters))
         self.output_dim = len(self.widths) * filters
 
-    def apply(self, batch: Tensor, lengths) -> Tensor:
-        """(B, n, e) rows of ``lengths`` valid positions -> (B, output_dim)."""
+    def apply(self, packed: Tensor, lengths) -> Tensor:
+        """(N, e) rows packed end to end, ``lengths`` positions each -> (B, output_dim)."""
         return conv_relu_max(
-            batch, [self.filters[w] for w in self.widths], [self.biases[w] for w in self.widths], lengths
+            packed, [self.filters[w] for w in self.widths], [self.biases[w] for w in self.widths], lengths
         )
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
@@ -143,15 +143,6 @@ class _ParallelConvPool:
             params[f"{prefix}.width{w}.filters"] = self.filters[w]
             params[f"{prefix}.width{w}.bias"] = self.biases[w]
         return params
-
-
-def _padded(rows: list[list[int]]) -> tuple[np.ndarray, list[int]]:
-    """Index rows padded into a (B, n) array, with each row's length."""
-    lengths = [len(r) for r in rows]
-    ids = np.full((len(rows), max(lengths)), Vocabulary.PAD, dtype=np.intp)
-    for b, r in enumerate(rows):
-        ids[b, : len(r)] = r
-    return ids, lengths
 
 
 def align_feature_spans(
@@ -441,30 +432,31 @@ class GlobalLocalClassifier:
     def represent(self, tokens: Sequence[list[str]], masks: Sequence[list[int]]) -> SpanRepresentation:
         """Pooled views of a batch of masked spans, one (B, d) row per span.
 
-        Each view pads its rows to the batch's longest and pools every row
-        over its own length only, so a row's vectors do not depend on the
-        rest of the batch.
+        Each view packs its rows end to end, one embedding lookup for the
+        whole batch, and pools every row over its own positions only, so a
+        row's vectors do not depend on the rest of the batch.
         """
         if len(tokens) != len(masks) or not tokens:
             raise ModelError("represent needs one mask per token list, and at least one of each")
-        lookup = self.word_vocab.lookup
-        word_ids, span_ids = [], []
+        encode = self.word_vocab.encode
+        word_ids, span_ids, word_lengths, span_lengths = [], [], [], []
         for toks, mask in zip(tokens, masks):
             if len(mask) != len(toks):
                 raise ModelError("mask length disagrees with token count")
-            ids = [lookup(t.lower()) for t in toks]
+            ids = encode([t.lower() for t in toks])
             span = [i for i, bit in zip(ids, mask) if bit]
             if not span:
                 raise ModelError("mask selects no tokens")
-            word_ids.append(ids)
-            span_ids.append(span)
-        local_ids, local_lengths = _padded(span_ids)
+            word_ids += ids
+            span_ids += span
+            word_lengths.append(len(ids))
+            span_lengths.append(len(span))
         if self.global_view:  # first, so backward frees the local view before the larger global one
             global_ids, global_lengths = (
-                _padded(word_ids) if self.config.use_global_context else (local_ids, local_lengths)
+                (word_ids, word_lengths) if self.config.use_global_context else (span_ids, span_lengths)
             )
             g = self.global_pool.apply(gather_rows(self.global_embedding, global_ids), global_lengths)
-        local = self.local_pool.apply(gather_rows(self.local_embedding, local_ids), local_lengths)
+        local = self.local_pool.apply(gather_rows(self.local_embedding, span_ids), span_lengths)
         if not self.global_view:
             return SpanRepresentation(global_vec=None, local_vec=local, joint=local)
         return SpanRepresentation(global_vec=g, local_vec=local, joint=concat([g, local]))

@@ -262,16 +262,32 @@ def unstack_rows(mat: Tensor) -> list[Tensor]:
     return rows
 
 
+# Elements of the sorted gradient slice that gather_rows' backward sums at once.
+_GATHER_ELEMENTS = 1 << 15
+
+
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Select rows table[indices] for a flat or (B, n) index array; backward
-    scatter-adds (repeats accumulate)."""
+    scatter-adds (repeats accumulate) by sorting the indices and summing each
+    run of equal ones."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim not in (1, 2):
         raise ValueError("gather_rows needs a flat or (B, n) index array")
     out = Tensor(table.values[idx])
 
     def backward() -> None:
-        np.add.at(table.grad, idx, out.grad)
+        # one stable sort, then a sum over each run of equal indices, taken
+        # a slice of sorted rows at a time so that the sorted copy of the
+        # gradient stays small (a run split between slices adds twice)
+        flat = idx.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        ordered = flat[order]
+        grads = out.grad.reshape(flat.shape + table.shape[1:])
+        step = max(1, _GATHER_ELEMENTS // max(1, int(np.prod(table.shape[1:]))))
+        for lo in range(0, flat.size, step):
+            keys = ordered[lo : lo + step]
+            runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            table.grad[keys[runs]] += np.add.reduceat(grads[order[lo : lo + step]], runs, axis=0)
 
     _record(backward)
     return out
@@ -378,32 +394,52 @@ def max_over_time(seq: Tensor, lengths=None) -> Tensor:
     return out
 
 
-def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor], lengths=None) -> Tensor:
-    """Kim's conv block as one node: for each (w, e, f) filter bank in turn,
-    ``max_over_time(relu(conv1d_same(x, filters, bias, lengths)), lengths)``
-    over a (B, n, e) batch, concatenated by bank into (B, sum of f).
+def _packed_rows(lengths, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and start offsets of the rows of a packed batch: ``lengths``
+    must hold at least one positive count, and the counts must sum to the
+    ``total`` packed positions."""
+    if len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != total:
+        raise ValueError(
+            f"lengths must be positive and sum to the {total} packed positions, got {list(lengths)}"
+        )
+    lens = np.asarray(lengths, dtype=np.intp)
+    return lens, np.cumsum(lens) - lens
 
-    The convolution is shift-and-add ("kn2row", Vasudevan et al. 2017,
-    arXiv:1704.04428): one product of the batch with each bank as stored
-    gives every offset's response, and the w offset slices are summed
-    shifted. The bias is constant over positions, so it is added after the
-    maximum, and ReLU commutes with the maximum, so it is applied to the
-    pooled values alone. Row b pools over its first ``lengths[b]`` positions
-    only (all n when lengths is None), as in ``conv1d_same`` and
-    ``max_over_time``. Backward routes each pooled gradient to its argmax
-    position (lowest index on ties) when that pre-activation is positive,
-    and forms the input and filter gradients with one product each per bank
-    and block of batch rows.
+
+def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor], lengths) -> Tensor:
+    """Kim's conv block as one node over a packed batch: for each (w, e, f)
+    filter bank in turn, ``max_over_time(relu(conv1d_same(row, filters,
+    bias)))`` of every row, concatenated by bank into (B, sum of f).
+
+    Packed means the B rows are concatenated into one (N, e) matrix: row b
+    is the next ``lengths[b]`` positions, N is the sum of the lengths, and
+    no position is padding. The convolution is shift-and-add ("kn2row",
+    Vasudevan et al. 2017, arXiv:1704.04428): one product of the batch with
+    each bank as stored gives every offset's response, and the w offset
+    slices are summed shifted. The responses a shift would carry across a
+    row boundary are zeroed first, so every row reads zeros past its ends.
+    The bias is constant over positions, so it is added after the maximum,
+    and ReLU commutes with the maximum, so it is applied to the pooled
+    values alone. The per-row maxima are one ``np.maximum.reduceat`` per
+    bank; a batch of one row needs neither the zeroing nor the reduceat.
+    Backward routes each pooled gradient to its argmax position (lowest
+    index on ties) when that pre-activation is positive, lays the offset
+    gradients of every bank side by side, and forms the input and filter
+    gradients with one product each per block of whole rows.
     """
     xv = x.values
-    if xv.ndim != 3 or xv.shape[1] < 1:
-        raise ValueError(f"conv_relu_max needs a non-empty (B, n, e) batch, got {x.shape}")
-    bsz, n, e = xv.shape
+    if xv.ndim != 2 or xv.shape[0] < 1:
+        raise ValueError(f"conv_relu_max needs a non-empty (N, e) packed batch, got {x.shape}")
+    total, e = xv.shape
+    lens, starts = _packed_rows(lengths, total)
+    bsz = lens.size
     banks = list(zip(filters, biases, strict=True))
-    valid = _valid_positions(xv.shape, lengths)
-    padding = None if valid is None else ~valid
     widths = [filt.values.shape[0] for filt, _ in banks]
     sizes = [filt.values.shape[-1] for filt, _ in banks]
+    if bsz > 1:
+        pos = np.arange(total) - np.repeat(starts, lens)  # position within its row
+        rest = np.repeat(lens - 1, lens) - pos  # positions after it in its row
+    crossing = {}  # shift -> the inputs it would carry into a neighbouring row
     pooled = np.empty((bsz, sum(sizes)))
     taping = bool(_TAPES)
     argmaxes = []
@@ -416,22 +452,29 @@ def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor]
         left = w // 2
         # responses[j] is offset j's contribution from each input position;
         # output position t reads input t + j - left
-        responses = np.matmul(xv.reshape(bsz * n, e), filt.values).reshape(w, bsz, n, f)
-        if padding is not None:  # the positions past a row's length read as zeros
-            responses[:, padding] = 0.0
+        responses = np.matmul(xv, filt.values)
         pre = responses[left]
-        for j in range(max(0, left - n + 1), min(w, left + n)):
+        for j in range(max(0, left - total + 1), min(w, left + total)):
             s = j - left
+            if bsz > 1 and s != 0:  # so that each row reads zeros past its ends
+                if s not in crossing:
+                    crossing[s] = pos < s if s > 0 else rest < -s
+                responses[j, crossing[s]] = 0.0
             if s > 0:
-                pre[:, : n - s] += responses[j, :, s:]
+                pre[:-s] += responses[j, s:]
             elif s < 0:
-                pre[:, -s:] += responses[j, :, : n + s]
-        if padding is not None:
-            pre[padding] = -np.inf
-        if taping:  # backward needs only where each maximum sits
-            argmaxes.append(pre.argmax(axis=1))
+                pre[-s:] += responses[j, :s]
         part = pooled[:, offset : offset + f]
-        np.max(pre, axis=1, out=part)
+        if bsz == 1:
+            np.max(pre, axis=0, out=part[0])
+        else:
+            part[...] = np.maximum.reduceat(pre, starts, axis=0)
+        if taping:  # backward needs only where each maximum sits
+            if bsz == 1:
+                argmaxes.append(pre.argmax(axis=0)[None])
+            else:
+                at_max = np.where(pre == np.repeat(part, lens, axis=0), np.arange(total)[:, None], total)
+                argmaxes.append(np.minimum.reduceat(at_max, starts, axis=0))
         part += bias.values
         offset += f
         del responses, pre  # before the next bank allocates its own
@@ -439,37 +482,48 @@ def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor]
 
     def backward() -> None:
         g = out.grad * (out.values > 0.0)
-        xgrad = x.grad
-        # batch rows per block, so that the block's gradient buffers stay
-        # small next to the batch itself
-        block = max(1, _BLOCK_ELEMENTS // (n * max(e, max(w * f for w, f in zip(widths, sizes)))))
-        offset = 0
-        for (filt, bias), argmax, w, f in zip(banks, argmaxes, widths, sizes):
-            left = w // 2
-            gk = g[:, offset : offset + f]
+        # Column (bank, j, c) of the (N, sum of w*f) offset gradients holds
+        # the gradient of offset j's response in channel c. Each pooled (row,
+        # channel) sends its gradient to the w inputs its argmax output read;
+        # ``cells`` holds the flat indices of those entries, batch row by
+        # batch row, leaving out the inputs past either end of the row.
+        reads, columns = [], []
+        offset = column = 0
+        for (_, bias), argmax, w, f in zip(banks, argmaxes, widths, sizes):
+            bias.grad += g[:, offset : offset + f].sum(axis=0)
+            reads.append((argmax[:, :, None] + (np.arange(w) - w // 2)).reshape(bsz, f * w))
+            columns.append((column + np.arange(w) * f + np.arange(f)[:, None]).reshape(f * w))
             offset += f
-            bias.grad += gk.sum(axis=0)
-            kernel = filt.values.transpose(0, 2, 1).reshape(w * f, e)
-            dfilt = np.zeros((e, w * f))
-            for lo in range(0, bsz, block):
-                hi = min(bsz, lo + block)
-                dpre = np.zeros((hi - lo, n, f))
-                dpre[np.arange(hi - lo)[:, None], argmax[lo:hi], np.arange(f)] = gk[lo:hi]
-                # dresp[:, u, j] is the gradient of offset j's response at input u
-                dresp = np.zeros((hi - lo, n, w, f))
-                for j in range(max(0, left - n + 1), min(w, left + n)):
-                    s = j - left
-                    if s >= 0:
-                        dresp[:, s:, j] = dpre[:, : n - s]
-                    else:
-                        dresp[:, : n + s, j] = dpre[:, -s:]
-                if padding is not None:  # so padding gets, and gives, no gradient
-                    dresp[padding[lo:hi]] = 0.0
-                dresp = dresp.reshape(-1, w * f)
-                dfilt += xv[lo:hi].reshape(-1, e).T @ dresp
-                dx = xgrad[lo:hi].reshape(-1, e)
-                dx += dresp @ kernel
-            filt.grad += dfilt.reshape(e, w, f).transpose(1, 0, 2)
+            column += w * f
+        reads = np.concatenate(reads, axis=1)
+        ends = starts + lens
+        keep = (reads >= starts[:, None]) & (reads < ends[:, None])
+        cells = (reads * column + np.concatenate(columns))[keep]
+        values = np.repeat(g, np.repeat(widths, sizes), axis=1)[keep]
+        bounds = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+        del reads, keep  # freed before the kernels and block buffers are allocated
+        kernel = np.concatenate(
+            [filt.values.transpose(0, 2, 1).reshape(w * f, e) for (filt, _), w, f in zip(banks, widths, sizes)]
+        )
+        dfilt = np.zeros((column, e))
+        xgrad = x.grad
+        # positions per block, so that the block's gradient buffers stay
+        # small next to the batch itself
+        span = max(1, _BLOCK_ELEMENTS // max(e, column))
+        lo = 0
+        while lo < bsz:
+            hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + span)))
+            first, last = starts[lo], ends[hi - 1]
+            block = slice(bounds[lo], bounds[hi])
+            dresp = np.zeros((last - first, column))
+            dresp.reshape(-1)[cells[block] - first * column] = values[block]
+            dfilt += dresp.T @ xv[first:last]
+            xgrad[first:last] += dresp @ kernel
+            lo = hi
+        column = 0
+        for (filt, _), w, f in zip(banks, widths, sizes):
+            filt.grad += dfilt[column : column + w * f].reshape(w, f, e).transpose(0, 2, 1)
+            column += w * f
 
     _record(backward)
     return out

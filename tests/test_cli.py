@@ -403,6 +403,43 @@ class TestPredict:
         assert "stdin:2" in capsys.readouterr().err
 
 
+    def _malformed_among_good(self, corpus_dir, monkeypatch):
+        corpus = load_corpus(corpus_dir / "test.jsonl")[:3]
+        lines = [json.dumps(utterance_to_json(u)) + "\n" for u in corpus]
+        lines.insert(1, '{"tokens": ["a"], "spans": [\n')
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+        return corpus
+
+    def test_on_error_fail_stops_at_the_malformed_line(self, corpus_dir, trained, monkeypatch, capsys):
+        corpus = self._malformed_among_good(corpus_dir, monkeypatch)
+        assert run(["predict", "--model", str(trained["intent"]), "--on-error", "fail"]) == 1
+        captured = capsys.readouterr()
+        written = captured.out.splitlines()
+        assert len(written) == 1 and json.loads(written[0])["tokens"] == corpus[0].tokens
+        assert "error: stdin:2:" in captured.err
+
+    def test_on_error_skip_writes_the_good_lines_and_reports(
+        self, corpus_dir, trained, monkeypatch, capsys
+    ):
+        corpus = self._malformed_among_good(corpus_dir, monkeypatch)
+        assert run(["predict", "--model", str(trained["intent"]), "--on-error", "skip"]) == 0
+        captured = capsys.readouterr()
+        assert [json.loads(line)["tokens"] for line in captured.out.splitlines()] == [
+            u.tokens for u in corpus
+        ]
+        err = captured.err.splitlines()
+        assert err[0] == "skipped 1 of 4 lines"
+        assert len(err) == 2 and err[1].startswith("stdin:2: ")
+
+    def test_on_error_skip_fails_when_nothing_is_written(self, trained, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO('not json\n{"tokens": ["a", ""], "spans": []}\n'))
+        assert run(["predict", "--model", str(trained["intent"]), "--on-error", "skip"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == "skipped 2 of 2 lines"
+        assert "stdin:2: token 1 is an empty string" in captured.err
+
+
 class TestAblate:
     def test_runs_and_reports_verdict(self, corpus_dir, tmp_path, capsys):
         out_path = tmp_path / "table.json"

@@ -148,9 +148,9 @@ def test_char_cnn_is_max_of_window_responses():
 
 
 def test_batched_char_cnn_matches_per_token_pipeline():
-    # ragged batch: length 1, shorter than the width-3 filter, longer, and a
-    # repeated letter whose identical windows tie for a positive maximum in
-    # two channels at this seed
+    # ragged batch, its characters packed end to end: length 1, shorter than
+    # the width-3 filter, longer, and a repeated letter whose identical
+    # windows tie for a positive maximum in two channels at this seed
     enc = small_encoder(seed=0)
     tokens = ["a", "ab", "printer", "aaaaa"]
     params = [enc.char_table, enc.char_conv_filters, enc.char_conv_bias]

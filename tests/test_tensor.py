@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -319,32 +321,42 @@ class TestFusedKernels:
             T.max_over_time(Tensor(np.zeros((2, 3, 1))), [0, 3])
         with pytest.raises(ValueError, match="lengths"):
             T.conv1d_same(Tensor(np.zeros((1, 3, 1))), Tensor(np.zeros((3, 1, 1))), Tensor(np.zeros(1)), [4])
-        with pytest.raises(ValueError, match="lengths"):
-            T.conv_relu_max(Tensor(np.zeros((2, 3, 1))), [Tensor(np.zeros((3, 1, 1)))], [Tensor(np.zeros(1))], [1])
+        bank, bias = [Tensor(np.zeros((3, 1, 1)))], [Tensor(np.zeros(1))]
+        packed = Tensor(np.zeros((5, 1)))
+        # a zero length, negative lengths, and lengths that do not sum to N
+        for lengths in ([0, 5], [-1, 6], [7, -2], [2, 2], [3, 3], []):
+            with pytest.raises(ValueError, match=rf"lengths.*got {re.escape(str(lengths))}"):
+                T.conv_relu_max(packed, bank, bias, lengths)
+        with pytest.raises(ValueError, match="packed batch"):
+            T.conv_relu_max(Tensor(np.zeros((1, 5, 1))), bank, bias, [5])
 
     @pytest.mark.parametrize("seed", [27, 28])
     def test_conv_relu_max_matches_conv_relu_max_over_time_per_width(self, seed):
-        # ragged rows (a length-1 row, rows shorter than the widest filter,
-        # a full row), banks of every width from 1 to 5, one channel whose
-        # bias keeps it negative everywhere, and a row of identical positions
-        # whose interior windows tie for the maximum
+        # packed rows: lengths 1 and 2 next to banks of every width from 1 to
+        # 5, a row of identical positions whose interior windows tie for the
+        # maximum, and a short row between two rows whose tokens next to it
+        # are large, so that a shift leaking across a row boundary would set
+        # its maximum; one channel's bias keeps it negative everywhere
         rng = np.random.default_rng(seed)
-        lengths = [1, 2, 7, 4]
-        batch = Tensor(rng.normal(size=(4, 7, 3)) * 2.0)
-        batch.values[2] = batch.values[2, 0]
+        lengths = [1, 2, 7, 4, 2, 3]
+        starts = np.cumsum(lengths) - lengths
+        packed = Tensor(rng.normal(size=(sum(lengths), 3)) * 2.0)
+        packed.values[3:10] = packed.values[3]
+        packed.values[13] = packed.values[16] = 40.0
         filters = [Tensor(rng.normal(size=(w, 3, 2))) for w in range(1, 6)]
         biases = [Tensor(rng.normal(size=2)) for _ in filters]
         biases[2].values[1] = -1e3
-        probe = rng.normal(size=(4, 10))
-        params = [batch] + filters + biases
-        fused = run_backward(lambda: _weighted_sum(T.conv_relu_max(batch, filters, biases, lengths), probe), params)
+        probe = rng.normal(size=(len(lengths), 10))
+        params = [packed] + filters + biases
+        fused = run_backward(lambda: _weighted_sum(T.conv_relu_max(packed, filters, biases, lengths), probe), params)
         fused_grads = [t.grad.copy() for t in params]
-        pooled = T.conv_relu_max(batch, filters, biases, lengths).values
+        pooled = T.conv_relu_max(packed, filters, biases, lengths).values
         assert np.all(pooled[:, 5] == 0.0)
 
         def reference():
+            rows = [T.gather_rows(packed, range(a, a + n)) for a, n in zip(starts, lengths)]
             return T.concat([
-                T.max_over_time(T.relu(T.conv1d_same(batch, f, b, lengths)), lengths)
+                T.stack_rows([T.max_over_time(T.relu(T.conv1d_same(row, f, b))) for row in rows])
                 for f, b in zip(filters, biases)
             ])
 
@@ -353,15 +365,61 @@ class TestFusedKernels:
         assert abs(fused.item() - looped.item()) < 1e-12
         for got, t in zip(fused_grads, params):
             assert np.max(np.abs(got - t.grad)) < 1e-12
-        assert np.all(fused_grads[0][0, 1:] == 0.0) and np.all(fused_grads[0][1, 2:] == 0.0)
         assert fused_grads[1 + len(filters) + 2][1] == 0.0  # the negative channel
+
+        # convolved together with its neighbours, as a shift leaking across
+        # its boundaries would do, row 4 would pool to other maxima
+        joined = Tensor(packed.values[10:19])
+        spilled = np.concatenate([
+            T.relu(T.conv1d_same(joined, f, b)).values[4:6].max(axis=0) for f, b in zip(filters, biases)
+        ])
+        assert np.max(np.abs(spilled - pooled[4])) > 1.0
+
+    def test_conv_relu_max_one_row_matches_its_row_in_a_batch(self):
+        rng = np.random.default_rng(30)
+        rows = [rng.normal(size=(n, 3)) for n in (4, 6, 2)]
+        filters = [Tensor(rng.normal(size=(w, 3, 2))) for w in (2, 3, 5)]
+        biases = [Tensor(rng.normal(size=2)) for _ in filters]
+        batch = T.conv_relu_max(Tensor(np.concatenate(rows)), filters, biases, [4, 6, 2]).values
+        for b, row in enumerate(rows):
+            alone = T.conv_relu_max(Tensor(row), filters, biases, [len(row)]).values
+            with Tape():
+                taped = T.conv_relu_max(Tensor(row), filters, biases, [len(row)]).values
+            reference = np.concatenate([
+                T.max_over_time(T.relu(T.conv1d_same(Tensor(row), f, bias))).values
+                for f, bias in zip(filters, biases)
+            ])
+            assert alone.shape == (1, 6)
+            assert np.array_equal(alone, taped)
+            assert np.max(np.abs(alone[0] - batch[b])) < 1e-12
+            assert np.max(np.abs(alone[0] - reference)) < 1e-12
 
     def test_conv_relu_max_one_tape_node(self):
         rng = np.random.default_rng(29)
         with Tape() as tape:
-            T.conv_relu_max(Tensor(rng.normal(size=(2, 4, 3))), [Tensor(np.ones((2, 3, 1)))] * 2,
+            T.conv_relu_max(Tensor(rng.normal(size=(5, 3))), [Tensor(np.ones((2, 3, 1)))] * 2,
                             [Tensor(np.zeros(1))] * 2, [4, 1])
         assert len(tape) == 1
+
+    @pytest.mark.parametrize("shape", [(40,), (6, 9)])
+    @pytest.mark.parametrize("slice_elements", [None, 7])
+    def test_gather_rows_backward_matches_add_at(self, shape, slice_elements, monkeypatch):
+        # 7 elements hold two 3-wide rows, so runs of one index are split
+        # between slices of the sorted gradient
+        if slice_elements is not None:
+            monkeypatch.setattr(T, "_GATHER_ELEMENTS", slice_elements)
+        rng = np.random.default_rng(31)
+        table = Tensor(rng.normal(size=(7, 3)))
+        idx = rng.integers(0, 7, size=shape)
+        idx.reshape(-1)[:3] = 5  # a row gathered several times
+        probe = rng.normal(size=shape + (3,))
+        table.grad[...] = rng.normal(size=(7, 3))  # gradient accumulates onto what is there
+        expected = table.grad.copy()
+        np.add.at(expected, idx, probe)
+        with Tape() as tape:
+            out = _weighted_sum(T.gather_rows(table, idx), probe)
+        tape.backward(out)
+        assert np.max(np.abs(table.grad - expected)) < 1e-12
 
 
 class TestTapeSemantics:
