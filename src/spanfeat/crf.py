@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _record, add, index_sum, sub
+from .tensor import Tensor, _packed_rows, _record, _time_major, add, index_sum, sub
 
 __all__ = [
     "NEG_INF",
@@ -123,43 +123,59 @@ def _masked_transitions(params: CrfParams, constraints: ConstraintMask | None) -
 _LOWEST = np.finfo(np.float64).min
 
 
-def _logsumexp(scores: np.ndarray) -> np.ndarray:
-    """log(sum(exp(scores))) over axis 0; exactly -inf where every entry is -inf."""
-    m = np.maximum(scores.max(axis=0), _LOWEST)
+def _logsumexp(scores: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(scores))) over ``axis``; exactly -inf where every entry is -inf."""
+    m = np.maximum(scores.max(axis=axis, keepdims=True), _LOWEST)
     with np.errstate(divide="ignore"):
-        return m + np.log(np.exp(scores - m).sum(axis=0))
+        return np.squeeze(m, axis) + np.log(np.exp(scores - m).sum(axis=axis))
+
+
+def _checked_emissions(emissions: np.ndarray, params: CrfParams) -> tuple[int, int]:
+    if emissions.ndim != 2 or emissions.shape[0] < 1:
+        raise ValueError(f"emissions must be a non-empty (positions, tags) matrix, got {emissions.shape}")
+    n, k = emissions.shape
+    if k != params.num_tags:
+        raise ValueError(f"emissions have {k} tags but CRF has {params.num_tags}")
+    return n, k
 
 
 def log_partition(
     emissions: Tensor,
     params: CrfParams,
     constraints: ConstraintMask | None = None,
+    lengths=None,
 ) -> Tensor:
-    """Log of the summed exp-score over all (permitted) tag sequences.
+    """Log of the summed exp-score over all (permitted) tag sequences, summed
+    over the rows of a packed batch.
 
-    Forward recursion over per-position alphas; the backward pass replays the
-    recursion with per-step softmax weights, so this whole routine is one tape
-    node.
+    The rows are concatenated into one (N, k) matrix as ``conv_relu_max``
+    takes them: row b is the next ``lengths[b]`` positions (one row of all
+    N when lengths is None). The forward recursion runs the rows in the
+    order of ``_time_major``, so step t is one (b_t, k, k) log-sum-exp over
+    the b_t rows still running. The backward pass replays the recursion
+    with per-step softmax weights, so this whole routine is one tape node.
     """
-    if emissions.values.ndim != 2:
-        raise ValueError(f"emissions must be (positions, tags), got {emissions.shape}")
-    n, k = emissions.shape
-    if k != params.num_tags:
-        raise ValueError(f"emissions have {k} tags but CRF has {params.num_tags}")
+    n, k = _checked_emissions(emissions.values, params)
     start, end = params.start_index, params.end_index
     masked = _masked_transitions(params, constraints)
-    em = emissions.values
+    trans = masked[:k, :k]
+    index, bounds = _time_major([n] if lengths is None else lengths, n)
+    rows = int(bounds[1])
+    em = emissions.values[index]  # by slot, i.e. in the order the steps run
 
     alphas = np.empty((n, k))
     pres = np.empty((n, k))  # alpha before adding the emission row
-    pres[0] = masked[start, :k]
-    alphas[0] = pres[0] + em[0]
-    for t in range(1, n):
-        pres[t] = _logsumexp(alphas[t - 1][:, None] + masked[:k, :k])
-        alphas[t] = pres[t] + em[t]
-    final = alphas[n - 1] + masked[:k, end]
-    logz = float(_logsumexp(final))
-    out = Tensor(logz)
+    pres[:rows] = masked[start, :k]
+    alphas[:rows] = pres[:rows] + em[:rows]
+    for before, lo, hi in zip(bounds[:-2], bounds[1:-1], bounds[2:]):
+        pres[lo:hi] = _logsumexp(alphas[before : before + hi - lo, :, None] + trans, axis=1)
+        alphas[lo:hi] = pres[lo:hi] + em[lo:hi]
+    # each row's last slot: row r runs for as many steps as hold more than r rows
+    sizes = np.diff(bounds)
+    last = bounds[np.count_nonzero(sizes[:, None] > np.arange(rows), axis=0) - 1] + np.arange(rows)
+    final = alphas[last] + masked[:k, end]
+    logz = _logsumexp(final, axis=1)
+    out = Tensor(float(logz.sum()))
     # unreachable tags have pres == -inf and zero weight; shifting them by 0
     # keeps their weights exp(-inf) = 0 rather than exp(nan)
     shift = np.where(np.isfinite(pres), pres, 0.0)
@@ -167,36 +183,49 @@ def log_partition(
     def backward() -> None:
         g = float(out.grad)
         dtrans = np.zeros_like(masked)
-        dem = np.zeros_like(em)
-        dalpha = g * np.exp(final - logz)
-        dtrans[:k, end] += dalpha
-        for t in range(n - 1, 0, -1):
-            dem[t] += dalpha
-            weights = np.exp(alphas[t - 1][:, None] + masked[:k, :k] - shift[t][None, :])
-            contrib = weights * dalpha[None, :]
-            dtrans[:k, :k] += contrib
-            dalpha = contrib.sum(axis=1)
-        dem[0] += dalpha
-        dtrans[start, :k] += dalpha
+        dem = np.empty_like(em)
+        dfinal = g * np.exp(final - logz[:, None])
+        dtrans[:k, end] += dfinal.sum(axis=0)
+        # dalpha[r] is row r's alpha gradient at the current step; rows
+        # ends[t]:sizes[t] take their last step at t and their final gradient there
+        dalpha = np.zeros((rows, k))
+        ends = np.append(sizes[1:], 0)
+        for t in range(sizes.size - 1, -1, -1):
+            lo, hi = bounds[t], bounds[t + 1]
+            running = hi - lo
+            dalpha[ends[t] : running] = dfinal[ends[t] : running]
+            dem[lo:hi] = dalpha[:running]
+            if t == 0:
+                break
+            before = bounds[t - 1]
+            weights = np.exp(alphas[before : before + running, :, None] + trans - shift[lo:hi, None, :])
+            contrib = weights * dalpha[:running, None, :]
+            dtrans[:k, :k] += contrib.sum(axis=0)
+            dalpha[:running] = contrib.sum(axis=2)
+        dtrans[start, :k] += dalpha.sum(axis=0)
         if constraints is not None:
             dtrans[~constraints.allowed] = 0.0
         params.transitions.grad += dtrans
-        emissions.grad += dem
+        emissions.grad[index] += dem  # index is a permutation
 
     _record(backward)
     return out
 
 
-def gold_score(emissions: Tensor, params: CrfParams, tag_ids: list[int]) -> Tensor:
-    """Path score of one tag sequence: its emissions plus its transitions."""
-    n, k = emissions.shape
+def gold_score(emissions: Tensor, params: CrfParams, tag_ids: list[int], lengths=None) -> Tensor:
+    """Path score of one tag sequence per row of a packed batch (see
+    ``log_partition``), summed: its emissions plus its transitions."""
+    n, k = _checked_emissions(emissions.values, params)
     if len(tag_ids) != n:
         raise ValueError(f"{len(tag_ids)} tags for {n} positions")
     if any(not 0 <= t < k for t in tag_ids):
         raise ValueError(f"tag id out of range for {k} tags: {tag_ids}")
-    em_part = index_sum(emissions, list(range(n)), tag_ids)
-    rows = [params.start_index] + list(tag_ids)
-    cols = list(tag_ids) + [params.end_index]
+    lens, starts = _packed_rows([n] if lengths is None else lengths, n)
+    tags = np.asarray(tag_ids, dtype=np.intp)
+    em_part = index_sum(emissions, np.arange(n), tags)
+    # each row's path runs from the start state through its tags to the end state
+    rows = np.insert(tags, starts, params.start_index)
+    cols = np.insert(tags, starts + lens, params.end_index)
     tr_part = index_sum(params.transitions, rows, cols)
     return add(em_part, tr_part)
 
@@ -206,11 +235,21 @@ def crf_nll(
     params: CrfParams,
     tag_ids: list[int],
     constraints: ConstraintMask | None = None,
+    lengths=None,
 ) -> Tensor:
-    """Negative log-likelihood of the gold path: log Z minus the gold score."""
-    if constraints is not None and not constraints.is_legal(tag_ids):
-        raise ValueError(f"gold tag sequence violates the transition constraints: {tag_ids}")
-    return sub(log_partition(emissions, params, constraints), gold_score(emissions, params, tag_ids))
+    """Negative log-likelihood of the gold paths, log Z minus the gold score,
+    summed over the rows of a packed batch (see ``log_partition``)."""
+    if constraints is not None:
+        lens, starts = _packed_rows([len(tag_ids)] if lengths is None else lengths, len(tag_ids))
+        for a, size in zip(starts.tolist(), lens.tolist()):
+            if not constraints.is_legal(tag_ids[a : a + size]):
+                raise ValueError(
+                    f"gold tag sequence violates the transition constraints: {list(tag_ids[a : a + size])}"
+                )
+    return sub(
+        log_partition(emissions, params, constraints, lengths),
+        gold_score(emissions, params, tag_ids, lengths),
+    )
 
 
 def viterbi(
@@ -224,11 +263,7 @@ def viterbi(
     -inf mask leaves an illegal one below every legal score.
     """
     em = np.asarray(emissions, dtype=np.float64)
-    if em.ndim != 2:
-        raise ValueError(f"emissions must be (positions, tags), got {em.shape}")
-    n, k = em.shape
-    if k != params.num_tags:
-        raise ValueError(f"emissions have {k} tags but CRF has {params.num_tags}")
+    n, k = _checked_emissions(em, params)
     start, end = params.start_index, params.end_index
     masked = _masked_transitions(params, constraints)
 

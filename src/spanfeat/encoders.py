@@ -130,13 +130,15 @@ class BiLstm:
             "bwd_wx": self.bwd.wx, "bwd_wh": self.bwd.wh, "bwd_b": self.bwd.b,
         }
 
-    def encode(self, seq: Tensor) -> Tensor:
-        """(n, e) -> (n, 2*hidden); zero initial states in both directions."""
-        n, e = seq.shape
-        if e != self.input_dim:
-            raise ValueError(f"sequence dim {e} does not match encoder input dim {self.input_dim}")
+    def encode(self, seq: Tensor, lengths=None) -> Tensor:
+        """(N, e) -> (N, 2*hidden) over a packed batch: row b is the next
+        ``lengths[b]`` positions (one row of all N when lengths is None).
+        Each direction starts every row from zero states and is one
+        ``lstm_sequence`` node over the whole batch."""
+        if seq.values.ndim != 2 or seq.shape[1] != self.input_dim:
+            raise ValueError(f"sequence shape {seq.shape} does not match encoder input dim {self.input_dim}")
         fwd, bwd = self.fwd, self.bwd
         return concat([
-            lstm_sequence(seq, fwd.wx, fwd.wh, fwd.b),
-            lstm_sequence(seq, bwd.wx, bwd.wh, bwd.b, reverse=True),
+            lstm_sequence(seq, fwd.wx, fwd.wh, fwd.b, lengths=lengths),
+            lstm_sequence(seq, bwd.wx, bwd.wh, bwd.b, reverse=True, lengths=lengths),
         ])

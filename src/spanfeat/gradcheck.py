@@ -189,6 +189,25 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
         lambda: _pin(conv_relu_max(packed, banks, bank_biases, lengths), u3, u6b),
         [packed, *banks, *bank_biases],
     )
+
+    # packed BiLSTM and CRF batches, drawn after every instance above
+    rows = _away_from_zero(rng, (7, 3))
+    row_lengths = [2, 1, 4]
+    u7, u8 = Tensor(rng.normal(size=7)), Tensor(rng.normal(size=8))
+    run(
+        "lstm-sequence-packed",
+        lambda: _pin(
+            concat([lstm_sequence(rows, wx, wh, gb, reverse, row_lengths) for reverse in (False, True)]), u7, u8
+        ),
+        [rows, wx, wh, gb],
+    )
+    tag_rows = Tensor(rng.normal(size=(6, 5)))
+    golds = [4, 1, 3, 0, 0, 4]  # S-x | B-x E-x O | O S-x
+    run(
+        "crf-nll-packed-constrained",
+        lambda: crf_nll(tag_rows, params, golds, tags, [1, 3, 2]),
+        [tag_rows, params.transitions],
+    )
     return results
 
 

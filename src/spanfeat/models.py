@@ -218,28 +218,37 @@ class _SequenceTagger:
         params["crf.transitions"] = self.crf.transitions
         return params
 
-    def _token_matrix(self, utterance: AnnotatedUtterance) -> Tensor:
-        return self.encoder.encode(utterance.tokens)
+    def _token_matrix(self, utterances: Sequence[AnnotatedUtterance]) -> Tensor:
+        """Token vectors of the utterances packed end to end, from one
+        encoder call over all their tokens."""
+        return self.encoder.encode([t for u in utterances for t in u.tokens])
+
+    def _packed_emissions(self, utterances: Sequence[AnnotatedUtterance]) -> tuple[Tensor, list[int]]:
+        """(N, tags) emission scores of the utterances packed end to end,
+        and their lengths; a row's scores do not depend on the other rows."""
+        lengths = [len(u.tokens) for u in utterances]
+        seq = self.bilstm.encode(self._token_matrix(utterances), lengths)
+        return self.projection.apply(seq), lengths
 
     def _emissions(self, utterance: AnnotatedUtterance) -> Tensor:
-        return self.projection.apply(self.bilstm.encode(self._token_matrix(utterance)))
+        return self._packed_emissions([utterance])[0]
 
     def _gold_tag_ids(self, utterance: AnnotatedUtterance) -> list[int]:
         tags = encode_iobes(utterance.spans, len(utterance.tokens), key=self.dimension)
         return [self.tags.index(t) for t in tags]
 
-    def loss(self, utterance: AnnotatedUtterance) -> Tensor:
-        emissions = self._emissions(utterance)
-        gold = self._gold_tag_ids(utterance)
-        constraints = self.constraints if self.constrain_training else None
-        return crf_nll(emissions, self.crf, gold, constraints)
-
     def batch_loss(self, utterances: Sequence[AnnotatedUtterance]) -> Tensor:
-        """Mean of the utterances' ``loss``, each its own subgraph of the tape."""
-        total = self.loss(utterances[0])
-        for utterance in utterances[1:]:
-            total = add(total, self.loss(utterance))
-        return scale(total, 1.0 / len(utterances))
+        """Mean CRF negative log-likelihood of the utterances, as one forward
+        over the packed batch: one encoder call, one BiLSTM node per
+        direction, one projection and one batched CRF, whatever the batch
+        size."""
+        emissions, lengths = self._packed_emissions(utterances)
+        gold = [tag for u in utterances for tag in self._gold_tag_ids(u)]
+        constraints = self.constraints if self.constrain_training else None
+        return scale(crf_nll(emissions, self.crf, gold, constraints, lengths), 1.0 / len(utterances))
+
+    def loss(self, utterance: AnnotatedUtterance) -> Tensor:
+        return self.batch_loss([utterance])
 
     def decode(self, utterance: AnnotatedUtterance) -> list[int]:
         emissions = self._emissions(utterance)
@@ -349,12 +358,14 @@ class FeatureTaggerCascaded(FeatureTaggerFlat):
         params["boundary_table"] = self.boundary_table
         return params
 
-    def _token_matrix(self, utterance: AnnotatedUtterance) -> Tensor:
-        base = self.encoder.encode(utterance.tokens)
-        ids = [OUTSIDE] * len(utterance.tokens)
-        for s in utterance.spans:
-            ids[s.start : s.end] = [INSIDE] * (s.end - s.start)
-        return concat([base, gather_rows(self.boundary_table, ids)])
+    def _token_matrix(self, utterances: Sequence[AnnotatedUtterance]) -> Tensor:
+        ids = []
+        for utterance in utterances:
+            row = [OUTSIDE] * len(utterance.tokens)
+            for s in utterance.spans:
+                row[s.start : s.end] = [INSIDE] * (s.end - s.start)
+            ids += row
+        return concat([super()._token_matrix(utterances), gather_rows(self.boundary_table, ids)])
 
     def feature_spans(self, tokens: list[str], spans: list[IntentSpan] | None = None) -> list[IntentSpan]:
         if spans is None:

@@ -394,16 +394,41 @@ def max_over_time(seq: Tensor, lengths=None) -> Tensor:
     return out
 
 
-def _packed_rows(lengths, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and start offsets of the rows of a packed batch: ``lengths``
-    must hold at least one positive count, and the counts must sum to the
-    ``total`` packed positions."""
+def _check_lengths(lengths, total: int) -> None:
     if len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != total:
         raise ValueError(
             f"lengths must be positive and sum to the {total} packed positions, got {list(lengths)}"
         )
+
+
+def _packed_rows(lengths, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and start offsets of the rows of a packed batch: ``lengths``
+    must hold at least one positive count, and the counts must sum to the
+    ``total`` packed positions."""
+    _check_lengths(lengths, total)
     lens = np.asarray(lengths, dtype=np.intp)
     return lens, np.cumsum(lens) - lens
+
+
+def _time_major(lengths, total: int, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Step-by-step order of a packed batch, the layout of cuDNN's packed
+    variable-length sequences (Appleyard et al. 2016, arXiv:1604.01946).
+
+    Rows are taken longest first, ties in batch order, so the rows still
+    running at step t are a prefix of that order. Returns ``index`` and
+    ``bounds``: slots ``bounds[t]:bounds[t + 1]`` hold step t of each
+    running row, and slot p reads packed position ``index[p]``. With
+    ``reverse`` each row's steps run from its last position to its first.
+    """
+    lens, starts = _packed_rows(lengths, total)
+    order = np.argsort(-lens, kind="stable")
+    lens, starts = lens[order], starts[order]
+    sizes = np.count_nonzero(lens > np.arange(lens[0])[:, None], axis=1)  # rows running per step
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    step = np.repeat(np.arange(sizes.size), sizes)
+    row = np.arange(total) - bounds[step]
+    index = starts[row] + (lens[row] - 1 - step if reverse else step)
+    return index, bounds
 
 
 def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor], lengths) -> Tensor:
@@ -585,18 +610,25 @@ def lstm_cell(
     return h_out, c_out
 
 
-def lstm_sequence(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """Run ``lstm_cell`` over every row of an (n, e) sequence from zero states,
-    as one tape node; returns the (n, hidden) hidden states by position.
+def lstm_sequence(
+    xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False, lengths=None
+) -> Tensor:
+    """Run ``lstm_cell`` over every row of a packed batch from zero states, as
+    one tape node; returns the (N, hidden) hidden states by packed position.
 
-    With ``reverse`` the steps run from the last row to the first. The input
-    projection of all positions is one (n, e) @ (e, 4h) product; the
-    hand-written BPTT collects the gate gradients of every step as an (n, 4h)
-    matrix and forms the input and weight gradients from it with one product
-    or sum each (Appleyard et al. 2016, arXiv:1604.01946).
+    The B rows are concatenated into one (N, e) matrix as ``conv_relu_max``
+    takes them: row b is the next ``lengths[b]`` positions (one row of all
+    N when lengths is None). With ``reverse`` each row's steps run from its
+    last position to its first. The steps run in the order of
+    ``_time_major``, so step t is one (b_t, h) @ (h, 4h) product over the
+    b_t rows still running, with no padding and no masking. The input
+    projection of all positions is one (N, e) @ (e, 4h) product; the
+    hand-written BPTT collects the gate gradients of every step as an
+    (N, 4h) matrix and forms the input and weight gradients from it with
+    one product or sum each (Appleyard et al. 2016, arXiv:1604.01946).
     """
     if xs.values.ndim != 2 or xs.shape[0] < 1:
-        raise ValueError(f"lstm_sequence needs a non-empty (n, e) input, got {xs.shape}")
+        raise ValueError(f"lstm_sequence needs a non-empty (N, e) input, got {xs.shape}")
     n, e = xs.shape
     hd = wh.shape[0]
     if wx.shape != (e, 4 * hd) or wh.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
@@ -604,61 +636,98 @@ def lstm_sequence(xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool =
             f"lstm_sequence parameter shapes disagree with input {xs.shape}: "
             f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
         )
-    # Every array below is indexed by step, i.e. in the order the steps run.
+    if lengths is None or len(lengths) == 1:
+        # one row: its steps are its positions, and a slice orders them
+        _check_lengths([n] if lengths is None else lengths, n)
+        index, rows = slice(None, None, -1 if reverse else 1), 1
+    else:
+        index, bounds = _time_major(lengths, n, reverse)
+        rows = int(bounds[1])
+        # (first slot, end slot, first state row it starts from) of each step
+        spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), [0] + (rows + bounds[:-2]).tolist()))
+    # Every array below is indexed by slot, i.e. in the order the steps run.
     # The gates use sigmoid(z) = tanh(z / 2) / 2 + 1/2, so one tanh over the
     # whole gate vector serves all four gates. Halving is exact in floating
     # point, so it is folded into the weights ahead of the loop.
-    x = xs.values[::-1] if reverse else xs.values
+    x = xs.values[index]
     scale = np.full(4 * hd, 0.5)
     scale[2 * hd : 3 * hd] = 1.0  # the candidate gate is a plain tanh
     offset = 1.0 - scale
     xz = (x @ wx.values + b.values) * scale
     wh_scaled = wh.values * scale
     gates = np.empty((n, 4 * hd))  # sigmoid of input/forget/output, tanh of candidate
-    h_all = np.zeros((n + 1, hd))  # h_all[t] is the state before step t
-    c_all = np.zeros((n + 1, hd))
+    # rows of zero initial states, then the state after each slot: slot p
+    # leaves its state in row rows + p
+    h_all = np.zeros((rows + n, hd))
+    c_all = np.zeros((rows + n, hd))
     tc_all = np.empty((n, hd))  # tanh of the new cell state
-    for act, xz_t, h_prev, h_new, c_prev, c_new, tc in zip(
-        gates, xz, h_all, h_all[1:], c_all, c_all[1:], tc_all
-    ):
+    # a step's arrays are rows of these with one row, blocks of rows otherwise
+    lead = () if rows == 1 else (slice(None),)
+    in_cols, forget_cols, cand_cols, out_cols = (lead + (slice(k * hd, (k + 1) * hd),) for k in range(4))
+    if rows == 1:
+        steps = zip(gates, xz, h_all, h_all[1:], c_all, c_all[1:], tc_all)
+    else:
+        steps = (
+            (gates[lo:hi], xz[lo:hi], h_all[prev : prev + hi - lo], h_all[rows + lo : rows + hi],
+             c_all[prev : prev + hi - lo], c_all[rows + lo : rows + hi], tc_all[lo:hi])
+            for lo, hi, prev in spans
+        )
+    for act, xz_t, h_prev, h_new, c_prev, c_new, tc in steps:
         np.dot(h_prev, wh_scaled, out=act)
         act += xz_t
         np.tanh(act, out=act)
         act *= scale
         act += offset
-        np.multiply(act[hd : 2 * hd], c_prev, out=c_new)
-        c_new += act[:hd] * act[2 * hd : 3 * hd]
+        np.multiply(act[forget_cols], c_prev, out=c_new)
+        c_new += act[in_cols] * act[cand_cols]
         np.tanh(c_new, out=tc)
-        np.multiply(act[3 * hd :], tc, out=h_new)
-    h_out = h_all[1:]
-    out = Tensor(h_out[::-1] if reverse else h_out)
+        np.multiply(act[out_cols], tc, out=h_new)
+    out_values = np.empty((n, hd))
+    out_values[index] = h_all[rows:]
+    out = Tensor(out_values)
 
     def backward() -> None:
+        if rows == 1:
+            prev = slice(0, n)
+        else:  # slot p of step t, row r, starts from slot p - sizes[t - 1], or from zero row r at step 0
+            sizes = np.diff(bounds)
+            prev = np.arange(rows, rows + n) - np.repeat(np.concatenate(([rows], sizes[:-1])), sizes)
         i, f, g, o = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
-        # dz of step t is [dc*gate_scale[t, 0:3], dh*out_scale[t]] block by block
+        # dz of slot p is [dc*gate_scale[p, 0:3], dh*out_scale[p]] block by block
         gate_scale = np.stack(
-            [g * i * (1.0 - i), c_all[:-1] * f * (1.0 - f), i * (1.0 - g * g)], axis=1
+            [g * i * (1.0 - i), c_all[prev] * f * (1.0 - f), i * (1.0 - g * g)], axis=1
         )
         out_scale = tc_all * o * (1.0 - o)
         cell_scale = o * (1.0 - tc_all * tc_all)
-        dh_out = out.grad[::-1] if reverse else out.grad
+        dh_out = out.grad[index]
         dz = np.empty((n, 4 * hd))
+        dz_blocks = dz.reshape(n, 4, hd)
         wh_t = np.ascontiguousarray(wh.values.T)
-        dh_next = np.zeros(hd)
-        dc_next = np.zeros(hd)
-        steps = zip(dz[::-1], dh_out[::-1], cell_scale[::-1], gate_scale[::-1], out_scale[::-1], f[::-1])
-        for dz_t, dh_t, cell_t, gate_t, out_t, f_t in steps:
-            dh = dh_t + dh_next
+        # the gradients reaching each row's previous state; going backwards,
+        # a row that has not started yet keeps zeros
+        dh_next = np.zeros((rows, hd))
+        dc_next = np.zeros((rows, hd))
+        if rows == 1:
+            views = zip(dz, dz_blocks, dh_out, cell_scale, gate_scale, out_scale, f,
+                        [dh_next[0]] * n, [dc_next[0]] * n)
+        else:
+            views = (
+                (dz[lo:hi], dz_blocks[lo:hi], dh_out[lo:hi], cell_scale[lo:hi], gate_scale[lo:hi],
+                 out_scale[lo:hi], f[lo:hi], dh_next[: hi - lo], dc_next[: hi - lo])
+                for lo, hi, _ in spans
+            )
+        spread, gate_blocks, out_block = lead + (None,), lead + (slice(0, 3),), lead + (3,)
+        for dz_t, dz_t_blocks, dh_t, cell_t, gate_t, out_t, f_t, dh_prev, dc_prev in reversed(list(views)):
+            dh = dh_t + dh_prev
             dc = dh * cell_t
-            dc += dc_next
-            np.multiply(dc, gate_t, out=dz_t[: 3 * hd].reshape(3, hd))
-            np.multiply(dh, out_t, out=dz_t[3 * hd :])
-            dh_next = dz_t @ wh_t
-            dc_next = dc * f_t
-        dx = dz @ wx.values.T
-        xs.grad += dx[::-1] if reverse else dx
+            dc += dc_prev
+            np.multiply(dc[spread], gate_t, out=dz_t_blocks[gate_blocks])
+            np.multiply(dh, out_t, out=dz_t_blocks[out_block])
+            np.dot(dz_t, wh_t, out=dh_prev)
+            np.multiply(dc, f_t, out=dc_prev)
+        xs.grad[index] += dz @ wx.values.T  # index is a permutation
         wx.grad += x.T @ dz
-        wh.grad += h_all[:-1].T @ dz
+        wh.grad += h_all[prev].T @ dz
         b.grad += dz.sum(axis=0)
 
     _record(backward)

@@ -4,8 +4,8 @@ Two recipes: SGD with momentum for the sequence taggers (with global-norm
 gradient clipping) and Adadelta for the span classifiers. Each minibatch is
 one tape: the model's ``batch_loss`` returns the batch-mean loss, and one
 backward pass from it leaves the batch-mean gradient in every parameter.
-The classifiers run the whole batch as one padded forward; the taggers add
-up one subgraph per utterance.
+Every model runs the whole batch as one forward over its rows packed end
+to end, so the tape holds the same number of nodes whatever the batch size.
 """
 
 from __future__ import annotations

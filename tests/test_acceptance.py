@@ -49,7 +49,7 @@ from spanfeat.synthetic import (
     generate_synthetic,
     span_only_bayes_accuracy,
 )
-from spanfeat.tensor import Tensor
+from spanfeat.tensor import Tape, Tensor
 from spanfeat.training import (
     SgdMomentumConfig,
     TAGGER_CLIP_NORM,
@@ -167,9 +167,29 @@ def _enumerate_paths(emissions, params, mask=None):
     return logz, list(paths[int(scores.argmax())])
 
 
+def _packed_log_partition(rows, params, mask):
+    """Summed log Z of rows packed end to end, and each row's emission gradient."""
+    packed = Tensor(np.concatenate(rows))
+    with Tape() as tape:
+        logz = log_partition(packed, params, mask, [len(r) for r in rows])
+    tape.backward(logz)
+    return logz.item(), np.split(packed.grad, np.cumsum([len(r) for r in rows])[:-1])
+
+
+def _row_gradient(emissions, params, mask):
+    row = Tensor(emissions)
+    with Tape() as tape:
+        logz = log_partition(row, params, mask)
+    tape.backward(logz)
+    return row.grad
+
+
 def test_criterion_2_crf_matches_enumeration():
     started = time.time()
     rng = np.random.default_rng(202)
+    # each instance also runs packed after a neighbour row of 1 to 4
+    # positions, drawn from a generator of its own
+    neighbours = np.random.default_rng(2020)
     worst = 0.0
     for _ in range(200):
         num_labels = int(rng.integers(1, 5))
@@ -189,11 +209,19 @@ def test_criterion_2_crf_matches_enumeration():
         ref_c, best_c = _enumerate_paths(emissions, params, mask)
         worst = max(worst, abs(logz_c - ref_c))
         assert viterbi(emissions, params, mask) == best_c
+
+        other = neighbours.normal(size=(int(neighbours.integers(1, 5)), k))
+        for row_mask, ref_row in ((None, ref), (mask, ref_c)):
+            ref_other, _ = _enumerate_paths(other, params, row_mask)
+            packed, grads = _packed_log_partition([other, emissions], params, row_mask)
+            worst = max(worst, abs(packed - (ref_other + ref_row)))
+            for grad, row in zip(grads, (other, emissions)):
+                worst = max(worst, np.abs(grad - _row_gradient(row, params, row_mask)).max())
     elapsed = time.time() - started
     ok = worst <= 1e-10 and elapsed < 60.0
     _verdict(
         2, "log-partition and constrained Viterbi match enumeration",
-        ok, f"200 instances, worst |diff| {worst:.2e} <= 1e-10, {elapsed:.1f}s < 60s",
+        ok, f"200 instances, alone and packed row by row, worst |diff| {worst:.2e} <= 1e-10, {elapsed:.1f}s < 60s",
     )
 
 

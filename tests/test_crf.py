@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +167,103 @@ class TestNll:
         em.values -= 0.05 * em.grad
         params.transitions.values -= 0.05 * params.transitions.grad
         assert nll_value() < before
+
+
+def marginals(em, trans, k, constraints=None):
+    """(n, k) posterior tag probabilities by enumeration: d log Z / d emissions."""
+    scored = brute_force_scores(em, trans, k, constraints)
+    logz = logsumexp([s for s, _ in scored])
+    out = np.zeros(em.shape)
+    for s, path in scored:
+        out[np.arange(len(path)), list(path)] += np.exp(s - logz)
+    return out
+
+
+class TestPackedBatch:
+    """Rows concatenated end to end with ``lengths``; every value and gradient
+    must be the sum of the rows' own, row by row."""
+
+    LENGTHS = [3, 1, 4, 2]  # a length-1 row, rows not in length order
+
+    def _batch(self, seed, constrained):
+        rng = np.random.default_rng(seed)
+        tags = iobes_tag_set(["a", "b"])
+        k = len(tags)
+        em, params = random_crf(rng, sum(self.LENGTHS), k)
+        constraints = build_iobes_constraints(tags) if constrained else None
+        starts = np.cumsum([0] + self.LENGTHS[:-1])
+        return em, params, constraints, k, [(int(a), n) for a, n in zip(starts, self.LENGTHS)]
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_log_partition_matches_rows_and_enumeration_row_by_row(self, constrained):
+        em, params, constraints, k, rows = self._batch(30, constrained)
+        trans = params.transitions.values
+        with Tape() as tape:
+            batched = log_partition(em, params, constraints, self.LENGTHS)
+        tape.backward(batched)
+        batch_em_grad, batch_trans_grad = em.grad.copy(), params.transitions.grad.copy()
+        em.zero_grad()
+        params.transitions.zero_grad()
+        total = 0.0
+        for a, n in rows:
+            row = Tensor(em.values[a : a + n])
+            with Tape() as tape:
+                alone = log_partition(row, params, constraints)
+            tape.backward(alone)
+            expected = logsumexp([s for s, _ in brute_force_scores(row.values, trans, k, constraints)])
+            assert abs(alone.item() - expected) < 1e-12
+            total += alone.item()
+            assert np.max(np.abs(batch_em_grad[a : a + n] - row.grad)) < 1e-12
+            assert np.max(np.abs(row.grad - marginals(row.values, trans, k, constraints))) < 1e-12
+        assert abs(batched.item() - total) < 1e-12
+        assert np.max(np.abs(batch_trans_grad - params.transitions.grad)) < 1e-12
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_nll_and_gold_score_are_sums_over_rows(self, constrained):
+        em, params, constraints, k, rows = self._batch(31, constrained)
+        tags = iobes_tag_set(["a", "b"])
+        o, s_b, b_a, e_a = tags.index("O"), tags.index("S-b"), tags.index("B-a"), tags.index("E-a")
+        golds = [[b_a, e_a, o], [s_b], [o, s_b, b_a, e_a], [s_b, o]]
+        flat = [t for g in golds for t in g]
+        batched_gold = gold_score(em, params, flat, self.LENGTHS).item()
+        batched_nll = crf_nll(em, params, flat, constraints, self.LENGTHS).item()
+        row_gold = row_nll = 0.0
+        for (a, n), gold in zip(rows, golds):
+            row = Tensor(em.values[a : a + n])
+            row_gold += gold_score(row, params, gold).item()
+            row_nll += crf_nll(row, params, gold, constraints).item()
+        assert abs(batched_gold - row_gold) < 1e-12
+        assert abs(batched_nll - row_nll) < 1e-12
+
+    def test_illegal_row_is_named(self):
+        tags = iobes_tag_set(["a"])
+        em = Tensor(np.zeros((3, len(tags))))
+        b_a = tags.index("B-a")
+        with pytest.raises(ValueError, match=re.escape(f"[{b_a}]")):
+            crf_nll(em, CrfParams(len(tags)), [0, 0, b_a], build_iobes_constraints(tags), [2, 1])
+
+    @pytest.mark.parametrize("lengths", [[], [0, 4], [-1, 5], [2, 1], [5]])
+    def test_lengths_validated(self, lengths):
+        em, params = random_crf(np.random.default_rng(33), 4, 3)
+        message = re.escape(f"got {lengths}")
+        with pytest.raises(ValueError, match=message):
+            log_partition(em, params, None, lengths)
+        with pytest.raises(ValueError, match=message):
+            gold_score(em, params, [0, 1, 2, 0], lengths)
+        with pytest.raises(ValueError, match=message):
+            crf_nll(em, params, [0, 1, 2, 0], None, lengths)
+
+    def test_empty_emissions_fail_naming_the_shape(self):
+        params = CrfParams(3)
+        em = Tensor(np.zeros((0, 3)))
+        for call in (
+            lambda: log_partition(em, params),
+            lambda: gold_score(em, params, []),
+            lambda: crf_nll(em, params, []),
+            lambda: viterbi(em.values, params),
+        ):
+            with pytest.raises(ValueError, match=re.escape("(0, 3)")):
+                call()
 
 
 class TestViterbi:

@@ -28,6 +28,7 @@ from spanfeat.models import (
     GlobalLocalConfig,
     IntentTagger,
 )
+from spanfeat import evaluation
 from spanfeat.data import Vocabulary, masked_examples
 
 
@@ -413,3 +414,40 @@ class TestDrivers:
         tagger = IntentTagger(word, char, ["install"], SMALL, seed=3)
         with pytest.raises(TypeError, match="not a feature model"):
             evaluate_feature_model(tagger, corpus)
+
+
+class _DecodeRecorder:
+    """Instance-level stand-in for ``model.decode`` that keeps every call,
+    as a benchmark that times decoding one utterance at a time does."""
+
+    def __init__(self, model) -> None:
+        self.bound = type(model).decode
+        self.model = model
+        self.calls = []
+        model.decode = self
+
+    def __call__(self, utterance):
+        path = self.bound(self.model, utterance)
+        self.calls.append((utterance, path))
+        return path
+
+
+@pytest.mark.parametrize("metric", [
+    lambda model, corpus: evaluation.intent_span_f1(model, corpus),
+    lambda model, corpus: evaluation.evaluate_intent_tagger(model, corpus),
+], ids=["intent_span_f1", "evaluate_intent_tagger"])
+def test_intent_metrics_decode_each_utterance_once(metric):
+    [base] = tiny_corpus()
+    corpus = [
+        base,
+        AnnotatedUtterance(tokens=["install"], spans=[IntentSpan(0, 1, "install", dict(base.spans[0].features))]),
+        AnnotatedUtterance(tokens=TOKENS[4:], spans=[IntentSpan(0, 4, "cancel", dict(base.spans[1].features))]),
+    ]
+    word, char = tiny_vocabs(corpus)
+    model = IntentTagger(word, char, ["install", "cancel"], SMALL, seed=3)
+    recorder = _DecodeRecorder(model)
+    metric(model, corpus)
+    assert [utterance.tokens for utterance, _ in recorder.calls] == [u.tokens for u in corpus]
+    for (utterance, path), u in zip(recorder.calls, corpus):
+        assert len(path) == len(u.tokens)
+        assert all(isinstance(tag, int) for tag in path)

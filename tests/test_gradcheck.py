@@ -19,6 +19,7 @@ def test_primitive_suite_covers_every_op_family():
         "lstm-cell", "lstm-sequence", "lstm-sequence-reverse",
         "conv1d-max-over-time-batched", "conv-relu-max", "softmax-cross-entropy", "crf-log-partition",
         "crf-log-partition-constrained", "crf-nll-constrained",
+        "lstm-sequence-packed", "crf-nll-packed-constrained",
     ):
         assert expected in names
     assert all(r.budget == PRIMITIVE_BUDGET for r in check_primitives(seed=5))

@@ -750,15 +750,70 @@ def test_batch_loss_is_one_tape_per_batch(vocabs):
     assert len(one) == len(five)
 
 
+TAGGER_VARIANTS = {
+    "intent-tagger": lambda vocabs, intents: IntentTagger(*vocabs, intents, EncoderConfig(**SMALL_ENCODER)),
+    "feature-tagger-flat": lambda vocabs, _: FeatureTaggerFlat(*vocabs, "tense", EncoderConfig(**SMALL_ENCODER)),
+    "feature-tagger-cascaded": lambda vocabs, _: FeatureTaggerCascaded(
+        *vocabs, "tense", EncoderConfig(**SMALL_ENCODER), boundary_dim=3
+    ),
+}
+
+
+def _ragged_utterances(corpus):
+    """Four corpus utterances with a one-token utterance second."""
+    first = corpus[0][0]
+    span = first.spans[0]
+    one = AnnotatedUtterance(tokens=first.tokens[span.start : span.start + 1],
+                             spans=[IntentSpan(0, 1, span.intent, dict(span.features))])
+    return [corpus[0][1], one] + corpus[0][2:5]
+
+
 def test_tagger_batch_loss_is_mean_of_losses(vocabs, corpus):
-    utterances = corpus[0][:3]
-    intents = sorted({s.intent for u in utterances for s in u.spans})
-    model = IntentTagger(*vocabs, intents, EncoderConfig(**SMALL_ENCODER))
-    with Tape() as tape:
-        loss = model.batch_loss(utterances)
-    tape.backward(loss)
-    mean = sum(model.loss(u).item() for u in utterances) / 3
-    assert abs(loss.item() - mean) < 1e-12
+    utterances = _ragged_utterances(corpus)
+    intents = sorted({s.intent for u in corpus[0] for s in u.spans})
+    for arch, make in TAGGER_VARIANTS.items():
+        model = make(vocabs, intents)
+        params = model.parameters()
+        with Tape() as tape:
+            loss = model.batch_loss(utterances)
+        tape.backward(loss)
+        batch_grads = {name: t.grad.copy() for name, t in params.items()}
+        for t in params.values():
+            t.zero_grad()
+        total = 0.0
+        for utterance in utterances:
+            with Tape() as tape:
+                one = model.loss(utterance)
+            tape.backward(one, seed=1.0 / len(utterances))
+            total += one.item()
+        assert abs(loss.item() - total / len(utterances)) < 1e-12, arch
+        for name, t in params.items():
+            assert np.max(np.abs(batch_grads[name] - t.grad)) < 1e-12, (arch, name)
+            assert np.any(batch_grads[name] != 0.0), (arch, name)
+
+
+@pytest.mark.parametrize("arch", sorted(TAGGER_VARIANTS))
+def test_tagger_row_emissions_do_not_depend_on_the_rest_of_the_batch(vocabs, corpus, arch):
+    utterances = _ragged_utterances(corpus)
+    model = TAGGER_VARIANTS[arch](vocabs, sorted({s.intent for u in corpus[0] for s in u.spans}))
+    for batch in (utterances, utterances[::-1], utterances[1:2] + utterances[3:], utterances[:1] * 3):
+        emissions, lengths = model._packed_emissions(batch)
+        assert lengths == [len(u.tokens) for u in batch]
+        starts = np.cumsum([0] + lengths[:-1])
+        for utterance, a, n in zip(batch, starts, lengths):
+            alone = model._emissions(utterance).values
+            assert np.max(np.abs(emissions.values[a : a + n] - alone)) < 1e-12
+
+
+@pytest.mark.parametrize("arch", sorted(TAGGER_VARIANTS))
+def test_tagger_batch_loss_tape_does_not_grow_with_the_batch(vocabs, corpus, arch):
+    utterances = _ragged_utterances(corpus)
+    model = TAGGER_VARIANTS[arch](vocabs, sorted({s.intent for u in corpus[0] for s in u.spans}))
+    with Tape() as one:
+        model.batch_loss(utterances[:1])
+    with Tape() as five:
+        model.batch_loss(utterances)
+    assert len(one) == len(five)
 
 
 MISTYPED_CONFIGS = {

@@ -274,6 +274,52 @@ class TestFusedKernels:
                             Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
         assert len(tape) == 1
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_packed_lstm_sequence_matches_cell_loop_per_row(self, reverse):
+        # rows of lengths 1, 2, 7 and 4, so the running rows are not in batch order
+        rng = np.random.default_rng(28)
+        lengths = [1, 2, 7, 4]
+        starts = np.cumsum([0] + lengths[:-1])
+        e, hd = 3, 4
+        xs = Tensor(rng.normal(size=(sum(lengths), e)))
+        wx = Tensor(rng.normal(size=(e, 4 * hd)) * 0.5)
+        wh = Tensor(rng.normal(size=(hd, 4 * hd)) * 0.5)
+        b = Tensor(rng.normal(size=4 * hd) * 0.5)
+        probe = rng.normal(size=(sum(lengths), hd))
+        inputs = [xs, wx, wh, b]
+
+        def row_loops():
+            rows = [T.gather_rows(xs, range(a, a + n)) for a, n in zip(starts, lengths)]
+            return [_lstm_cell_loop(row, wx, wh, b, reverse) for row in rows]
+
+        def looped():
+            total = None
+            for states, a, n in zip(row_loops(), starts, lengths):
+                part = _weighted_sum(states, probe[a : a + n])
+                total = part if total is None else T.add(total, part)
+            return total
+
+        packed = run_backward(lambda: _weighted_sum(T.lstm_sequence(xs, wx, wh, b, reverse, lengths), probe), inputs)
+        packed_grads = [t.grad.copy() for t in inputs]
+        reference = run_backward(looped, inputs)
+        assert abs(packed.item() - reference.item()) < 1e-12
+        for got, t in zip(packed_grads, inputs):
+            assert np.max(np.abs(got - t.grad)) < 1e-12
+        states = T.lstm_sequence(xs, wx, wh, b, reverse, lengths).values
+        for row, a, n in zip(row_loops(), starts, lengths):
+            assert np.max(np.abs(states[a : a + n] - row.values)) < 1e-12
+
+    def test_packed_lstm_sequence_one_tape_node_and_lengths_validated(self):
+        rng = np.random.default_rng(29)
+        params = Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
+        xs = Tensor(rng.normal(size=(5, 2)))
+        with Tape() as tape:
+            T.lstm_sequence(xs, *params, False, [2, 3])
+        assert len(tape) == 1
+        for lengths in ([], [0, 5], [-1, 6], [2, 2], [6]):
+            with pytest.raises(ValueError, match=re.escape(f"got {lengths}")):
+                T.lstm_sequence(xs, *params, True, lengths)
+
     def test_batched_conv_and_max_match_each_row(self):
         # lengths 1, 2 (shorter than the width-3 filter) and 5; the padded
         # positions hold junk that must neither count nor receive gradient
