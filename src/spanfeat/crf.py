@@ -148,12 +148,13 @@ def log_partition(
     """Log of the summed exp-score over all (permitted) tag sequences, summed
     over the rows of a packed batch.
 
-    The rows are concatenated into one (N, k) matrix as ``conv_relu_max``
-    takes them: row b is the next ``lengths[b]`` positions (one row of all
-    N when lengths is None). The forward recursion runs the rows in the
-    order of ``_time_major``, so step t is one (b_t, k, k) log-sum-exp over
-    the b_t rows still running. The backward pass replays the recursion
-    with per-step softmax weights, so this whole routine is one tape node.
+    The rows are concatenated into one (N, k) matrix, packed as
+    ``conv_relu_max`` packs its ids: row b is the next ``lengths[b]``
+    positions (one row of all N when lengths is None). The forward
+    recursion runs the rows in the order of ``_time_major``, so step t is
+    one (b_t, k, k) log-sum-exp over the b_t rows still running. The
+    backward pass replays the recursion with per-step softmax weights, so
+    this whole routine is one tape node.
     """
     n, k = _checked_emissions(emissions.values, params)
     start, end = params.start_index, params.end_index

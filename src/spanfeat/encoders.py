@@ -88,12 +88,15 @@ class TokenEncoder:
     def char_cnn(self, tokens: list[str]) -> Tensor:
         """(len(tokens), char_filters) matrix: for each token, convolve the
         filters over its character embeddings, ReLU, then take the per-filter
-        maximum over its positions. All tokens run as one batch, their
-        characters packed end to end."""
+        maximum over its positions. All tokens run as one ``conv_relu_max``
+        node, their character ids packed end to end and read from the char
+        table inside it, so each distinct character is convolved once."""
         if any(not t for t in tokens):
             raise ValueError("cannot embed an empty token")
-        chars = gather_rows(self.char_table, self.char_vocab.encode("".join(tokens)))
-        return conv_relu_max(chars, [self.char_conv_filters], [self.char_conv_bias], [len(t) for t in tokens])
+        return conv_relu_max(
+            self.char_table, self.char_vocab.encode("".join(tokens)),
+            [self.char_conv_filters], [self.char_conv_bias], [len(t) for t in tokens],
+        )
 
     def encode(self, tokens: list[str]) -> Tensor:
         """(n, token_dim) matrix; repeated tokens share one computed vector."""

@@ -183,11 +183,14 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
     banks = [filters, Tensor(rng.normal(size=(2, 3, 2)) * 0.5)]
     bank_biases = [cbias, Tensor(rng.normal(size=2) * 0.1)]
     u6b = Tensor(rng.normal(size=6))
-    packed = Tensor(np.concatenate([row[:n] for row, n in zip(batch.values, lengths)]))
+    # the batch's 15 positions as table rows, so that no draw is added: 8
+    # packed ids read 6 of them, id 9 three times (twice in one row)
+    table_rows = Tensor(batch.values.reshape(15, 3).copy())
+    packed_ids = [4, 9, 4, 11, 0, 9, 2, 9]
     run(
         "conv-relu-max",
-        lambda: _pin(conv_relu_max(packed, banks, bank_biases, lengths), u3, u6b),
-        [packed, *banks, *bank_biases],
+        lambda: _pin(conv_relu_max(table_rows, packed_ids, banks, bank_biases, lengths), u3, u6b),
+        [table_rows, *banks, *bank_biases],
     )
 
     # packed BiLSTM and CRF batches, drawn after every instance above

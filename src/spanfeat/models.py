@@ -131,10 +131,11 @@ class _ParallelConvPool:
             self.biases[w] = Tensor(np.zeros(filters))
         self.output_dim = len(self.widths) * filters
 
-    def apply(self, packed: Tensor, lengths) -> Tensor:
-        """(N, e) rows packed end to end, ``lengths`` positions each -> (B, output_dim)."""
+    def apply(self, table: Tensor, ids, lengths) -> Tensor:
+        """B rows of ``table`` row ids packed end to end, ``lengths`` ids
+        each -> (B, output_dim), as one conv node that does the lookup too."""
         return conv_relu_max(
-            packed, [self.filters[w] for w in self.widths], [self.biases[w] for w in self.widths], lengths
+            table, ids, [self.filters[w] for w in self.widths], [self.biases[w] for w in self.widths], lengths
         )
 
     def parameters(self, prefix: str) -> dict[str, Tensor]:
@@ -443,9 +444,11 @@ class GlobalLocalClassifier:
     def represent(self, tokens: Sequence[list[str]], masks: Sequence[list[int]]) -> SpanRepresentation:
         """Pooled views of a batch of masked spans, one (B, d) row per span.
 
-        Each view packs its rows end to end, one embedding lookup for the
-        whole batch, and pools every row over its own positions only, so a
-        row's vectors do not depend on the rest of the batch.
+        Each view packs the word ids of its rows end to end and is one
+        ``conv_relu_max`` node that reads them from its embedding table, so
+        no embedded copy of the batch is made; every row is pooled over its
+        own positions only, so a row's vectors do not depend on the rest of
+        the batch.
         """
         if len(tokens) != len(masks) or not tokens:
             raise ModelError("represent needs one mask per token list, and at least one of each")
@@ -466,8 +469,8 @@ class GlobalLocalClassifier:
             global_ids, global_lengths = (
                 (word_ids, word_lengths) if self.config.use_global_context else (span_ids, span_lengths)
             )
-            g = self.global_pool.apply(gather_rows(self.global_embedding, global_ids), global_lengths)
-        local = self.local_pool.apply(gather_rows(self.local_embedding, span_ids), span_lengths)
+            g = self.global_pool.apply(self.global_embedding, global_ids, global_lengths)
+        local = self.local_pool.apply(self.local_embedding, span_ids, span_lengths)
         if not self.global_view:
             return SpanRepresentation(global_vec=None, local_vec=local, joint=local)
         return SpanRepresentation(global_vec=g, local_vec=local, joint=concat([g, local]))

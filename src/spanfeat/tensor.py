@@ -266,11 +266,28 @@ def unstack_rows(mat: Tensor) -> list[Tensor]:
 _GATHER_ELEMENTS = 1 << 15
 
 
+def _row_ids(indices, rows: int) -> np.ndarray:
+    """``indices`` as an intp array of row ids of a table with ``rows`` rows.
+    A non-integer id (bools included) or one outside [0, rows) raises
+    ValueError, so that no id silently reads another row."""
+    idx = np.asarray(indices)
+    if idx.size == 0:
+        return idx.astype(np.intp)
+    if idx.dtype.kind not in "iu":
+        first = idx.reshape(-1)[:1].tolist()[0]
+        raise ValueError(f"row id {first!r} is not an integer ({idx.dtype}) for a table of {rows} rows")
+    idx = idx.astype(np.intp, copy=False)
+    if idx.view(np.uintp).max() >= rows:  # one pass: a negative id reads as a huge unsigned one
+        bad = idx[(idx < 0) | (idx >= rows)][0]
+        raise ValueError(f"row id {bad} is outside [0, {rows}) for a table of {rows} rows")
+    return idx
+
+
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Select rows table[indices] for a flat or (B, n) index array; backward
     scatter-adds (repeats accumulate) by sorting the indices and summing each
     run of equal ones."""
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = _row_ids(indices, table.shape[0])
     if idx.ndim not in (1, 2):
         raise ValueError("gather_rows needs a flat or (B, n) index array")
     out = Tensor(table.values[idx])
@@ -291,10 +308,6 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
     _record(backward)
     return out
-
-
-# Elements in the per-block gradient buffers of conv_relu_max's backward.
-_BLOCK_ELEMENTS = 1 << 13
 
 
 def _valid_positions(shape: tuple[int, ...], lengths) -> np.ndarray | None:
@@ -407,6 +420,8 @@ def _packed_rows(lengths, total: int) -> tuple[np.ndarray, np.ndarray]:
     ``total`` packed positions."""
     _check_lengths(lengths, total)
     lens = np.asarray(lengths, dtype=np.intp)
+    if lens.size == 1:  # one-row calls (classify, decode) skip the cumsum's overhead
+        return lens, np.zeros(1, dtype=np.intp)
     return lens, np.cumsum(lens) - lens
 
 
@@ -431,33 +446,52 @@ def _time_major(lengths, total: int, reverse: bool = False) -> tuple[np.ndarray,
     return index, bounds
 
 
-def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor], lengths) -> Tensor:
-    """Kim's conv block as one node over a packed batch: for each (w, e, f)
-    filter bank in turn, ``max_over_time(relu(conv1d_same(row, filters,
-    bias)))`` of every row, concatenated by bank into (B, sum of f).
+def conv_relu_max(
+    table: Tensor, ids, filters: Sequence[Tensor], biases: Sequence[Tensor], lengths
+) -> Tensor:
+    """Kim's conv block as one node over a packed batch of embedded rows:
+    for each (w, e, f) filter bank in turn, ``max_over_time(relu(
+    conv1d_same(gather_rows(table, row_ids), filters, bias)))`` of every
+    row, concatenated by bank into (B, sum of f).
 
-    Packed means the B rows are concatenated into one (N, e) matrix: row b
-    is the next ``lengths[b]`` positions, N is the sum of the lengths, and
-    no position is padding. The convolution is shift-and-add ("kn2row",
-    Vasudevan et al. 2017, arXiv:1704.04428): one product of the batch with
-    each bank as stored gives every offset's response, and the w offset
-    slices are summed shifted. The responses a shift would carry across a
-    row boundary are zeroed first, so every row reads zeros past its ends.
-    The bias is constant over positions, so it is added after the maximum,
-    and ReLU commutes with the maximum, so it is applied to the pooled
-    values alone. The per-row maxima are one ``np.maximum.reduceat`` per
-    bank; a batch of one row needs neither the zeroing nor the reduceat.
-    Backward routes each pooled gradient to its argmax position (lowest
-    index on ties) when that pre-activation is positive, lays the offset
-    gradients of every bank side by side, and forms the input and filter
-    gradients with one product each per block of whole rows.
+    Packed means the B rows are concatenated into one flat array of N table
+    row ids: row b is the next ``lengths[b]`` ids, N is the sum of the
+    lengths, and no position is padding. The embedding lookup is part of
+    the node: when the table has no more rows than the batch has positions,
+    every table row is convolved once however often it occurs, and
+    otherwise the row of each position is convolved. The
+    convolution is shift-and-add ("kn2row", Vasudevan et al. 2017,
+    arXiv:1704.04428): one product of the source rows with each bank as
+    stored gives every offset's response, the responses are read back by
+    position, and the w offset slices are summed shifted. The responses a
+    shift would carry across a row boundary are zeroed first, so every row
+    reads zeros past its ends. The bias is constant over positions, so it
+    is added after the maximum, and ReLU commutes with the maximum, so it is
+    applied to the pooled values alone. The per-row maxima are one
+    ``np.maximum.reduceat`` per bank; a batch of one row needs neither the
+    zeroing nor the reduceat. Backward reads the argmax windows only: each
+    positive pooled (row, channel) sends its gradient to the w (offset,
+    source row) responses its argmax position (lowest index on ties) read,
+    one ``np.bincount`` sums them into a (source rows, sum of w*f) response
+    gradient, and the table and filter gradients are one product each.
     """
-    xv = x.values
-    if xv.ndim != 2 or xv.shape[0] < 1:
-        raise ValueError(f"conv_relu_max needs a non-empty (N, e) packed batch, got {x.shape}")
-    total, e = xv.shape
+    tv = table.values
+    if tv.ndim != 2:
+        raise ValueError(f"conv_relu_max needs a (rows, e) embedding table, got {table.shape}")
+    rows, e = tv.shape
+    idx = _row_ids(ids, rows)
+    if idx.ndim != 1 or idx.size < 1:
+        raise ValueError(f"conv_relu_max needs a non-empty flat array of packed ids, got shape {idx.shape}")
+    total = idx.size
     lens, starts = _packed_rows(lengths, total)
     bsz = lens.size
+    # source: the rows convolved; picked: their table rows (None: all of
+    # them, in order); slots: the source row of each position (None: the
+    # position's own)
+    if rows <= total:
+        source, picked, slots = tv, None, idx
+    else:
+        source, picked, slots = tv[idx], idx, None
     banks = list(zip(filters, biases, strict=True))
     widths = [filt.values.shape[0] for filt, _ in banks]
     sizes = [filt.values.shape[-1] for filt, _ in banks]
@@ -472,12 +506,14 @@ def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor]
     for (filt, bias), w, f in zip(banks, widths, sizes):
         if filt.values.shape != (w, e, f) or bias.values.shape != (f,):
             raise ValueError(
-                f"conv_relu_max filters {filt.shape} and bias {bias.shape} do not fit the batch {x.shape}"
+                f"conv_relu_max filters {filt.shape} and bias {bias.shape} do not fit the table {table.shape}"
             )
         left = w // 2
         # responses[j] is offset j's contribution from each input position;
         # output position t reads input t + j - left
-        responses = np.matmul(xv, filt.values)
+        responses = np.matmul(source, filt.values)
+        if slots is not None:
+            responses = responses.take(slots, axis=1)
         pre = responses[left]
         for j in range(max(0, left - total + 1), min(w, left + total)):
             s = j - left
@@ -507,11 +543,10 @@ def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor]
 
     def backward() -> None:
         g = out.grad * (out.values > 0.0)
-        # Column (bank, j, c) of the (N, sum of w*f) offset gradients holds
-        # the gradient of offset j's response in channel c. Each pooled (row,
-        # channel) sends its gradient to the w inputs its argmax output read;
-        # ``cells`` holds the flat indices of those entries, batch row by
-        # batch row, leaving out the inputs past either end of the row.
+        # Column (bank, j, c) of the (source rows, sum of w*f) response
+        # gradient holds the gradient of offset j's response in channel c.
+        # Each pooled (row, channel) reads the w inputs around its argmax
+        # output, leaving out those past either end of the row.
         reads, columns = [], []
         offset = column = 0
         for (_, bias), argmax, w, f in zip(banks, argmaxes, widths, sizes):
@@ -521,30 +556,20 @@ def conv_relu_max(x: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor]
             offset += f
             column += w * f
         reads = np.concatenate(reads, axis=1)
-        ends = starts + lens
-        keep = (reads >= starts[:, None]) & (reads < ends[:, None])
-        cells = (reads * column + np.concatenate(columns))[keep]
+        keep = (reads >= starts[:, None]) & (reads < (starts + lens)[:, None])
+        read = reads[keep]
+        cells = (read if slots is None else slots[read]) * column
+        cells += np.broadcast_to(np.concatenate(columns), reads.shape)[keep]
         values = np.repeat(g, np.repeat(widths, sizes), axis=1)[keep]
-        bounds = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
-        del reads, keep  # freed before the kernels and block buffers are allocated
+        dresp = np.bincount(cells, values, minlength=source.shape[0] * column).reshape(-1, column)
         kernel = np.concatenate(
             [filt.values.transpose(0, 2, 1).reshape(w * f, e) for (filt, _), w, f in zip(banks, widths, sizes)]
         )
-        dfilt = np.zeros((column, e))
-        xgrad = x.grad
-        # positions per block, so that the block's gradient buffers stay
-        # small next to the batch itself
-        span = max(1, _BLOCK_ELEMENTS // max(e, column))
-        lo = 0
-        while lo < bsz:
-            hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + span)))
-            first, last = starts[lo], ends[hi - 1]
-            block = slice(bounds[lo], bounds[hi])
-            dresp = np.zeros((last - first, column))
-            dresp.reshape(-1)[cells[block] - first * column] = values[block]
-            dfilt += dresp.T @ xv[first:last]
-            xgrad[first:last] += dresp @ kernel
-            lo = hi
+        if picked is None:
+            table.grad += dresp @ kernel
+        else:
+            np.add.at(table.grad, picked, dresp @ kernel)
+        dfilt = dresp.T @ source
         column = 0
         for (filt, _), w, f in zip(banks, widths, sizes):
             filt.grad += dfilt[column : column + w * f].reshape(w, f, e).transpose(0, 2, 1)
@@ -616,10 +641,10 @@ def lstm_sequence(
     """Run ``lstm_cell`` over every row of a packed batch from zero states, as
     one tape node; returns the (N, hidden) hidden states by packed position.
 
-    The B rows are concatenated into one (N, e) matrix as ``conv_relu_max``
-    takes them: row b is the next ``lengths[b]`` positions (one row of all
-    N when lengths is None). With ``reverse`` each row's steps run from its
-    last position to its first. The steps run in the order of
+    The B rows are concatenated into one (N, e) matrix, packed as
+    ``conv_relu_max`` packs its ids: row b is the next ``lengths[b]``
+    positions (one row of all N when lengths is None). With ``reverse``
+    each row's steps run from its last position to its first. The steps run in the order of
     ``_time_major``, so step t is one (b_t, h) @ (h, 4h) product over the
     b_t rows still running, with no padding and no masking. The input
     projection of all positions is one (N, e) @ (e, 4h) product; the

@@ -748,6 +748,10 @@ def test_batch_loss_is_one_tape_per_batch(vocabs):
     with Tape() as five:
         model.batch_loss(RAGGED_BATCH)
     assert len(one) == len(five)
+    # each view reads its embedding table inside its one conv node
+    for tape in (one, five):
+        ops = [step.__qualname__.split(".")[0] for step in tape._steps]
+        assert "gather_rows" not in ops and ops.count("conv_relu_max") == 2
 
 
 TAGGER_VARIANTS = {

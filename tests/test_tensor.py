@@ -246,6 +246,16 @@ def _lstm_cell_loop(xs, wx, wh, b, reverse):
     return T.stack_rows(states)
 
 
+def _conv_relu_max_per_row(table, ids, filters, biases, lengths):
+    """Reference for conv_relu_max: gather, conv, ReLU and max per row and bank."""
+    starts = np.cumsum(lengths) - lengths
+    embedded = [T.gather_rows(table, ids[a : a + n]) for a, n in zip(starts, lengths)]
+    return T.concat([
+        T.stack_rows([T.max_over_time(T.relu(T.conv1d_same(row, f, b))) for row in embedded])
+        for f, b in zip(filters, biases)
+    ])
+
+
 class TestFusedKernels:
     @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("reverse", [False, True])
@@ -368,71 +378,106 @@ class TestFusedKernels:
         with pytest.raises(ValueError, match="lengths"):
             T.conv1d_same(Tensor(np.zeros((1, 3, 1))), Tensor(np.zeros((3, 1, 1))), Tensor(np.zeros(1)), [4])
         bank, bias = [Tensor(np.zeros((3, 1, 1)))], [Tensor(np.zeros(1))]
-        packed = Tensor(np.zeros((5, 1)))
+        table = Tensor(np.zeros((5, 1)))
         # a zero length, negative lengths, and lengths that do not sum to N
         for lengths in ([0, 5], [-1, 6], [7, -2], [2, 2], [3, 3], []):
             with pytest.raises(ValueError, match=rf"lengths.*got {re.escape(str(lengths))}"):
-                T.conv_relu_max(packed, bank, bias, lengths)
-        with pytest.raises(ValueError, match="packed batch"):
-            T.conv_relu_max(Tensor(np.zeros((1, 5, 1))), bank, bias, [5])
+                T.conv_relu_max(table, [0, 1, 2, 3, 4], bank, bias, lengths)
+        with pytest.raises(ValueError, match="embedding table"):
+            T.conv_relu_max(Tensor(np.zeros((1, 5, 1))), [0, 0, 0, 0, 0], bank, bias, [5])
+        with pytest.raises(ValueError, match="flat array of packed ids"):
+            T.conv_relu_max(table, [[0, 1], [2, 3]], bank, bias, [4])
+        with pytest.raises(ValueError, match="flat array of packed ids"):
+            T.conv_relu_max(table, [], bank, bias, [])
 
     @pytest.mark.parametrize("seed", [27, 28])
     def test_conv_relu_max_matches_conv_relu_max_over_time_per_width(self, seed):
         # packed rows: lengths 1 and 2 next to banks of every width from 1 to
-        # 5, a row of identical positions whose interior windows tie for the
-        # maximum, and a short row between two rows whose tokens next to it
-        # are large, so that a shift leaking across a row boundary would set
-        # its maximum; one channel's bias keeps it negative everywhere
+        # 5; ids repeated within and across rows; a row of one repeated id,
+        # whose interior windows tie for the maximum; and a short row between
+        # two rows whose ids next to it read a large table row, so that a
+        # shift leaking across a row boundary would set its maximum; one
+        # channel's bias keeps it negative everywhere. The table has fewer
+        # rows than the batch has positions (every row convolved) or more
+        # (the row of each position convolved).
         rng = np.random.default_rng(seed)
         lengths = [1, 2, 7, 4, 2, 3]
-        starts = np.cumsum(lengths) - lengths
-        packed = Tensor(rng.normal(size=(sum(lengths), 3)) * 2.0)
-        packed.values[3:10] = packed.values[3]
-        packed.values[13] = packed.values[16] = 40.0
         filters = [Tensor(rng.normal(size=(w, 3, 2))) for w in range(1, 6)]
         biases = [Tensor(rng.normal(size=2)) for _ in filters]
         biases[2].values[1] = -1e3
         probe = rng.normal(size=(len(lengths), 10))
-        params = [packed] + filters + biases
-        fused = run_backward(lambda: _weighted_sum(T.conv_relu_max(packed, filters, biases, lengths), probe), params)
-        fused_grads = [t.grad.copy() for t in params]
-        pooled = T.conv_relu_max(packed, filters, biases, lengths).values
-        assert np.all(pooled[:, 5] == 0.0)
+        for rows in (12, 40):
+            table = Tensor(rng.normal(size=(rows, 3)) * 2.0)
+            table.values[11] = 40.0
+            ids = rng.integers(0, 11, size=sum(lengths))
+            ids[3:10] = ids[3]
+            ids[[0, 11, 17]] = ids[1]
+            ids[13] = ids[16] = 11
+            params = [table] + filters + biases
+            fused = run_backward(
+                lambda: _weighted_sum(T.conv_relu_max(table, ids, filters, biases, lengths), probe), params
+            )
+            fused_grads = [t.grad.copy() for t in params]
+            pooled = T.conv_relu_max(table, ids, filters, biases, lengths).values
+            assert np.all(pooled[:, 5] == 0.0)
 
-        def reference():
-            rows = [T.gather_rows(packed, range(a, a + n)) for a, n in zip(starts, lengths)]
-            return T.concat([
-                T.stack_rows([T.max_over_time(T.relu(T.conv1d_same(row, f, b))) for row in rows])
-                for f, b in zip(filters, biases)
+            looped = run_backward(
+                lambda: _weighted_sum(_conv_relu_max_per_row(table, ids, filters, biases, lengths), probe), params
+            )
+            assert np.max(np.abs(pooled - _conv_relu_max_per_row(table, ids, filters, biases, lengths).values)) < 1e-12
+            assert abs(fused.item() - looped.item()) < 1e-12
+            for got, t in zip(fused_grads, params):
+                assert np.max(np.abs(got - t.grad)) < 1e-12
+            assert fused_grads[1 + len(filters) + 2][1] == 0.0  # the negative channel
+            assert np.all(fused_grads[0][np.setdiff1d(np.arange(rows), ids)] == 0.0)  # rows no id reads
+
+            # convolved together with its neighbours, as a shift leaking
+            # across its boundaries would do, row 4 would pool to other maxima
+            joined = T.gather_rows(table, ids[10:19])
+            spilled = np.concatenate([
+                T.relu(T.conv1d_same(joined, f, b)).values[4:6].max(axis=0) for f, b in zip(filters, biases)
             ])
+            assert np.max(np.abs(spilled - pooled[4])) > 1.0
 
-        looped = run_backward(lambda: _weighted_sum(reference(), probe), params)
-        assert np.max(np.abs(pooled - reference().values)) < 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_conv_relu_max_matches_gather_and_conv_on_random_batches(self, seed):
+        # random tables smaller or larger than the batch, ragged rows that may
+        # be shorter than the widest filter, and ids drawn with repeats
+        rng = np.random.default_rng(seed)
+        rows, e = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        lengths = [int(n) for n in rng.integers(1, 9, size=int(rng.integers(1, 6)))]
+        ids = rng.integers(0, rows, size=sum(lengths))
+        table = Tensor(rng.normal(size=(rows, e)))
+        filters = [Tensor(rng.normal(size=(int(w), e, int(rng.integers(1, 4))))) for w in rng.integers(1, 6, size=2)]
+        biases = [Tensor(rng.normal(size=f.shape[-1])) for f in filters]
+        probe = rng.normal(size=(len(lengths), sum(f.shape[-1] for f in filters)))
+        params = [table] + filters + biases
+
+        fused = run_backward(lambda: _weighted_sum(T.conv_relu_max(table, ids, filters, biases, lengths), probe), params)
+        fused_grads = [t.grad.copy() for t in params]
+        looped = run_backward(
+            lambda: _weighted_sum(_conv_relu_max_per_row(table, ids, filters, biases, lengths), probe), params
+        )
         assert abs(fused.item() - looped.item()) < 1e-12
         for got, t in zip(fused_grads, params):
             assert np.max(np.abs(got - t.grad)) < 1e-12
-        assert fused_grads[1 + len(filters) + 2][1] == 0.0  # the negative channel
-
-        # convolved together with its neighbours, as a shift leaking across
-        # its boundaries would do, row 4 would pool to other maxima
-        joined = Tensor(packed.values[10:19])
-        spilled = np.concatenate([
-            T.relu(T.conv1d_same(joined, f, b)).values[4:6].max(axis=0) for f, b in zip(filters, biases)
-        ])
-        assert np.max(np.abs(spilled - pooled[4])) > 1.0
 
     def test_conv_relu_max_one_row_matches_its_row_in_a_batch(self):
+        # an 8-row table: the batch convolves every table row, each row alone
+        # convolves its own positions
         rng = np.random.default_rng(30)
-        rows = [rng.normal(size=(n, 3)) for n in (4, 6, 2)]
+        table = Tensor(rng.normal(size=(8, 3)))
+        rows = [rng.integers(0, 8, size=n) for n in (4, 6, 2)]
         filters = [Tensor(rng.normal(size=(w, 3, 2))) for w in (2, 3, 5)]
         biases = [Tensor(rng.normal(size=2)) for _ in filters]
-        batch = T.conv_relu_max(Tensor(np.concatenate(rows)), filters, biases, [4, 6, 2]).values
+        batch = T.conv_relu_max(table, np.concatenate(rows), filters, biases, [4, 6, 2]).values
         for b, row in enumerate(rows):
-            alone = T.conv_relu_max(Tensor(row), filters, biases, [len(row)]).values
+            alone = T.conv_relu_max(table, row, filters, biases, [len(row)]).values
             with Tape():
-                taped = T.conv_relu_max(Tensor(row), filters, biases, [len(row)]).values
+                taped = T.conv_relu_max(table, row, filters, biases, [len(row)]).values
             reference = np.concatenate([
-                T.max_over_time(T.relu(T.conv1d_same(Tensor(row), f, bias))).values
+                T.max_over_time(T.relu(T.conv1d_same(Tensor(table.values[row]), f, bias))).values
                 for f, bias in zip(filters, biases)
             ])
             assert alone.shape == (1, 6)
@@ -442,10 +487,23 @@ class TestFusedKernels:
 
     def test_conv_relu_max_one_tape_node(self):
         rng = np.random.default_rng(29)
-        with Tape() as tape:
-            T.conv_relu_max(Tensor(rng.normal(size=(5, 3))), [Tensor(np.ones((2, 3, 1)))] * 2,
-                            [Tensor(np.zeros(1))] * 2, [4, 1])
-        assert len(tape) == 1
+        for rows in (3, 9):  # fewer and more table rows than positions
+            with Tape() as tape:
+                T.conv_relu_max(Tensor(rng.normal(size=(rows, 3))), [0, 2, 2, 1, 0], [Tensor(np.ones((2, 3, 1)))] * 2,
+                                [Tensor(np.zeros(1))] * 2, [4, 1])
+            assert len(tape) == 1
+
+    @pytest.mark.parametrize("ids", [[0, -1, 2], [0, 5, 1], [True, False, True], [0.0, 1.0, 2.0], ["a", "b", "c"]])
+    def test_bad_ids_rejected_naming_the_id_and_the_row_count(self, ids):
+        table = Tensor(np.zeros((5, 2)))
+        bank, bias = [Tensor(np.zeros((2, 2, 1)))], [Tensor(np.zeros(1))]
+        bad = next((i for i in ids if type(i) is not int or not 0 <= i < 5), ids[0])
+        named = rf"row id {re.escape(repr(bad))} .* 5 rows"
+        with pytest.raises(ValueError, match=named):
+            T.gather_rows(table, ids)
+        with pytest.raises(ValueError, match=named):
+            T.conv_relu_max(table, ids, bank, bias, [3])
+        assert T.gather_rows(table, np.array([4, 0], dtype=np.uint8)).shape == (2, 2)
 
     @pytest.mark.parametrize("shape", [(40,), (6, 9)])
     @pytest.mark.parametrize("slice_elements", [None, 7])
