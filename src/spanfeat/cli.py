@@ -22,7 +22,6 @@ from .data import (
     AnnotatedUtterance,
     CorpusError,
     IntentSpan,
-    MaskedExample,
     build_vocabularies,
     load_corpus,
     masked_examples,
@@ -47,7 +46,6 @@ from .models import (
     ARCHITECTURES,
     CLASSIFIER_ARCHS,
     TAGGER_ARCHS,
-    FeatureTaggerFlat,
     IntentTagger,
     ModelError,
     load_model,
@@ -369,12 +367,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _full_features(span: IntentSpan, dimension: str | None = None, label: str | None = None) -> dict:
-    features = dict(DEFAULT_FEATURE_VALUES)
-    features.update(span.features)
-    if dimension is not None:
-        features[dimension] = label
-    return features
+def _full_features(span: IntentSpan, dimension: str, label: str) -> dict:
+    return {**DEFAULT_FEATURE_VALUES, **span.features, dimension: label}
 
 
 def _predict_utterance(model, u: AnnotatedUtterance) -> AnnotatedUtterance:
@@ -384,14 +378,9 @@ def _predict_utterance(model, u: AnnotatedUtterance) -> AnnotatedUtterance:
             for s in model.tag(u.tokens)
         ]
         return AnnotatedUtterance(tokens=u.tokens, spans=spans)
-    if isinstance(model, FeatureTaggerFlat):
-        labels = model.labels_for(u.tokens, u.spans)
-    else:
-        examples = [MaskedExample.for_span(u.tokens, s) for s in u.spans]
-        labels = [model.labels[model.classify(e)] for e in examples]
     spans = [
         IntentSpan(s.start, s.end, s.intent, _full_features(s, model.dimension, label))
-        for s, label in zip(u.spans, labels)
+        for s, label in zip(u.spans, model.labels_for(u.tokens, u.spans))
     ]
     return AnnotatedUtterance(tokens=u.tokens, spans=spans)
 

@@ -28,7 +28,6 @@ __all__ = [
     "evaluate_feature_model",
     "evaluate_intent_tagger",
     "classifier_accuracy",
-    "tagger_token_accuracy",
     "intent_span_f1",
     "feature_span_f1",
     "gold_feature_spans",
@@ -339,25 +338,12 @@ def evaluate_feature_model(
     predicted: list[str] = []
     gold: list[str] = []
     pred_span_lists = []
-    ref_span_lists = []
     for u in corpus:
         ref_spans = intent_tagger.tag(u.tokens) if intent_tagger is not None else u.spans
-        if is_tagger:
-            fspans = model.feature_spans(u.tokens, ref_spans)
-            labels = align_feature_spans(u.spans, fspans, dimension)
-            pred_span_lists.append(fspans)
-            ref_span_lists.append(u.spans)
-        else:
-            labeled = []
-            for s in ref_spans:
-                label = model.labels[model.classify(MaskedExample.for_span(u.tokens, s))]
-                labeled.append(IntentSpan(s.start, s.end, label))
-            if mode == "gold":
-                labels = [s.intent for s in labeled]
-            else:
-                labels = align_feature_spans(u.spans, labeled, dimension)
-        predicted.extend(labels)
+        fspans = model.feature_spans(u.tokens, ref_spans)
+        predicted.extend(align_feature_spans(u.spans, fspans, dimension))
         gold.extend(s.features[dimension] for s in u.spans)
+        pred_span_lists.append(fspans)
 
     report = EvalReport(
         model_tag=model.architecture,
@@ -365,12 +351,12 @@ def evaluate_feature_model(
         span_mode=mode,
         dimensions={dimension: feature_f1(predicted, gold, dimension)},
     )
-    if pred_span_lists:
+    if is_tagger and corpus:  # a tagger's spans have boundaries of their own to score
         report.span_prf = span_f1(
             pred_span_lists,
             [gold_feature_spans(u, dimension) for u in corpus],
         )
-        report.boundary_rate = boundary_disagreement(pred_span_lists, ref_span_lists)
+        report.boundary_rate = boundary_disagreement(pred_span_lists, [u.spans for u in corpus])
     return report
 
 
@@ -397,17 +383,6 @@ def classifier_accuracy(model, examples: Sequence[MaskedExample]) -> float:
     if not examples:
         return 0.0
     return sum(model.classify(e) == e.gold for e in examples) / len(examples)
-
-
-def tagger_token_accuracy(model, utterances: Sequence[AnnotatedUtterance]) -> float:
-    """Fraction of tokens whose decoded tag matches the gold tag."""
-    correct = total = 0
-    for u in utterances:
-        gold_ids = model._gold_tag_ids(u)
-        path = model.decode(u)
-        correct += sum(p == g for p, g in zip(path, gold_ids))
-        total += len(gold_ids)
-    return correct / total if total else 0.0
 
 
 def intent_span_f1(model: IntentTagger, utterances: Sequence[AnnotatedUtterance]) -> float:

@@ -3,7 +3,10 @@
 Each check builds a small deterministic instance, computes the analytic
 gradient on the tape, and compares against central differences. Primitives
 get a tighter budget than whole models because the model checks compound
-hundreds of operations and accumulate legitimate floating-point noise.
+hundreds of operations and accumulate legitimate floating-point noise. The
+model checks also take a larger step than the primitives: at the default
+1e-5 the round-off of a whole BiLSTM-CRF loss already exceeds the model
+budget at some seeds, and the error falls as the step grows to 3e-4.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
 
 PRIMITIVE_BUDGET = 1e-5
 MODEL_BUDGET = 1e-4
+MODEL_STEP = 3e-4  # finite-difference step of the model checks
 
 
 @dataclass
@@ -77,10 +81,6 @@ def _away_from_zero(rng, shape) -> Tensor:
     """Magnitudes in [0.2, 1.0] with random signs, so ReLU kinks and max ties
     sit far outside the finite-difference step."""
     return Tensor(rng.uniform(0.2, 1.0, size=shape) * rng.choice([-1.0, 1.0], size=shape))
-
-
-def _dot(v: Tensor, probe: Tensor) -> Tensor:
-    return matmul(v, probe)
 
 
 def _pin(m: Tensor, left: Tensor, right: Tensor) -> Tensor:
@@ -127,7 +127,7 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
     cbias = Tensor(rng.normal(size=4) * 0.1)
     u6 = Tensor(rng.normal(size=6))
     run("conv1d-same", lambda: _pin(conv1d_same(seq, filters, cbias), u6, v4), [seq, filters, cbias])
-    run("max-over-time", lambda: _dot(max_over_time(seq), u3), [seq])
+    run("max-over-time", lambda: matmul(max_over_time(seq), u3), [seq])
 
     x, h, cs = _away_from_zero(rng, 3), _away_from_zero(rng, 4), _away_from_zero(rng, 4)
     wx = Tensor(rng.normal(size=(3, 16)) * 0.4)
@@ -137,7 +137,7 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
 
     def lstm_scalar():
         h_new, c_new = lstm_cell(x, h, cs, wx, wh, gb)
-        return add(_dot(h_new, probes[0]), _dot(c_new, probes[1]))
+        return add(matmul(h_new, probes[0]), matmul(c_new, probes[1]))
 
     run("lstm-cell", lstm_scalar, [x, h, cs, wx, wh, gb])
 
@@ -260,7 +260,7 @@ def check_architectures(seed: int = 13) -> list[CheckResult]:
     results = []
     for model, instance in models:
         inputs = list(model.parameters().values())
-        error = grad_check(lambda m=model, i=instance: m.loss(i), inputs)
+        error = grad_check(lambda m=model, i=instance: m.loss(i), inputs, epsilon=MODEL_STEP)
         results.append(CheckResult(model.architecture, error, MODEL_BUDGET))
     return results
 

@@ -5,6 +5,10 @@ Taggers consume whole annotated utterances; classifiers consume masked
 examples. Every model exposes ``loss`` and ``batch_loss`` (tape-recorded
 scalars; the latter the mean over a minibatch), a prediction method
 (tape-free), ``parameters`` (named tensors), and bundle serialization.
+The four feature models, taggers and classifiers alike, label given intent
+spans the same way: ``feature_spans(tokens, spans)`` returns labelled
+feature spans, and ``labels_for(tokens, spans)`` aligns them onto the given
+spans, one label each.
 """
 
 from __future__ import annotations
@@ -96,17 +100,6 @@ class GlobalLocalConfig(SpanCnnConfig):
     share_pooling_params: bool = False
 
 
-@dataclass
-class SpanRepresentation:
-    """Pooled views of a batch of spans, one row per span: the full-context
-    vectors (None without a global view), the span-only vectors, and what
-    the projection reads (global first)."""
-
-    global_vec: Tensor | None
-    local_vec: Tensor
-    joint: Tensor
-
-
 class _Projection:
     def __init__(self, input_dim: int, output_dim: int, rng: np.random.Generator) -> None:
         self.weight = glorot_uniform(rng, (input_dim, output_dim), input_dim, output_dim)
@@ -167,6 +160,15 @@ def align_feature_spans(
                 best_label = fspan.intent
         labels.append(best_label)
     return labels
+
+
+class _FeatureModel:
+    """The labelling call the feature taggers and the span classifiers share;
+    each defines ``feature_spans(tokens, spans)`` and ``dimension``."""
+
+    def labels_for(self, tokens: list[str], spans: list[IntentSpan]) -> list[str]:
+        """One label per given span, from the feature spans the model finds."""
+        return align_feature_spans(spans, self.feature_spans(tokens, spans), self.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,7 @@ class IntentTagger(_SequenceTagger):
     own_config_keys = ("labels",)
 
 
-class FeatureTaggerFlat(_SequenceTagger):
+class FeatureTaggerFlat(_SequenceTagger, _FeatureModel):
     """IOBES tagger over one feature dimension's labels, boundaries unsupervised."""
 
     architecture = "feature-tagger-flat"
@@ -311,14 +313,10 @@ class FeatureTaggerFlat(_SequenceTagger):
             encoder_config, seed, constrain_training, extra_input_dim,
         )
 
-    def feature_spans(self, tokens: list[str], spans: list[IntentSpan] | None = None) -> list[IntentSpan]:
-        """Raw decoded feature spans; reference spans are ignored by the flat
-        tagger, which predicts its own boundaries."""
-        return self.tag(tokens)
-
-    def labels_for(self, tokens: list[str], spans: list[IntentSpan]) -> list[str]:
-        """Tag the utterance, then map feature spans onto the given spans."""
-        return align_feature_spans(spans, self.feature_spans(tokens, spans), self.dimension)
+    def feature_spans(self, tokens: list[str], spans: list[IntentSpan]) -> list[IntentSpan]:
+        """Raw decoded feature spans with their own boundaries; the given
+        spans reach only the cascaded tagger's boundary input."""
+        return self.tag(tokens, spans)
 
 
 OUTSIDE, INSIDE = 0, 1
@@ -368,18 +366,13 @@ class FeatureTaggerCascaded(FeatureTaggerFlat):
             ids += row
         return concat([super()._token_matrix(utterances), gather_rows(self.boundary_table, ids)])
 
-    def feature_spans(self, tokens: list[str], spans: list[IntentSpan] | None = None) -> list[IntentSpan]:
-        if spans is None:
-            raise ModelError("the cascaded tagger needs reference spans")
-        return self.tag(tokens, spans)
-
 
 # ---------------------------------------------------------------------------
 # span classifiers
 # ---------------------------------------------------------------------------
 
 
-class GlobalLocalClassifier:
+class GlobalLocalClassifier(_FeatureModel):
     """Two pooled views of a masked span: one over the whole utterance, one
     over the span tokens alone, concatenated global-then-local and projected.
 
@@ -441,8 +434,11 @@ class GlobalLocalClassifier:
         params.update(self.projection.parameters("projection"))
         return params
 
-    def represent(self, tokens: Sequence[list[str]], masks: Sequence[list[int]]) -> SpanRepresentation:
-        """Pooled views of a batch of masked spans, one (B, d) row per span.
+    def represent(self, tokens: Sequence[list[str]], masks: Sequence[list[int]]) -> Tensor:
+        """What the projection reads for a batch of masked spans, one (B, d)
+        row per span: the global view's ``global_pool.output_dim`` columns
+        first, then the local view's (the local view alone without a global
+        view).
 
         Each view packs the word ids of its rows end to end and is one
         ``conv_relu_max`` node that reads them from its embedding table, so
@@ -471,20 +467,18 @@ class GlobalLocalClassifier:
             )
             g = self.global_pool.apply(self.global_embedding, global_ids, global_lengths)
         local = self.local_pool.apply(self.local_embedding, span_ids, span_lengths)
-        if not self.global_view:
-            return SpanRepresentation(global_vec=None, local_vec=local, joint=local)
-        return SpanRepresentation(global_vec=g, local_vec=local, joint=concat([g, local]))
+        return concat([g, local]) if self.global_view else local
 
     def _logits(self, tokens: list[str] | MaskedExample, mask: list[int] | None = None) -> Tensor:
         """(c,) logits of one masked span; the batched forward at B=1, off the tape."""
         if mask is None:  # a whole MaskedExample, as the benchmark's span-cnn check passes it
             tokens, mask = tokens.tokens, tokens.mask
-        logits = self.projection.apply(self.represent([tokens], [mask]).joint)
+        logits = self.projection.apply(self.represent([tokens], [mask]))
         return Tensor(logits.values[0])
 
     def batch_loss(self, examples: Sequence[MaskedExample]) -> Tensor:
         """Mean cross-entropy of a batch of masked examples, one forward for all."""
-        joint = self.represent([e.tokens for e in examples], [e.mask for e in examples]).joint
+        joint = self.represent([e.tokens for e in examples], [e.mask for e in examples])
         return softmax_cross_entropy(self.projection.apply(joint), [e.gold for e in examples])
 
     def loss(self, example: MaskedExample) -> Tensor:
@@ -492,6 +486,13 @@ class GlobalLocalClassifier:
 
     def classify(self, example: MaskedExample) -> int:
         return int(self._logits(example.tokens, example.mask).values.argmax())
+
+    def feature_spans(self, tokens: list[str], spans: list[IntentSpan]) -> list[IntentSpan]:
+        """The given spans, in order, each labelled by its own ``classify`` call."""
+        return [
+            IntentSpan(s.start, s.end, self.labels[self.classify(MaskedExample.for_span(tokens, s))])
+            for s in spans
+        ]
 
     def to_config(self) -> dict:
         return {

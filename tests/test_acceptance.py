@@ -31,7 +31,6 @@ from spanfeat.evaluation import (
     evaluate_intent_tagger,
     intent_span_f1,
     merge_reports,
-    tagger_token_accuracy,
 )
 from spanfeat.gradcheck import MODEL_BUDGET, PRIMITIVE_BUDGET, run_gradient_checks
 from spanfeat.models import (
@@ -374,6 +373,17 @@ def test_criterion_6_taggers(full_data):
 # memorization-friendly learning rate; the stock 0.0015 is tuned for corpus
 # scale and cannot finish 50 examples in 30 epochs.
 MEMORIZE_TAGGER_LR = 0.03
+
+
+def tagger_token_accuracy(model, utterances) -> float:
+    """Fraction of tokens whose decoded tag matches the gold tag."""
+    correct = total = 0
+    for u in utterances:
+        gold_ids = model._gold_tag_ids(u)
+        path = model.decode(u)
+        correct += sum(p == g for p, g in zip(path, gold_ids))
+        total += len(gold_ids)
+    return correct / total if total else 0.0
 
 
 def test_criterion_7_memorization(full_data):

@@ -34,6 +34,11 @@ def test_architecture_suite_covers_all_five_models():
     assert all(r.budget == MODEL_BUDGET for r in results)
 
 
+def test_architecture_suite_passes_at_another_seed():
+    results = check_architectures(seed=1)
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+
+
 def test_full_suite_passes_at_default_seed():
     results = run_gradient_checks()
     assert all(r.passed for r in results), [r.line() for r in results if not r.passed]

@@ -263,8 +263,7 @@ class TestSpanCnn:
         model = classifier_fixture(vocabs, SpanCnnClassifier)
         assert isinstance(model, GlobalLocalClassifier)
         rep = model.represent(["i install the printer".split()], [[0, 1, 1, 0]])
-        assert rep.global_vec is None
-        assert rep.joint is rep.local_vec
+        assert rep.shape == (1, model.local_pool.output_dim)
 
     def test_rejects_global_local_config(self, vocabs):
         with pytest.raises(ModelError, match="SpanCnnConfig"):
@@ -286,17 +285,19 @@ class TestGlobalLocal:
     def test_full_mask_with_shared_pooling_collapses(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier, share_pooling_params=True)
         tokens = "i install the printer".split()
-        rep = model.represent([tokens], [[1, 1, 1, 1]])
-        assert np.array_equal(rep.global_vec.values, rep.local_vec.values)
-        assert np.array_equal(rep.joint.values[:, : rep.global_vec.shape[1]], rep.global_vec.values)
+        rep = model.represent([tokens], [[1, 1, 1, 1]]).values
+        d = model.global_pool.output_dim
+        assert np.array_equal(rep[:, :d], rep[:, d:])
 
     def test_joint_order_global_then_local(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
         tokens = "i install the printer".split()
-        rep = model.represent([tokens], [[0, 1, 1, 0]])
-        d = rep.global_vec.shape[1]
-        assert np.array_equal(rep.joint.values[:, :d], rep.global_vec.values)
-        assert np.array_equal(rep.joint.values[:, d:], rep.local_vec.values)
+        rep = model.represent([tokens], [[0, 1, 1, 0]]).values
+        d = model.global_pool.output_dim
+        local = model.represent([tokens[1:3]], [[1, 1]]).values
+        assert rep.shape == (1, 2 * d)
+        assert np.array_equal(rep[:, d:], local[:, d:])
+        assert not np.array_equal(rep[:, :d], local[:, :d])
 
     def test_non_contiguous_mask_accepted(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
@@ -307,10 +308,11 @@ class TestGlobalLocal:
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
         tokens = "i install the printer".split()
         mask = [0, 1, 1, 0]
-        base = model.represent([tokens], [mask])
-        changed = model.represent([["we"] + tokens[1:]], [mask])
-        assert np.array_equal(base.local_vec.values, changed.local_vec.values)
-        assert not np.array_equal(base.global_vec.values, changed.global_vec.values)
+        d = model.global_pool.output_dim
+        base = model.represent([tokens], [mask]).values
+        changed = model.represent([["we"] + tokens[1:]], [mask]).values
+        assert np.array_equal(base[:, d:], changed[:, d:])
+        assert not np.array_equal(base[:, :d], changed[:, :d])
 
     def test_no_global_context_sees_span_only(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier, use_global_context=False)
@@ -345,14 +347,61 @@ class TestGlobalLocal:
     def test_local_path_preserves_token_order(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
         tokens = ["install", "cancel", "printer"]
-        fwd = model.represent([tokens], [[1, 1, 1]]).local_vec.values
-        rev = model.represent([tokens[::-1]], [[1, 1, 1]]).local_vec.values
+        d = model.global_pool.output_dim
+        fwd = model.represent([tokens], [[1, 1, 1]]).values[:, d:]
+        rev = model.represent([tokens[::-1]], [[1, 1, 1]]).values[:, d:]
         assert not np.array_equal(fwd, rev)
 
     def test_empty_mask_rejected(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
         with pytest.raises(ModelError, match="mask"):
             model.represent([["a", "b"]], [[0, 0]])
+
+
+FEATURE_MODELS = (FeatureTaggerFlat, FeatureTaggerCascaded, SpanCnnClassifier, GlobalLocalClassifier)
+
+
+class TestLabellingInterface:
+    TOKENS = "i install the printer and we cancel my folder".split()
+    SPANS = [IntentSpan(0, 4, "install"), IntentSpan(5, 9, "cancel")]
+
+    def make(self, vocabs, cls):
+        if cls in (SpanCnnClassifier, GlobalLocalClassifier):
+            return classifier_fixture(vocabs, cls)
+        return cls(*vocabs, "tense", EncoderConfig(**SMALL_ENCODER))
+
+    def test_one_labels_for_for_every_feature_model(self):
+        assert len({cls.labels_for for cls in FEATURE_MODELS}) == 1
+
+    @pytest.mark.parametrize("cls", FEATURE_MODELS, ids=lambda c: c.architecture)
+    def test_feature_spans_needs_spans(self, vocabs, cls):
+        model = self.make(vocabs, cls)
+        with pytest.raises(TypeError):
+            model.feature_spans(self.TOKENS)
+
+    @pytest.mark.parametrize("cls", FEATURE_MODELS, ids=lambda c: c.architecture)
+    def test_labels_for_aligns_feature_spans(self, vocabs, cls):
+        model = self.make(vocabs, cls)
+        fspans = model.feature_spans(self.TOKENS, self.SPANS)
+        assert all(s.intent in model.labels for s in fspans)
+        assert model.labels_for(self.TOKENS, self.SPANS) == align_feature_spans(self.SPANS, fspans, "tense")
+
+    @pytest.mark.parametrize("cls", (SpanCnnClassifier, GlobalLocalClassifier), ids=lambda c: c.architecture)
+    def test_classifier_labels_each_given_span_with_one_classify_call(self, vocabs, cls):
+        model = self.make(vocabs, cls)
+        calls = []
+
+        def classify(example):
+            calls.append(example)
+            return type(model).classify(model, example)
+
+        model.classify = classify
+        fspans = model.feature_spans(self.TOKENS, self.SPANS)
+        assert [(s.start, s.end) for s in fspans] == [(s.start, s.end) for s in self.SPANS]
+        assert calls == [MaskedExample.for_span(self.TOKENS, s) for s in self.SPANS]
+        expected = [model.labels[type(model).classify(model, e)] for e in calls]
+        assert [s.intent for s in fspans] == expected
+        assert model.labels_for(self.TOKENS, self.SPANS) == expected
 
 
 def all_models(vocabs):
@@ -676,7 +725,7 @@ RAGGED_BATCH = [
 
 def _batch_logits(model, examples):
     rep = model.represent([e.tokens for e in examples], [e.mask for e in examples])
-    return model.projection.apply(rep.joint).values
+    return model.projection.apply(rep).values
 
 
 @pytest.mark.parametrize("variant", sorted(BATCH_VARIANTS))
@@ -713,15 +762,10 @@ def test_batched_forward_and_gradients_match_one_span_at_a_time(vocabs, variant)
         assert np.max(np.abs(batch_grads[name] - loop_grads[name])) < 1e-12, name
     assert any(np.any(g != 0.0) for g in batch_grads.values())
 
-    rep = model.represent([e.tokens for e in RAGGED_BATCH], [e.mask for e in RAGGED_BATCH])
+    rep = model.represent([e.tokens for e in RAGGED_BATCH], [e.mask for e in RAGGED_BATCH]).values
     for row, example in enumerate(RAGGED_BATCH):
-        one = model.represent([example.tokens], [example.mask])
-        for view in ("global_vec", "local_vec", "joint"):
-            if getattr(rep, view) is None:
-                assert getattr(one, view) is None
-                continue
-            got, want = getattr(rep, view).values[row], getattr(one, view).values[0]
-            assert np.max(np.abs(got - want)) < 1e-12, (view, row)
+        one = model.represent([example.tokens], [example.mask]).values
+        assert np.max(np.abs(rep[row] - one[0])) < 1e-12, row
         assert np.max(np.abs(_batch_logits(model, RAGGED_BATCH)[row] - model._logits(example).values)) < 1e-12
 
 
