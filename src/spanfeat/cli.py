@@ -77,7 +77,8 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _read_config_file(path: str) -> dict:
-    """key = value lines; values parse as JSON where possible, else strings.
+    """key = value lines as {key: (line number, value)}, the last line of a
+    key winning; values parse as JSON where possible, else strings.
 
     ``#`` starts a comment at the start of a line or after whitespace only,
     so a value such as ``run#1`` keeps its ``#``.
@@ -97,10 +98,35 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         value = value.strip()
         try:
-            overrides[key] = json.loads(value)
+            overrides[key] = lineno, json.loads(value)
         except json.JSONDecodeError:
-            overrides[key] = value
+            overrides[key] = lineno, value
     return overrides
+
+
+def _config_value(action, value, where: str):
+    """A config file value as the flag of ``action`` would set it: a switch
+    takes JSON true or false, a repeatable flag a string or a list of
+    strings, and each value's text (a JSON string's contents) goes through
+    the flag's type and choices."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise CliError(f"{where}: expected true or false, got {value!r}")
+        return value
+    repeatable = isinstance(action, argparse._AppendAction)
+    items = value if repeatable and isinstance(value, list) else [value]
+    if repeatable and not all(isinstance(item, str) for item in items):
+        raise CliError(f"{where}: expected a string or a list of strings, got {value!r}")
+    converted = []
+    for item in items:
+        text = item if isinstance(item, str) else json.dumps(item)
+        try:
+            converted.append(text if action.type is None else action.type(text))
+        except ValueError:
+            raise CliError(f"{where}: invalid {action.type.__name__} value {text!r}") from None
+        if action.choices is not None and converted[-1] not in action.choices:
+            raise CliError(f"{where}: {text!r} is not one of {', '.join(action.choices)}")
+    return converted if repeatable else converted[0]
 
 
 def _dimension_choices():
@@ -188,22 +214,28 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subparsers
 
 
-def _apply_config_overrides(argv, parser, subparsers):
+def _apply_config_overrides(argv, subparsers) -> dict:
+    """Make the values of the command's --config file the defaults of its
+    flags. A key no command knows is an error; a key of another command is
+    left alone. Returns the repeatable flags' lists, which apply only when
+    the flag is not given (argparse would append to a default list)."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
-    if not known.config:
-        return
-    overrides = _read_config_file(known.config)
-    known_dests = set()
-    for sub in subparsers.values():
-        known_dests.update(action.dest for action in sub._actions)
-    for key in overrides:
+    sub = subparsers.get(argv[0]) if argv else None
+    if not known.config or sub is None:
+        return {}
+    actions = {action.dest: action for action in sub._actions}
+    known_dests = {action.dest for other in subparsers.values() for action in other._actions}
+    defaults, lists = {}, {}
+    for key, (lineno, value) in _read_config_file(known.config).items():
         if key not in known_dests:
-            raise CliError(f"unknown config key {key!r}")
-    for sub in subparsers.values():
-        dests = {action.dest for action in sub._actions}
-        sub.set_defaults(**{k: v for k, v in overrides.items() if k in dests})
+            raise CliError(f"{known.config}:{lineno}: unknown config key {key!r}")
+        if key in actions:
+            converted = _config_value(actions[key], value, f"{known.config}:{lineno}: {key}")
+            (lists if isinstance(converted, list) else defaults)[key] = converted
+    sub.set_defaults(**defaults)
+    return lists
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +335,7 @@ def _train_one(model, train_corpus, dev_corpus, epochs, seed, batch_size=None, l
 
     if model.architecture in CLASSIFIER_ARCHS:
         examples = masked_examples(train_corpus, model.dimension)
-        dev = masked_examples(dev_corpus, model.dimension) if dev_corpus else None
+        dev = None if dev_corpus is None else masked_examples(dev_corpus, model.dimension)
         metric = classifier_accuracy
     else:
         examples = train_corpus
@@ -321,6 +353,9 @@ def _cmd_train(args) -> int:
     dev_corpus = load_corpus(args.dev_path, require_features=require) if args.dev_path else None
     if not train_corpus:
         raise CliError(f"no utterances in {args.train_path}")
+    if dev_corpus is not None and not any(u.spans for u in dev_corpus):
+        # the dev metric would read 0 every epoch and keep epoch 1's parameters
+        raise CliError(f"no intent spans in {args.dev_path}" if dev_corpus else f"no utterances in {args.dev_path}")
     word_vocab, char_vocab = build_vocabularies(train_corpus)
     intents = sorted({s.intent for u in train_corpus for s in u.spans})
     if args.arch == "intent-tagger" and not intents:
@@ -465,8 +500,11 @@ _COMMANDS = {
 def run(argv: list[str]) -> int:
     parser, subparsers = _build_parser()
     try:
-        _apply_config_overrides(argv, parser, subparsers)
+        lists = _apply_config_overrides(argv, subparsers)
         args = parser.parse_args(argv)
+        for dest, values in lists.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, values)
         return _COMMANDS[args.command](args)
     except (CliError, CorpusError, ModelError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -160,12 +160,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._index)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def lookup(self, token: str) -> int:
-        return self._index.get(token, self.UNK)
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         get, unk = self._index.get, self.UNK
         return [get(t, unk) for t in tokens]

@@ -5,6 +5,10 @@ active, records a backward closure. ``Tape.backward`` replays the closures in
 exact reverse execution order, accumulating (never overwriting) gradients, so
 parameters that appear several times in one forward pass receive summed
 gradients.
+
+No model runs ``relu``, ``stack_rows``, ``unstack_rows``, ``conv1d_same``,
+``max_over_time`` or ``lstm_cell``: they are the per-row references the
+fused nodes are tested against, and grad-check does not audit them.
 """
 
 from __future__ import annotations
@@ -204,28 +208,16 @@ def relu(x: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the feature (last) axis; leading dimensions must agree."""
-    if not parts:
-        raise ValueError("concat needs at least one input")
-    ndim = parts[0].values.ndim
-    for p in parts:
-        if p.values.ndim != ndim:
-            raise ValueError("concat inputs must share rank")
-        if ndim == 2 and p.shape[0] != parts[0].shape[0]:
-            raise ValueError(
-                f"concat leading dimensions disagree: {p.shape} vs {parts[0].shape}"
-            )
-    axis = ndim - 1
-    out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
+    """Join (n, d_k) matrices column-wise into one (n, sum of d_k) matrix."""
+    if not parts or any(p.values.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ValueError(f"concat needs (n, d) matrices with one n, got {[p.shape for p in parts]}")
+    out = Tensor(np.concatenate([p.values for p in parts], axis=1))
 
     def backward() -> None:
         offset = 0
-        for p, size in zip(parts, sizes):
-            if axis == 0:
-                p.grad += out.grad[offset : offset + size]
-            else:
-                p.grad += out.grad[:, offset : offset + size]
+        for p in parts:
+            size = p.shape[1]
+            p.grad += out.grad[:, offset : offset + size]
             offset += size
 
     _record(backward)
@@ -262,10 +254,6 @@ def unstack_rows(mat: Tensor) -> list[Tensor]:
     return rows
 
 
-# Elements of the sorted gradient slice that gather_rows' backward sums at once.
-_GATHER_ELEMENTS = 1 << 15
-
-
 def _row_ids(indices, rows: int) -> np.ndarray:
     """``indices`` as an intp array of row ids of a table with ``rows`` rows.
     A non-integer id (bools included) or one outside [0, rows) raises
@@ -284,124 +272,72 @@ def _row_ids(indices, rows: int) -> np.ndarray:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Select rows table[indices] for a flat or (B, n) index array; backward
-    scatter-adds (repeats accumulate) by sorting the indices and summing each
-    run of equal ones."""
+    """Select rows table[indices] for a non-empty flat array of row ids;
+    backward scatter-adds (repeats accumulate) by sorting the ids and summing
+    each run of equal ones."""
     idx = _row_ids(indices, table.shape[0])
-    if idx.ndim not in (1, 2):
-        raise ValueError("gather_rows needs a flat or (B, n) index array")
+    if idx.ndim != 1 or idx.size < 1:
+        raise ValueError(f"gather_rows needs a non-empty flat array of row ids, got shape {idx.shape}")
     out = Tensor(table.values[idx])
 
     def backward() -> None:
-        # one stable sort, then a sum over each run of equal indices, taken
-        # a slice of sorted rows at a time so that the sorted copy of the
-        # gradient stays small (a run split between slices adds twice)
-        flat = idx.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        ordered = flat[order]
-        grads = out.grad.reshape(flat.shape + table.shape[1:])
-        step = max(1, _GATHER_ELEMENTS // max(1, int(np.prod(table.shape[1:]))))
-        for lo in range(0, flat.size, step):
-            keys = ordered[lo : lo + step]
-            runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-            table.grad[keys[runs]] += np.add.reduceat(grads[order[lo : lo + step]], runs, axis=0)
+        order = np.argsort(idx, kind="stable")
+        keys = idx[order]
+        runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        table.grad[keys[runs]] += np.add.reduceat(out.grad[order], runs, axis=0)
 
     _record(backward)
     return out
 
 
-def _valid_positions(shape: tuple[int, ...], lengths) -> np.ndarray | None:
-    """(B, n) mask of the positions below each row's length; None when every
-    position is valid (2-D input, no lengths given, or every row full)."""
-    if lengths is None:
-        return None
-    if len(shape) != 3:
-        raise ValueError(f"per-row lengths need a (B, n, d) batch, got {shape}")
-    b, n = shape[:2]
-    lens = np.asarray(lengths, dtype=np.intp)
-    shortest, longest = (lens.min(), lens.max()) if lens.shape == (b,) and b else (0, 0)
-    if shortest < 1 or longest > n:
-        raise ValueError(f"lengths must hold {b} values in [1, {n}], got {list(lens)}")
-    if shortest == n:
-        return None
-    return np.arange(n)[None, :] < lens[:, None]
-
-
-def conv1d_same(seq: Tensor, filters: Tensor, bias: Tensor, lengths=None) -> Tensor:
-    """1-D convolution over an (n, e) sequence, or a (B, n, e) batch of
-    sequences, with (w, e, f) filters.
+def conv1d_same(seq: Tensor, filters: Tensor, bias: Tensor) -> Tensor:
+    """1-D convolution over an (n, e) sequence with (w, e, f) filters.
 
     Zero padding keeps the output length at n; for even widths the extra pad
-    column goes on the left. In a batch, row b holds ``lengths[b]`` valid
-    positions (all n when lengths is None): the positions past it read as
-    zeros, give zero outputs and receive zero gradient, so each row equals
-    the convolution of its valid prefix alone. Returns the linear response
-    (no activation). The forward pass is one im2col matmul.
+    column goes on the left. Returns the linear response (no activation).
+    The forward pass is one im2col matmul.
     """
-    if seq.values.ndim not in (2, 3):
-        raise ValueError(f"conv1d_same needs an (n, e) or (B, n, e) input, got {seq.shape}")
-    x = seq.values if seq.values.ndim == 3 else seq.values[None]
-    bsz, n, e = x.shape
+    if seq.values.ndim != 2:
+        raise ValueError(f"conv1d_same needs an (n, e) input, got {seq.shape}")
+    n, e = seq.shape
     w, ef, f = filters.shape
     if ef != e:
         raise ValueError(f"conv1d_same channel mismatch: seq {seq.shape} vs filters {filters.shape}")
     if bias.shape != (f,):
         raise ValueError(f"conv1d_same bias shape {bias.shape} != ({f},)")
-    valid = _valid_positions(seq.shape, lengths)
     left = w // 2
-    padded = np.zeros((bsz, n + w - 1, e))
-    padded[:, left : left + n] = x if valid is None else x * valid[..., None]
-    cols = np.empty((bsz * n, w * e))
-    cols3 = cols.reshape(bsz, n, w * e)
+    padded = np.zeros((n + w - 1, e))
+    padded[left : left + n] = seq.values
+    cols = np.empty((n, w * e))
     for j in range(w):
-        cols3[:, :, j * e : (j + 1) * e] = padded[:, j : j + n]
+        cols[:, j * e : (j + 1) * e] = padded[j : j + n]
     kernel = filters.values.reshape(w * e, f)
-    out_values = (cols @ kernel + bias.values).reshape(bsz, n, f)
-    if valid is not None:
-        out_values *= valid[..., None]
-    out = Tensor(out_values.reshape(seq.shape[:-1] + (f,)))
+    out = Tensor(cols @ kernel + bias.values)
 
     def backward() -> None:
-        g = out.grad.reshape(bsz * n, f)
-        if valid is not None:
-            g = g * valid.reshape(-1, 1)
+        g = out.grad
         bias.grad += g.sum(axis=0)
         filters.grad += (cols.T @ g).reshape(w, e, f)
-        dcols = (g @ kernel.T).reshape(bsz, n, w * e)
+        dcols = g @ kernel.T
         dpad = np.zeros_like(padded)
         for j in range(w):
-            dpad[:, j : j + n] += dcols[:, :, j * e : (j + 1) * e]
-        dx = dpad[:, left : left + n]
-        if valid is not None:
-            dx *= valid[..., None]
-        seq.grad += dx.reshape(seq.shape)
+            dpad[j : j + n] += dcols[:, j * e : (j + 1) * e]
+        seq.grad += dpad[left : left + n]
 
     _record(backward)
     return out
 
 
-def max_over_time(seq: Tensor, lengths=None) -> Tensor:
-    """Per-channel maximum over positions of an (n, f) sequence, giving (f,),
-    or of each row of a (B, n, f) batch, giving (B, f).
-
-    In a batch, row b takes its maximum over its first ``lengths[b]``
-    positions (all n when lengths is None). Backward routes each channel's
-    gradient to its argmax position only; ties go to the lowest position
-    index.
-    """
-    if seq.values.ndim not in (2, 3) or seq.shape[-2] < 1:
-        raise ValueError(f"max_over_time needs a non-empty (n, f) or (B, n, f) input, got {seq.shape}")
-    x = seq.values if seq.values.ndim == 3 else seq.values[None]
-    valid = _valid_positions(seq.shape, lengths)
-    if valid is not None:
-        x = np.where(valid[..., None], x, -np.inf)
-    out = Tensor(x.max(axis=1).reshape(seq.shape[:-2] + seq.shape[-1:]))
+def max_over_time(seq: Tensor) -> Tensor:
+    """Per-channel maximum over the positions of an (n, f) sequence, giving
+    (f,). Backward routes each channel's gradient to its argmax position
+    only; ties go to the lowest position index."""
+    if seq.values.ndim != 2 or seq.shape[0] < 1:
+        raise ValueError(f"max_over_time needs a non-empty (n, f) input, got {seq.shape}")
+    out = Tensor(seq.values.max(axis=0))
 
     def backward() -> None:
-        bsz, _, f = x.shape
-        idx = x.argmax(axis=1)
-        grad = seq.grad if seq.values.ndim == 3 else seq.grad[None]
-        grad[np.arange(bsz)[:, None], idx, np.arange(f)] += out.grad.reshape(bsz, f)
+        seq.grad[seq.values.argmax(axis=0), np.arange(seq.shape[1])] += out.grad
 
     _record(backward)
     return out
@@ -760,16 +696,15 @@ def lstm_sequence(
 
 
 def softmax_cross_entropy(logits: Tensor, gold) -> Tensor:
-    """-log softmax(logits)[gold] via a shifted log-sum-exp for a 1-D logit
-    vector and an int gold; for (B, c) logits and B gold indices, the mean of
-    the B rows' losses. Gradient (softmax - onehot), divided by B."""
-    if logits.values.ndim not in (1, 2):
-        raise ValueError(f"softmax_cross_entropy needs (c,) or (B, c) logits, got {logits.shape}")
-    v = logits.values if logits.values.ndim == 2 else logits.values[None]
+    """Mean over the B rows of (B, c) logits of -log softmax(row b)[gold[b]],
+    each by a shifted log-sum-exp. Gradient (softmax - onehot) / B."""
+    v = logits.values
+    if v.ndim != 2:
+        raise ValueError(f"softmax_cross_entropy needs (B, c) logits, got {logits.shape}")
     bsz, c = v.shape
-    golds = np.asarray(gold, dtype=np.intp).reshape(-1)
+    golds = np.asarray(gold, dtype=np.intp)
     if golds.shape != (bsz,):
-        raise ValueError(f"softmax_cross_entropy needs {bsz} gold labels, got {golds.size}")
+        raise ValueError(f"softmax_cross_entropy needs a flat array of {bsz} gold labels, got {gold!r}")
     if golds.min() < 0 or golds.max() >= c:
         raise ValueError(f"gold label {gold} out of range for {c} classes")
     rows = np.arange(bsz)
@@ -782,7 +717,7 @@ def softmax_cross_entropy(logits: Tensor, gold) -> Tensor:
         g = float(out.grad) / bsz
         dlogits = g * probs
         dlogits[rows, golds] -= g
-        logits.grad += dlogits.reshape(logits.shape)
+        logits.grad += dlogits
 
     _record(backward)
     return out

@@ -190,6 +190,31 @@ class TestTrain:
         assert "learning_rate must be a finite number" in err and "loss" not in err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("arch", ["intent-tagger", "span-cnn"])
+    @pytest.mark.parametrize("spanless", [False, True])
+    def test_dev_file_without_spans_rejected_before_training(
+        self, corpus_dir, tmp_path, capsys, monkeypatch, arch, spanless
+    ):
+        # an empty dev file, or one whose utterances hold no spans, would
+        # give a dev metric of 0 every epoch and keep epoch 1's parameters
+        dev_path = tmp_path / "dev.jsonl"
+        utterances = load_corpus(corpus_dir / "dev.jsonl")[:3] if spanless else []
+        dev_path.write_text("".join(
+            json.dumps({"tokens": u.tokens, "spans": []}) + "\n" for u in utterances
+        ))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("spanfeat.cli.train", no_training)
+        model_path = tmp_path / "x.json"
+        dimension = [] if arch == "intent-tagger" else ["--dimension", "tense"]
+        code = run(train_args(arch, corpus_dir, model_path, *dimension, "--dev", str(dev_path), "--epochs", "1"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: no {'intent spans' if spanless else 'utterances'} in {dev_path}\n"
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("arch, flag", [
         ("intent-tagger", "--filters"),
         ("intent-tagger", "--embedding-dim"),
@@ -252,7 +277,7 @@ class TestConfigFile:
     def test_comment_after_whitespace_is_cut(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("# header\nlr = 0.1  # note\n")
-        assert _read_config_file(str(config)) == {"lr": 0.1}
+        assert _read_config_file(str(config)) == {"lr": (2, 0.1)}
 
     @settings(max_examples=100, deadline=None)
     @given(entries=st.dictionaries(
@@ -271,7 +296,49 @@ class TestConfigFile:
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "run.cfg"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            assert _read_config_file(str(path)) == entries
+            assert {key: value for key, (_, value) in _read_config_file(str(path)).items()} == entries
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("epochs", "2.5", "invalid int value '2.5'"),
+        ("epochs", "true", "invalid int value 'true'"),
+        ("embedding_dim", "[3]", "invalid int value '[3]'"),
+        ("dimension", "Tense", "'Tense' is not one of"),
+        ("no_global_context", '"false"', "expected true or false, got 'false'"),
+    ])
+    def test_value_that_does_not_fit_its_flag_rejected(self, corpus_dir, tmp_path, capsys, key, text, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# sizes\n{key} = {text}\n")
+        model_path = tmp_path / "m.json"
+        code = run(train_args("global-local", corpus_dir, model_path, "--config", str(config), *TINY_CLASSIFIER))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}:2: {key}: {message}") and err.count("\n") == 1
+        assert not model_path.exists()
+
+    def test_switch_takes_json_booleans(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        model_path = tmp_path / "m.json"
+        config.write_text('constrain_training = "false"\n')
+        assert run(train_args("intent-tagger", corpus_dir, model_path, "--config", str(config), *TINY_TAGGER)) == 1
+        assert "constrain_training: expected true or false" in capsys.readouterr().err
+        config.write_text("constrain_training = true\n")
+        assert run(train_args("intent-tagger", corpus_dir, model_path, "--config", str(config), *TINY_TAGGER)) == 0
+        assert load_model(model_path).constrain_training is True
+
+    @pytest.mark.parametrize("text, flags, expected", [
+        ("tense", [], ["tense"]),
+        ('["tense", "negation"]', [], ["negation", "tense"]),
+        ('["tense", "negation"]', ["--dimension", "negation"], ["negation"]),
+    ])
+    def test_repeatable_flag_takes_a_string_or_a_list(self, corpus_dir, tmp_path, text, flags, expected):
+        # the flags given on the command line replace the file's list
+        config, out_path = tmp_path / "run.cfg", tmp_path / "table.json"
+        config.write_text(f"dimension = {text}\n")
+        run([
+            "ablate", "--train", str(corpus_dir / "train.jsonl"), "--test", str(corpus_dir / "test.jsonl"),
+            "--config", str(config), *flags, *TINY_CLASSIFIER, "--out", str(out_path),
+        ])
+        assert sorted(json.loads(out_path.read_text())["micro_f1"]) == expected
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

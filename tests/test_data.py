@@ -71,13 +71,13 @@ class TestTypes:
 class TestVocabulary:
     def test_reserved_slots(self):
         v = Vocabulary()
-        assert v.lookup(Vocabulary.PAD_TOKEN) == 0
-        assert v.lookup("never-seen") == 1
+        assert v.encode([Vocabulary.PAD_TOKEN, "never-seen"]) == [0, 1]
 
     def test_min_count_threshold(self):
         v = Vocabulary.build([["a", "a", "b"], ["a", "c", "c"]])
-        assert "a" in v and "c" in v
-        assert v.lookup("b") == Vocabulary.UNK
+        a, b, c = v.encode(["a", "b", "c"])
+        assert Vocabulary.UNK not in (a, c) and a != c
+        assert b == Vocabulary.UNK
 
     def test_roundtrip(self):
         v = Vocabulary(["x", "y"])

@@ -122,7 +122,7 @@ class TestTokenEncoder:
 
 def char_window_responses(enc, token):
     """Per-window linear+ReLU responses of the char conv, computed by hand."""
-    ids = [enc.char_vocab.lookup(c) for c in token]
+    ids = enc.char_vocab.encode(token)
     emb = enc.char_table.values[ids]
     w = enc.config.char_filter_width
     left = w // 2
@@ -157,7 +157,7 @@ def test_batched_char_cnn_matches_per_token_pipeline():
     probe = np.random.default_rng(9).normal(size=(len(tokens), enc.config.char_filters))
 
     def per_token(token):
-        chars = T.gather_rows(enc.char_table, [enc.char_vocab.lookup(c) for c in token])
+        chars = T.gather_rows(enc.char_table, enc.char_vocab.encode(token))
         return T.max_over_time(T.relu(T.conv1d_same(chars, enc.char_conv_filters, enc.char_conv_bias)))
 
     def grads(function):
