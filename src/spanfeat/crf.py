@@ -1,11 +1,18 @@
 """Linear-chain CRF: log-partition, gold-path score, constrained Viterbi.
 
-Scores live in log space throughout. Transition constraints are applied by
-masking forbidden entries to -inf, so no emission score, however large, can
-make an illegal path win or count. Log-sum-exp treats a column that is -inf
-throughout (a tag no legal path reaches at that position) as exactly -inf,
-and the backward pass gives it exactly zero weight, so values and gradients
-stay finite.
+Transition constraints are applied by masking forbidden entries to -inf,
+so no emission score, however large, can make an illegal path win or
+count. Viterbi and the gold score work in log space. The log-partition
+runs its forward-backward in scaled probability space: each position's
+emissions are shifted by the largest among its live tags (those a legal
+path visits there) and exponentiated, a dead tag's weight is exactly 0,
+and each step's alphas are renormalised, the logs of the normalisers
+adding up to log Z. A guard sends any batch whose scaled quantities could
+underflow or overflow to the log-space recursion instead, whose
+log-sum-exp treats a column that is -inf throughout (a tag no legal path
+reaches at that position) as exactly -inf and gives it exactly zero
+weight in the backward pass, so values and gradients stay finite either
+way.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _packed_rows, _record, _time_major, add, index_sum, sub
+from .tensor import Tape, Tensor, _packed_rows, _record, _time_major, add, index_sum, sub
 
 __all__ = [
     "NEG_INF",
@@ -139,6 +146,33 @@ def _checked_emissions(emissions: np.ndarray, params: CrfParams) -> tuple[int, i
     return n, k
 
 
+# The scaled recursion's guard. Transitions enter exp as they are, so a
+# transition beyond this bound sends the batch to the log-space recursion:
+# exp(transitions) then lies in [e^-600, e^600], where no product of a
+# weight that underflows (below 2.2e-308) with a transition weight can
+# carry measurable probability mass.
+_MAX_TRANSITION = 600.0
+# every live unnormalised and normalised alpha, and every row's end sum,
+# stays at or above this, so the terms a product loses to underflow are
+# below 1e-26 of the sum they belong to
+_FLOOR = 1e-280
+_TINY = np.finfo(np.float64).tiny
+
+
+def _reachable(first: np.ndarray, allowed: np.ndarray, count: int) -> np.ndarray:
+    """(count, k) booleans: row t marks the tags reachable from ``first`` in
+    exactly t steps along ``allowed``. The rows stay the same once one
+    equals the row before it."""
+    out = np.empty((count, first.size), dtype=bool)
+    out[0] = first
+    for t in range(1, count):
+        out[t] = out[t - 1] @ allowed
+        if np.array_equal(out[t], out[t - 1]):
+            out[t + 1 :] = out[t]
+            break
+    return out
+
+
 def log_partition(
     emissions: Tensor,
     params: CrfParams,
@@ -150,11 +184,139 @@ def log_partition(
 
     The rows are concatenated into one (N, k) matrix, packed as
     ``conv_relu_max`` packs its ids: row b is the next ``lengths[b]``
-    positions (one row of all N when lengths is None). The forward
-    recursion runs the rows in the order of ``_time_major``, so step t is
-    one (b_t, k, k) log-sum-exp over the b_t rows still running. The
-    backward pass replays the recursion with per-step softmax weights, so
-    this whole routine is one tape node.
+    positions (one row of all N when lengths is None). The recursion runs
+    the rows in the order of ``_time_major``, so step t works on the b_t
+    rows still running, and this whole routine is one tape node.
+
+    The recursion runs in scaled probability space (Rabiner 1989, section
+    V.A; Sutton and McCallum 2012, section 4.3). Each slot's emissions are
+    shifted by the largest emission among its live tags, those some legal
+    path of the row visits there, and exponentiated once for the batch;
+    dead tags get a weight of exactly 0. Step t is one (b_t, k) @ (k, k)
+    product of the previous alphas with exp(transitions), a multiply by the
+    emission weights and a renormalisation of each row; the logs of the
+    normalisers, the shifts and the log of each row's end sum add up to
+    log Z. The backward pass is the scaled beta recursion, one
+    (b_t, k) @ (k, k) product per step: the emission gradient is
+    alpha * beta, and the transition gradient is one (k, N) @ (N, k)
+    product times exp(transitions).
+
+    A guard sends the batch to ``_log_space_partition``, the log-sum-exp
+    recursion, whenever the scaled pass could lose precision: a non-finite
+    emission, a slot without a live tag, an allowed transition beyond
+    +-600, a live emission weight that is not a normal number, or a live
+    alpha, before or after renormalising, or an end sum below 1e-280.
+    Within those bounds every quantity the pass multiplies is a normal
+    number and the terms underflow drops are negligible, so the value and
+    the gradients agree with the log-space recursion to rounding. A
+    backward that still produces a non-finite gradient takes the
+    log-space gradients instead.
+    """
+    n, k = _checked_emissions(emissions.values, params)
+    start, end = params.start_index, params.end_index
+    masked = _masked_transitions(params, constraints)
+    index, bounds = _time_major([n] if lengths is None else lengths, n)
+    em = emissions.values[index]  # by slot, i.e. in the order the steps run
+    # the allowed transitions the recursion reads: tag to tag, start to tag, tag to end
+    edges = masked if constraints is None else np.where(constraints.allowed, masked, 0.0)
+    if not (
+        np.isfinite(em).all()
+        and np.all(np.abs(edges[:end, :k]) <= _MAX_TRANSITION)
+        and np.all(np.abs(edges[:k, end]) <= _MAX_TRANSITION)
+    ):
+        return _log_space_partition(emissions, params, constraints, lengths)
+
+    sizes = np.diff(bounds)
+    rows, steps = int(sizes[0]), sizes.size
+    lens = np.count_nonzero(sizes[:, None] > np.arange(rows), axis=0)  # of each row, longest first
+    last = bounds[lens - 1] + np.arange(rows)  # each row's last slot
+    if constraints is None:
+        shift = em.max(axis=1)
+        weights = np.exp(em - shift[:, None])
+        live_count = n * k
+    else:
+        legal = constraints.allowed
+        step = np.repeat(np.arange(steps), sizes)
+        remaining = lens[np.arange(n) - bounds[step]] - 1 - step
+        live = (
+            _reachable(legal[start, :k], legal[:k, :k], steps)[step]
+            & _reachable(legal[:k, end], legal[:k, :k].T, steps)[remaining]
+        )
+        shift = np.where(live, em, -np.inf).max(axis=1)
+        if not np.isfinite(shift).all():  # a row with no legal path
+            return _log_space_partition(emissions, params, constraints, lengths)
+        weights = np.exp(np.where(live, em - shift[:, None], -np.inf))
+        live_count = np.count_nonzero(live)
+    if np.count_nonzero(weights >= _TINY) != live_count:
+        return _log_space_partition(emissions, params, constraints, lengths)
+
+    trans = np.exp(masked[:k, :k])
+    ends = np.exp(masked[:k, end])
+    unnormed = np.empty((n, k))
+    alphas = np.empty((n, k))
+    norms = np.empty(n)
+    spans = bounds.tolist()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.multiply(weights[:rows], np.exp(masked[start, :k]), out=unnormed[:rows])
+        for t in range(steps):
+            lo, hi = spans[t], spans[t + 1]
+            if t:
+                before = spans[t - 1]
+                np.matmul(alphas[before : before + hi - lo], trans, out=unnormed[lo:hi])
+                unnormed[lo:hi] *= weights[lo:hi]
+            np.add.reduce(unnormed[lo:hi], axis=1, out=norms[lo:hi])
+            np.divide(unnormed[lo:hi], norms[lo:hi, None], out=alphas[lo:hi])
+        totals = alphas[last] @ ends
+    # dead tags have unnormalised alphas of exactly 0, so the count sees live tags only
+    floor = _FLOOR * np.maximum(norms, 1.0)[:, None]
+    if np.count_nonzero(unnormed >= floor) != live_count or not np.all(totals >= _FLOOR):
+        return _log_space_partition(emissions, params, constraints, lengths)
+    out = Tensor(float(np.log(norms).sum() + shift.sum() + np.log(totals).sum()))
+
+    def backward() -> None:
+        g = float(out.grad)
+        betas = np.empty((n, k))
+        betas[last] = ends / totals[:, None]
+        carried = np.empty((n, k))  # weight * beta / norm: what step t hands step t - 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for t in range(steps - 1, 0, -1):
+                lo, hi, before = spans[t], spans[t + 1], spans[t - 1]
+                np.divide(betas[lo:hi], norms[lo:hi, None], out=carried[lo:hi])
+                carried[lo:hi] *= weights[lo:hi]
+                np.matmul(carried[lo:hi], trans.T, out=betas[before : before + hi - lo])
+            marginals = alphas * betas
+            # each slot after step 0 and the slot of its row one step earlier
+            previous = np.arange(rows, n) - np.repeat(sizes[:-1], sizes[1:])
+            inner = alphas[previous].T @ carried[rows:]
+        if not (np.isfinite(marginals).all() and np.isfinite(inner).all()):
+            with Tape() as tape:
+                fallback = _log_space_partition(emissions, params, constraints, lengths)
+            tape.backward(fallback, g)
+            return
+        dtrans = np.zeros_like(masked)
+        dtrans[:k, :k] = g * trans * inner
+        dtrans[start, :k] = g * marginals[:rows].sum(axis=0)
+        dtrans[:k, end] = g * marginals[last].sum(axis=0)
+        if constraints is not None:
+            dtrans[~constraints.allowed] = 0.0
+        params.transitions.grad += dtrans
+        emissions.grad[index] += g * marginals  # index is a permutation
+
+    _record(backward)
+    return out
+
+
+def _log_space_partition(
+    emissions: Tensor,
+    params: CrfParams,
+    constraints: ConstraintMask | None = None,
+    lengths=None,
+) -> Tensor:
+    """``log_partition`` by log-sum-exp, the fallback of the scaled pass.
+
+    Step t is one (b_t, k, k) log-sum-exp over the b_t rows still running.
+    The backward pass replays the recursion with per-step softmax weights,
+    so this whole routine is one tape node.
     """
     n, k = _checked_emissions(emissions.values, params)
     start, end = params.start_index, params.end_index

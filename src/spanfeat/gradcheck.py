@@ -189,6 +189,17 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
         lambda: crf_nll(tag_rows, params, golds, tags, [1, 3, 2]),
         [tag_rows, params.transitions],
     )
+
+    # the log-space recursion the scaled CRF pass falls back to, drawn after
+    # every instance above: an O emission 1000 below the rest of its
+    # position underflows the live weight that the scaled pass would need
+    refused = Tensor(rng.normal(size=(4, 5)))
+    refused.values[2, 0] = -1000.0
+    run(
+        "crf-log-partition-fallback",
+        lambda: log_partition(refused, params, tags),
+        [refused, params.transitions],
+    )
     return results
 
 

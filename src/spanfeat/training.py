@@ -160,17 +160,21 @@ def train(
     Shuffling, batching, and optimizer state are all derived from config.seed,
     so a rerun with identical inputs reproduces the history exactly. A
     non-finite loss aborts with the offending epoch and batch in the message.
-    With no dev set (or no metric) the final parameters are kept.
+    With no dev set (or no metric) the final parameters are kept; an empty
+    dev set with a metric is an error, since its metric could not rank
+    the epochs.
     """
     if not examples:
         raise TrainingError("training corpus is empty")
+    track_dev = dev_examples is not None and metric is not None
+    if track_dev and not dev_examples:
+        raise TrainingError("dev set is empty")
     params = model.parameters()
     if isinstance(config, SgdMomentumConfig):
         optimizer = SgdMomentum(params, config)
     else:
         optimizer = Adadelta(params, config)
     rng = np.random.default_rng(config.seed)
-    track_dev = dev_examples is not None and metric is not None
 
     history: list[EpochRecord] = []
     best_metric = -np.inf

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from spanfeat import crf
 from spanfeat import tensor as T
 from spanfeat.crf import (
     ConstraintMask,
@@ -347,6 +348,65 @@ class TestLargeEmissions:
             legal = brute_force_scores(em.values, params.transitions.values, k, constraints)
             best = max(legal, key=lambda sp: sp[0])
             assert viterbi(em.values, params, constraints) == list(best[1])
+
+
+def value_and_gradients(function, em, params, constraints, lengths):
+    em.zero_grad()
+    params.transitions.zero_grad()
+    with Tape() as tape:
+        out = function(em, params, constraints, lengths)
+    tape.backward(out)
+    return out.item(), em.grad.copy(), params.transitions.grad.copy()
+
+
+class TestScaledRecursion:
+    """``log_partition`` runs the forward-backward in scaled probability
+    space unless its guard refuses the batch. Either way it must agree with
+    the log-space recursion, and a refused batch gets exactly the log-space
+    recursion's value and gradients."""
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_agrees_with_log_space_recursion_at_every_scale(self, constrained, monkeypatch):
+        rng = np.random.default_rng(40 + constrained)
+        tags = iobes_tag_set([f"x{i}" for i in range(6)])  # 25 tags, as in the intent tagger
+        k = len(tags)
+        constraints = build_iobes_constraints(tags) if constrained else None
+        reference = crf._log_space_partition
+        fallbacks = []
+        monkeypatch.setattr(crf, "_log_space_partition", lambda *args: fallbacks.append(args) or reference(*args))
+        taken = {"scaled": 0, "refused": 0}
+        for scale in (1, 3, 30, 100, 300, 1000, 3e4):
+            for spread in (1, 10, 100, 800):
+                for _ in range(3):
+                    lengths = [int(n) for n in rng.integers(1, 32, size=int(rng.integers(1, 7)))]
+                    em = Tensor(rng.normal(size=(sum(lengths), k)) * scale)
+                    params = CrfParams(k)
+                    params.transitions.values[...] = rng.uniform(-spread, spread, size=params.transitions.shape)
+                    em.zero_grad()
+                    params.transitions.zero_grad()
+                    before = len(fallbacks)
+                    with Tape() as tape:
+                        out = log_partition(em, params, constraints, lengths)
+                    refused = len(fallbacks) > before
+                    tape.backward(out)
+                    value, em_grad, trans_grad = out.item(), em.grad.copy(), params.transitions.grad.copy()
+                    ref_value, ref_em_grad, ref_trans_grad = value_and_gradients(
+                        reference, em, params, constraints, lengths
+                    )
+                    what = f"scale {scale}, transitions up to {spread}, lengths {lengths}"
+                    if refused:
+                        taken["refused"] += 1
+                        assert value == ref_value, what
+                        assert np.array_equal(em_grad, ref_em_grad), what
+                        assert np.array_equal(trans_grad, ref_trans_grad), what
+                        continue
+                    taken["scaled"] += 1
+                    assert np.isfinite(value), what
+                    assert np.isfinite(em_grad).all() and np.isfinite(trans_grad).all(), what
+                    assert abs(value - ref_value) <= 1e-10 * abs(ref_value), what
+                    assert np.max(np.abs(em_grad - ref_em_grad)) <= 1e-10, what
+                    assert np.max(np.abs(trans_grad - ref_trans_grad)) <= 1e-10, what
+        assert taken["scaled"] > 0 and taken["refused"] > 0, taken
 
 
 class TestIobesConstraints:

@@ -1,5 +1,6 @@
 """The audit harness itself: coverage, budgets, and failure reporting."""
 
+from spanfeat import crf
 from spanfeat.gradcheck import (
     MODEL_BUDGET,
     PRIMITIVE_BUDGET,
@@ -97,3 +98,20 @@ def test_report_lines_flag_failures():
 def test_report_lines_all_green():
     lines = report_lines([CheckResult("good", 1e-9, 1e-5)])
     assert "all gradient checks passed" in lines[-1]
+
+
+def test_fallback_instance_audits_the_log_space_recursion(monkeypatch):
+    """``crf-log-partition-fallback`` is the one instance whose emissions the
+    scaled CRF pass refuses, so it audits the log-space recursion."""
+    reference = crf._log_space_partition
+    refused = []
+
+    def spy(emissions, *rest):
+        refused.append(float(emissions.values.min()))
+        return reference(emissions, *rest)
+
+    monkeypatch.setattr(crf, "_log_space_partition", spy)
+    results = {r.name: r for r in check_primitives()}
+    assert results["crf-log-partition-fallback"].passed
+    # every call that fell back holds the instance's -1000 emission, give or take the step
+    assert refused and all(value < -999.0 for value in refused)

@@ -161,6 +161,12 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match="empty"):
             train(_QuadraticModel([0.0]), [], SgdMomentumConfig())
 
+    def test_empty_dev_set_with_metric_rejected(self):
+        model = _QuadraticModel([4.0])
+        with pytest.raises(TrainingError, match="dev set is empty"):
+            train(model, [0], SgdMomentumConfig(epochs=2), dev_examples=[], metric=lambda m, dev: 0.0)
+        assert model.x.values[0] == 0.0  # rejected before the first step
+
     def test_nan_loss_aborts_with_location(self):
         class ExplodingModel(_QuadraticModel):
             def loss(self, example):
