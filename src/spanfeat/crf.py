@@ -2,17 +2,16 @@
 
 Transition constraints are applied by masking forbidden entries to -inf,
 so no emission score, however large, can make an illegal path win or
-count. Viterbi and the gold score work in log space. The log-partition
-runs its forward-backward in scaled probability space: each position's
-emissions are shifted by the largest among its live tags (those a legal
-path visits there) and exponentiated, a dead tag's weight is exactly 0,
-and each step's alphas are renormalised, the logs of the normalisers
-adding up to log Z. A guard sends any batch whose scaled quantities could
-underflow or overflow to the log-space recursion instead, whose
-log-sum-exp treats a column that is -inf throughout (a tag no legal path
-reaches at that position) as exactly -inf and gives it exactly zero
-weight in the backward pass, so values and gradients stay finite either
-way.
+count. Viterbi and the gold score work in log space. Without constraints
+the log-partition runs its forward-backward in scaled probability space:
+each position's emissions are shifted by their largest entry and
+exponentiated, and each step's alphas are renormalised, the logs of the
+normalisers adding up to log Z. A guard sends any batch whose scaled
+quantities could underflow or overflow to the log-space recursion, which
+also takes every constrained batch. Its log-sum-exp treats a column that
+is -inf throughout (a tag no legal path reaches at that position) as
+exactly -inf and gives it exactly zero weight in the backward pass, so
+values and gradients stay finite either way.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tape, Tensor, _packed_rows, _record, _time_major, add, index_sum, sub
+from .tensor import Tensor, _packed_rows, _record, _time_major, add, index_sum, sub
 
 __all__ = [
     "NEG_INF",
@@ -152,25 +151,22 @@ def _checked_emissions(emissions: np.ndarray, params: CrfParams) -> tuple[int, i
 # weight that underflows (below 2.2e-308) with a transition weight can
 # carry measurable probability mass.
 _MAX_TRANSITION = 600.0
-# every live unnormalised and normalised alpha, and every row's end sum,
-# stays at or above this, so the terms a product loses to underflow are
-# below 1e-26 of the sum they belong to
+# every unnormalised and normalised alpha, and every row's end sum, stays
+# at or above this, so the terms a product loses to underflow are below
+# 1e-26 of the sum they belong to
 _FLOOR = 1e-280
 _TINY = np.finfo(np.float64).tiny
 
 
-def _reachable(first: np.ndarray, allowed: np.ndarray, count: int) -> np.ndarray:
-    """(count, k) booleans: row t marks the tags reachable from ``first`` in
-    exactly t steps along ``allowed``. The rows stay the same once one
-    equals the row before it."""
-    out = np.empty((count, first.size), dtype=bool)
-    out[0] = first
-    for t in range(1, count):
-        out[t] = out[t - 1] @ allowed
-        if np.array_equal(out[t], out[t - 1]):
-            out[t + 1 :] = out[t]
-            break
-    return out
+def _slot_order(n: int, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_time_major``'s slot order and step bounds for a packed batch of n
+    positions, plus each row's last slot."""
+    index, bounds = _time_major([n] if lengths is None else lengths, n)
+    sizes = np.diff(bounds)
+    rows = int(sizes[0])
+    # row r runs for as many steps as hold more than r rows
+    last = bounds[np.count_nonzero(sizes[:, None] > np.arange(rows), axis=0) - 1] + np.arange(rows)
+    return index, bounds, last
 
 
 def log_partition(
@@ -188,11 +184,10 @@ def log_partition(
     the rows in the order of ``_time_major``, so step t works on the b_t
     rows still running, and this whole routine is one tape node.
 
-    The recursion runs in scaled probability space (Rabiner 1989, section
-    V.A; Sutton and McCallum 2012, section 4.3). Each slot's emissions are
-    shifted by the largest emission among its live tags, those some legal
-    path of the row visits there, and exponentiated once for the batch;
-    dead tags get a weight of exactly 0. Step t is one (b_t, k) @ (k, k)
+    Without constraints the recursion runs in scaled probability space
+    (Rabiner 1989, section V.A; Sutton and McCallum 2012, section 4.3).
+    Each slot's emissions are shifted by their largest entry and
+    exponentiated once for the batch. Step t is one (b_t, k) @ (k, k)
     product of the previous alphas with exp(transitions), a multiply by the
     emission weights and a renormalisation of each row; the logs of the
     normalisers, the shifts and the log of each row's end sum add up to
@@ -201,63 +196,46 @@ def log_partition(
     alpha * beta, and the transition gradient is one (k, N) @ (N, k)
     product times exp(transitions).
 
-    A guard sends the batch to ``_log_space_partition``, the log-sum-exp
-    recursion, whenever the scaled pass could lose precision: a non-finite
-    emission, a slot without a live tag, an allowed transition beyond
-    +-600, a live emission weight that is not a normal number, or a live
-    alpha, before or after renormalising, or an end sum below 1e-280.
-    Within those bounds every quantity the pass multiplies is a normal
-    number and the terms underflow drops are negligible, so the value and
-    the gradients agree with the log-space recursion to rounding. A
-    backward that still produces a non-finite gradient takes the
-    log-space gradients instead.
+    ``_log_space_partition``, the log-sum-exp recursion, takes every
+    constrained batch, and every batch the guard refuses: one with a
+    non-finite emission, a transition beyond +-600, an emission weight
+    that is not a normal number, or an alpha, before or after
+    renormalising, or an end sum below 1e-280. Within those bounds every
+    quantity the scaled pass multiplies, forward and backward, is a finite
+    normal number and the terms underflow drops are negligible, so the
+    value and the gradients agree with the log-space recursion to rounding.
     """
+    if constraints is not None:
+        return _log_space_partition(emissions, params, constraints, lengths)
     n, k = _checked_emissions(emissions.values, params)
     start, end = params.start_index, params.end_index
-    masked = _masked_transitions(params, constraints)
-    index, bounds = _time_major([n] if lengths is None else lengths, n)
+    transitions = params.transitions.values
+    order = _slot_order(n, lengths)
+    index, bounds, last = order
     em = emissions.values[index]  # by slot, i.e. in the order the steps run
-    # the allowed transitions the recursion reads: tag to tag, start to tag, tag to end
-    edges = masked if constraints is None else np.where(constraints.allowed, masked, 0.0)
-    if not (
+    refused = not (
         np.isfinite(em).all()
-        and np.all(np.abs(edges[:end, :k]) <= _MAX_TRANSITION)
-        and np.all(np.abs(edges[:k, end]) <= _MAX_TRANSITION)
-    ):
-        return _log_space_partition(emissions, params, constraints, lengths)
+        and np.all(np.abs(transitions[:end, :k]) <= _MAX_TRANSITION)
+        and np.all(np.abs(transitions[:k, end]) <= _MAX_TRANSITION)
+    )
+    if not refused:
+        shift = em.max(axis=1)
+        weights = np.exp(em - shift[:, None])
+        refused = not np.all(weights >= _TINY)
+    if refused:
+        return _log_space_partition(emissions, params, None, lengths, order)
 
     sizes = np.diff(bounds)
     rows, steps = int(sizes[0]), sizes.size
-    lens = np.count_nonzero(sizes[:, None] > np.arange(rows), axis=0)  # of each row, longest first
-    last = bounds[lens - 1] + np.arange(rows)  # each row's last slot
-    if constraints is None:
-        shift = em.max(axis=1)
-        weights = np.exp(em - shift[:, None])
-        live_count = n * k
-    else:
-        legal = constraints.allowed
-        step = np.repeat(np.arange(steps), sizes)
-        remaining = lens[np.arange(n) - bounds[step]] - 1 - step
-        live = (
-            _reachable(legal[start, :k], legal[:k, :k], steps)[step]
-            & _reachable(legal[:k, end], legal[:k, :k].T, steps)[remaining]
-        )
-        shift = np.where(live, em, -np.inf).max(axis=1)
-        if not np.isfinite(shift).all():  # a row with no legal path
-            return _log_space_partition(emissions, params, constraints, lengths)
-        weights = np.exp(np.where(live, em - shift[:, None], -np.inf))
-        live_count = np.count_nonzero(live)
-    if np.count_nonzero(weights >= _TINY) != live_count:
-        return _log_space_partition(emissions, params, constraints, lengths)
-
-    trans = np.exp(masked[:k, :k])
-    ends = np.exp(masked[:k, end])
+    trans = np.exp(transitions[:k, :k])
+    ends = np.exp(transitions[:k, end])
     unnormed = np.empty((n, k))
     alphas = np.empty((n, k))
     norms = np.empty(n)
     spans = bounds.tolist()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.multiply(weights[:rows], np.exp(masked[start, :k]), out=unnormed[:rows])
+    # a normaliser that underflows to 0 gives 0/0 here; the guard below refuses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(weights[:rows], np.exp(transitions[start, :k]), out=unnormed[:rows])
         for t in range(steps):
             lo, hi = spans[t], spans[t + 1]
             if t:
@@ -267,38 +245,30 @@ def log_partition(
             np.add.reduce(unnormed[lo:hi], axis=1, out=norms[lo:hi])
             np.divide(unnormed[lo:hi], norms[lo:hi, None], out=alphas[lo:hi])
         totals = alphas[last] @ ends
-    # dead tags have unnormalised alphas of exactly 0, so the count sees live tags only
-    floor = _FLOOR * np.maximum(norms, 1.0)[:, None]
-    if np.count_nonzero(unnormed >= floor) != live_count or not np.all(totals >= _FLOOR):
-        return _log_space_partition(emissions, params, constraints, lengths)
+    if not (np.all(unnormed >= _FLOOR * np.maximum(norms, 1.0)[:, None]) and np.all(totals >= _FLOOR)):
+        return _log_space_partition(emissions, params, None, lengths, order)
     out = Tensor(float(np.log(norms).sum() + shift.sum() + np.log(totals).sum()))
 
     def backward() -> None:
+        # alpha * beta is a marginal, at most 1, so with every alpha and
+        # unnormalised alpha at or above 1e-280 no beta, beta / norm or
+        # transition gradient can overflow
         g = float(out.grad)
         betas = np.empty((n, k))
         betas[last] = ends / totals[:, None]
         carried = np.empty((n, k))  # weight * beta / norm: what step t hands step t - 1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for t in range(steps - 1, 0, -1):
-                lo, hi, before = spans[t], spans[t + 1], spans[t - 1]
-                np.divide(betas[lo:hi], norms[lo:hi, None], out=carried[lo:hi])
-                carried[lo:hi] *= weights[lo:hi]
-                np.matmul(carried[lo:hi], trans.T, out=betas[before : before + hi - lo])
-            marginals = alphas * betas
-            # each slot after step 0 and the slot of its row one step earlier
-            previous = np.arange(rows, n) - np.repeat(sizes[:-1], sizes[1:])
-            inner = alphas[previous].T @ carried[rows:]
-        if not (np.isfinite(marginals).all() and np.isfinite(inner).all()):
-            with Tape() as tape:
-                fallback = _log_space_partition(emissions, params, constraints, lengths)
-            tape.backward(fallback, g)
-            return
-        dtrans = np.zeros_like(masked)
-        dtrans[:k, :k] = g * trans * inner
+        for t in range(steps - 1, 0, -1):
+            lo, hi, before = spans[t], spans[t + 1], spans[t - 1]
+            np.divide(betas[lo:hi], norms[lo:hi, None], out=carried[lo:hi])
+            carried[lo:hi] *= weights[lo:hi]
+            np.matmul(carried[lo:hi], trans.T, out=betas[before : before + hi - lo])
+        marginals = alphas * betas
+        # each slot after step 0 and the slot of its row one step earlier
+        previous = np.arange(rows, n) - np.repeat(sizes[:-1], sizes[1:])
+        dtrans = np.zeros_like(transitions)
+        dtrans[:k, :k] = g * trans * (alphas[previous].T @ carried[rows:])
         dtrans[start, :k] = g * marginals[:rows].sum(axis=0)
         dtrans[:k, end] = g * marginals[last].sum(axis=0)
-        if constraints is not None:
-            dtrans[~constraints.allowed] = 0.0
         params.transitions.grad += dtrans
         emissions.grad[index] += g * marginals  # index is a permutation
 
@@ -311,19 +281,23 @@ def _log_space_partition(
     params: CrfParams,
     constraints: ConstraintMask | None = None,
     lengths=None,
+    order: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
-    """``log_partition`` by log-sum-exp, the fallback of the scaled pass.
+    """``log_partition`` by log-sum-exp: the recursion for constrained
+    batches and for those the scaled pass refuses.
 
     Step t is one (b_t, k, k) log-sum-exp over the b_t rows still running.
     The backward pass replays the recursion with per-step softmax weights,
-    so this whole routine is one tape node.
+    so this whole routine is one tape node. ``order`` is the batch's
+    ``_slot_order``, when the caller has it already.
     """
     n, k = _checked_emissions(emissions.values, params)
     start, end = params.start_index, params.end_index
     masked = _masked_transitions(params, constraints)
     trans = masked[:k, :k]
-    index, bounds = _time_major([n] if lengths is None else lengths, n)
-    rows = int(bounds[1])
+    index, bounds, last = _slot_order(n, lengths) if order is None else order
+    sizes = np.diff(bounds)
+    rows = int(sizes[0])
     em = emissions.values[index]  # by slot, i.e. in the order the steps run
 
     alphas = np.empty((n, k))
@@ -333,9 +307,6 @@ def _log_space_partition(
     for before, lo, hi in zip(bounds[:-2], bounds[1:-1], bounds[2:]):
         pres[lo:hi] = _logsumexp(alphas[before : before + hi - lo, :, None] + trans, axis=1)
         alphas[lo:hi] = pres[lo:hi] + em[lo:hi]
-    # each row's last slot: row r runs for as many steps as hold more than r rows
-    sizes = np.diff(bounds)
-    last = bounds[np.count_nonzero(sizes[:, None] > np.arange(rows), axis=0) - 1] + np.arange(rows)
     final = alphas[last] + masked[:k, end]
     logz = _logsumexp(final, axis=1)
     out = Tensor(float(logz.sum()))

@@ -191,13 +191,13 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
     )
 
     # the log-space recursion the scaled CRF pass falls back to, drawn after
-    # every instance above: an O emission 1000 below the rest of its
-    # position underflows the live weight that the scaled pass would need
+    # every instance above: an emission 1000 below the rest of its position
+    # underflows the weight that the scaled pass would need
     refused = Tensor(rng.normal(size=(4, 5)))
     refused.values[2, 0] = -1000.0
     run(
         "crf-log-partition-fallback",
-        lambda: log_partition(refused, params, tags),
+        lambda: log_partition(refused, params),
         [refused, params.transitions],
     )
     return results

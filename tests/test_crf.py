@@ -360,10 +360,11 @@ def value_and_gradients(function, em, params, constraints, lengths):
 
 
 class TestScaledRecursion:
-    """``log_partition`` runs the forward-backward in scaled probability
-    space unless its guard refuses the batch. Either way it must agree with
-    the log-space recursion, and a refused batch gets exactly the log-space
-    recursion's value and gradients."""
+    """Without constraints ``log_partition`` runs the forward-backward in
+    scaled probability space unless its guard refuses the batch, and then it
+    must agree with the log-space recursion. A refused batch, and every
+    constrained one, gets exactly the log-space recursion's value and
+    gradients."""
 
     @pytest.mark.parametrize("constrained", [False, True])
     def test_agrees_with_log_space_recursion_at_every_scale(self, constrained, monkeypatch):
@@ -406,7 +407,10 @@ class TestScaledRecursion:
                     assert abs(value - ref_value) <= 1e-10 * abs(ref_value), what
                     assert np.max(np.abs(em_grad - ref_em_grad)) <= 1e-10, what
                     assert np.max(np.abs(trans_grad - ref_trans_grad)) <= 1e-10, what
-        assert taken["scaled"] > 0 and taken["refused"] > 0, taken
+        if constrained:
+            assert taken["scaled"] == 0, taken
+        else:
+            assert taken["scaled"] > 0 and taken["refused"] > 0, taken
 
 
 class TestIobesConstraints:

@@ -101,14 +101,16 @@ def test_report_lines_all_green():
 
 
 def test_fallback_instance_audits_the_log_space_recursion(monkeypatch):
-    """``crf-log-partition-fallback`` is the one instance whose emissions the
-    scaled CRF pass refuses, so it audits the log-space recursion."""
+    """``crf-log-partition-fallback`` is the one unconstrained instance whose
+    emissions the scaled CRF pass refuses, so it audits the log-space
+    recursion as the scaled pass's fallback."""
     reference = crf._log_space_partition
     refused = []
 
-    def spy(emissions, *rest):
-        refused.append(float(emissions.values.min()))
-        return reference(emissions, *rest)
+    def spy(emissions, params, constraints, *rest):
+        if constraints is None:
+            refused.append(float(emissions.values.min()))
+        return reference(emissions, params, constraints, *rest)
 
     monkeypatch.setattr(crf, "_log_space_partition", spy)
     results = {r.name: r for r in check_primitives()}
