@@ -158,17 +158,6 @@ _FLOOR = 1e-280
 _TINY = np.finfo(np.float64).tiny
 
 
-def _slot_order(n: int, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_time_major``'s slot order and step bounds for a packed batch of n
-    positions, plus each row's last slot."""
-    index, bounds = _time_major([n] if lengths is None else lengths, n)
-    sizes = np.diff(bounds)
-    rows = int(sizes[0])
-    # row r runs for as many steps as hold more than r rows
-    last = bounds[np.count_nonzero(sizes[:, None] > np.arange(rows), axis=0) - 1] + np.arange(rows)
-    return index, bounds, last
-
-
 def log_partition(
     emissions: Tensor,
     params: CrfParams,
@@ -181,8 +170,8 @@ def log_partition(
     The rows are concatenated into one (N, k) matrix, packed as
     ``conv_relu_max`` packs its ids: row b is the next ``lengths[b]``
     positions (one row of all N when lengths is None). The recursion runs
-    the rows in the order of ``_time_major``, so step t works on the b_t
-    rows still running, and this whole routine is one tape node.
+    by the schedule of ``_time_major``, so step t works on the b_t rows
+    still running, and this whole routine is one tape node.
 
     Without constraints the recursion runs in scaled probability space
     (Rabiner 1989, section V.A; Sutton and McCallum 2012, section 4.3).
@@ -210,8 +199,8 @@ def log_partition(
     n, k = _checked_emissions(emissions.values, params)
     start, end = params.start_index, params.end_index
     transitions = params.transitions.values
-    order = _slot_order(n, lengths)
-    index, bounds, last = order
+    schedule = _time_major(lengths, n)
+    index, bounds, last, previous = schedule
     em = emissions.values[index]  # by slot, i.e. in the order the steps run
     refused = not (
         np.isfinite(em).all()
@@ -223,10 +212,9 @@ def log_partition(
         weights = np.exp(em - shift[:, None])
         refused = not np.all(weights >= _TINY)
     if refused:
-        return _log_space_partition(emissions, params, None, lengths, order)
+        return _log_space_partition(emissions, params, None, lengths, schedule)
 
-    sizes = np.diff(bounds)
-    rows, steps = int(sizes[0]), sizes.size
+    rows, steps = int(bounds[1]), bounds.size - 1
     trans = np.exp(transitions[:k, :k])
     ends = np.exp(transitions[:k, end])
     unnormed = np.empty((n, k))
@@ -246,7 +234,7 @@ def log_partition(
             np.divide(unnormed[lo:hi], norms[lo:hi, None], out=alphas[lo:hi])
         totals = alphas[last] @ ends
     if not (np.all(unnormed >= _FLOOR * np.maximum(norms, 1.0)[:, None]) and np.all(totals >= _FLOOR)):
-        return _log_space_partition(emissions, params, None, lengths, order)
+        return _log_space_partition(emissions, params, None, lengths, schedule)
     out = Tensor(float(np.log(norms).sum() + shift.sum() + np.log(totals).sum()))
 
     def backward() -> None:
@@ -263,8 +251,6 @@ def log_partition(
             carried[lo:hi] *= weights[lo:hi]
             np.matmul(carried[lo:hi], trans.T, out=betas[before : before + hi - lo])
         marginals = alphas * betas
-        # each slot after step 0 and the slot of its row one step earlier
-        previous = np.arange(rows, n) - np.repeat(sizes[:-1], sizes[1:])
         dtrans = np.zeros_like(transitions)
         dtrans[:k, :k] = g * trans * (alphas[previous].T @ carried[rows:])
         dtrans[start, :k] = g * marginals[:rows].sum(axis=0)
@@ -281,23 +267,22 @@ def _log_space_partition(
     params: CrfParams,
     constraints: ConstraintMask | None = None,
     lengths=None,
-    order: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    schedule: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """``log_partition`` by log-sum-exp: the recursion for constrained
     batches and for those the scaled pass refuses.
 
     Step t is one (b_t, k, k) log-sum-exp over the b_t rows still running.
     The backward pass replays the recursion with per-step softmax weights,
-    so this whole routine is one tape node. ``order`` is the batch's
-    ``_slot_order``, when the caller has it already.
+    so this whole routine is one tape node. ``schedule`` is the batch's
+    ``_time_major`` schedule, when the caller has it already.
     """
     n, k = _checked_emissions(emissions.values, params)
     start, end = params.start_index, params.end_index
     masked = _masked_transitions(params, constraints)
     trans = masked[:k, :k]
-    index, bounds, last = _slot_order(n, lengths) if order is None else order
-    sizes = np.diff(bounds)
-    rows = int(sizes[0])
+    index, bounds, last, _ = _time_major(lengths, n) if schedule is None else schedule
+    rows = int(bounds[1])
     em = emissions.values[index]  # by slot, i.e. in the order the steps run
 
     alphas = np.empty((n, k))
@@ -317,26 +302,18 @@ def _log_space_partition(
     def backward() -> None:
         g = float(out.grad)
         dtrans = np.zeros_like(masked)
-        dem = np.empty_like(em)
         dfinal = g * np.exp(final - logz[:, None])
         dtrans[:k, end] += dfinal.sum(axis=0)
-        # dalpha[r] is row r's alpha gradient at the current step; rows
-        # ends[t]:sizes[t] take their last step at t and their final gradient there
-        dalpha = np.zeros((rows, k))
-        ends = np.append(sizes[1:], 0)
-        for t in range(sizes.size - 1, -1, -1):
-            lo, hi = bounds[t], bounds[t + 1]
-            running = hi - lo
-            dalpha[ends[t] : running] = dfinal[ends[t] : running]
-            dem[lo:hi] = dalpha[:running]
-            if t == 0:
-                break
-            before = bounds[t - 1]
-            weights = np.exp(alphas[before : before + running, :, None] + trans - shift[lo:hi, None, :])
-            contrib = weights * dalpha[:running, None, :]
+        # dem[p] is slot p's alpha gradient: its row's final gradient at the
+        # row's last slot, else what the row's next step hands back
+        dem = np.zeros_like(em)
+        dem[last] = dfinal
+        for before, lo, hi in reversed(list(zip(bounds[:-2], bounds[1:-1], bounds[2:]))):
+            weights = np.exp(alphas[before : before + hi - lo, :, None] + trans - shift[lo:hi, None, :])
+            contrib = weights * dem[lo:hi, None, :]
             dtrans[:k, :k] += contrib.sum(axis=0)
-            dalpha[:running] = contrib.sum(axis=2)
-        dtrans[start, :k] += dalpha.sum(axis=0)
+            dem[before : before + hi - lo] = contrib.sum(axis=2)
+        dtrans[start, :k] += dem[:rows].sum(axis=0)
         if constraints is not None:
             dtrans[~constraints.allowed] = 0.0
         params.transitions.grad += dtrans
@@ -354,7 +331,7 @@ def gold_score(emissions: Tensor, params: CrfParams, tag_ids: list[int], lengths
         raise ValueError(f"{len(tag_ids)} tags for {n} positions")
     if any(not 0 <= t < k for t in tag_ids):
         raise ValueError(f"tag id out of range for {k} tags: {tag_ids}")
-    lens, starts = _packed_rows([n] if lengths is None else lengths, n)
+    lens, starts = _packed_rows(lengths, n)
     tags = np.asarray(tag_ids, dtype=np.intp)
     em_part = index_sum(emissions, np.arange(n), tags)
     # each row's path runs from the start state through its tags to the end state
@@ -374,7 +351,7 @@ def crf_nll(
     """Negative log-likelihood of the gold paths, log Z minus the gold score,
     summed over the rows of a packed batch (see ``log_partition``)."""
     if constraints is not None:
-        lens, starts = _packed_rows([len(tag_ids)] if lengths is None else lengths, len(tag_ids))
+        lens, starts = _packed_rows(lengths, len(tag_ids))
         for a, size in zip(starts.tolist(), lens.tolist()):
             if not constraints.is_legal(tag_ids[a : a + size]):
                 raise ValueError(

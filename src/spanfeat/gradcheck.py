@@ -78,9 +78,9 @@ def _away_from_zero(rng, shape) -> Tensor:
 
 
 def _pin(m: Tensor, left: Tensor, right: Tensor) -> Tensor:
-    """Scalarize a matrix with fixed probe vectors; asymmetric weights keep
-    transposition mistakes visible."""
-    return matmul(matmul(left, m), right)
+    """Scalarize a matrix with fixed probe vectors, as a (1, m) @ (m, q) @
+    (q, 1) product; asymmetric weights keep transposition mistakes visible."""
+    return matmul(matmul(Tensor(left.values[None, :]), m), Tensor(right.values[:, None]))
 
 
 def check_primitives(seed: int = 13) -> list[CheckResult]:

@@ -630,16 +630,19 @@ def load_model(path: str | Path):
     stored = _exact_keys(bundle["parameters"], params, "parameters")
     for name, t in params.items():
         entry = _exact_keys(stored[name], ("shape", "values"), f"parameters.{name}")
-        shape = entry["shape"]
-        if shape != list(t.shape):
+        shape, values = entry["shape"], entry["values"]
+        if not _has_type(shape, list[int]) or shape != list(t.shape):
             raise ModelError(f"tensor {name!r} has shape {shape!r}, expected {list(t.shape)}")
+        # one pass over the values; a JSON bool would pass for a number with numpy
+        if type(values) is not list or not set(map(type, values)) <= {float, int}:
+            raise ModelError(f"tensor {name!r} holds values that are not a flat list of numbers")
+        if len(values) != t.values.size:
+            raise ModelError(f"tensor {name!r} has {len(values)} values, expected {t.values.size}")
         try:
-            values = np.array(entry["values"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ModelError(f"tensor {name!r} holds values that are not numbers") from None
-        if values.size != t.values.size:
-            raise ModelError(f"tensor {name!r} has {values.size} values, expected {t.values.size}")
-        if not np.all(np.isfinite(values)):
-            raise ModelError(f"tensor {name!r} holds non-finite values (NaN or Infinity)")
+            values = np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            values = None
+        if values is None or not np.all(np.isfinite(values)):
+            raise ModelError(f"tensor {name!r} holds non-finite values (NaN, Infinity or beyond the float range)")
         t.values[...] = values.reshape(t.shape)
     return model

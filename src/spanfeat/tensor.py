@@ -129,23 +129,14 @@ def _record(step: Callable[[], None]) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Accepts (m,p)@(p,q), (p,)@(p,q) and (m,p)@(p,).
-
-    Backward: dA = dC.B^T, dB = A^T.dC (with the obvious vector reshapes).
-    """
-    if a.values.ndim not in (1, 2) or b.values.ndim not in (1, 2):
-        raise ValueError(f"matmul needs 1-D or 2-D operands, got {a.shape} and {b.shape}")
-    if a.values.shape[-1] != b.values.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    """Matrix product (m, p) @ (p, q). Backward: dA = dC.B^T, dB = A^T.dC."""
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul needs (m, p) and (p, q) matrices, got {a.shape} and {b.shape}")
     out = Tensor(a.values @ b.values)
 
     def backward() -> None:
-        g = out.grad
-        av = a.values if a.values.ndim == 2 else a.values[None, :]
-        bv = b.values if b.values.ndim == 2 else b.values[:, None]
-        gm = g.reshape(av.shape[0], bv.shape[1])
-        a.grad += (gm @ bv.T).reshape(a.values.shape)
-        b.grad += (av.T @ gm).reshape(b.values.shape)
+        a.grad += out.grad @ b.values.T
+        b.grad += a.values.T @ out.grad
 
     _record(backward)
     return out
@@ -343,33 +334,38 @@ def max_over_time(seq: Tensor) -> Tensor:
     return out
 
 
-def _check_lengths(lengths, total: int) -> None:
+def _packed_rows(lengths, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and start offsets of the rows of a packed batch: ``lengths``
+    must hold at least one positive count, and the counts must sum to the
+    ``total`` packed positions. None is one row of all of them."""
+    if lengths is None:
+        lengths = [total]
     if len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != total:
         raise ValueError(
             f"lengths must be positive and sum to the {total} packed positions, got {list(lengths)}"
         )
-
-
-def _packed_rows(lengths, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and start offsets of the rows of a packed batch: ``lengths``
-    must hold at least one positive count, and the counts must sum to the
-    ``total`` packed positions."""
-    _check_lengths(lengths, total)
     lens = np.asarray(lengths, dtype=np.intp)
     if lens.size == 1:  # one-row calls (classify, decode) skip the cumsum's ~3 us, ~5 % of a classify
         return lens, np.zeros(1, dtype=np.intp)
     return lens, np.cumsum(lens) - lens
 
 
-def _time_major(lengths, total: int, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Step-by-step order of a packed batch, the layout of cuDNN's packed
-    variable-length sequences (Appleyard et al. 2016, arXiv:1604.01946).
+def _time_major(
+    lengths, total: int, reverse: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The step schedule of a packed batch (see ``_packed_rows``), the layout
+    of cuDNN's packed variable-length sequences (Appleyard et al. 2016,
+    arXiv:1604.01946). Every recursion over packed rows runs by it.
 
     Rows are taken longest first, ties in batch order, so the rows still
-    running at step t are a prefix of that order. Returns ``index`` and
-    ``bounds``: slots ``bounds[t]:bounds[t + 1]`` hold step t of each
-    running row, and slot p reads packed position ``index[p]``. With
-    ``reverse`` each row's steps run from its last position to its first.
+    running at step t are a prefix of that order, and row r of it holds
+    slot ``bounds[t] + r`` at step t. Returns ``(index, bounds, last,
+    previous)``: slots ``bounds[t]:bounds[t + 1]`` hold step t of each
+    running row; slot p reads packed position ``index[p]`` (a permutation);
+    ``last[r]`` is row r's final slot; and ``previous[p - bounds[1]]`` is
+    the slot that slot p's row held one step earlier, for every slot after
+    step 0. With ``reverse`` each row's steps run from its last position to
+    its first.
     """
     lens, starts = _packed_rows(lengths, total)
     order = np.argsort(-lens, kind="stable")
@@ -379,7 +375,9 @@ def _time_major(lengths, total: int, reverse: bool = False) -> tuple[np.ndarray,
     step = np.repeat(np.arange(sizes.size), sizes)
     row = np.arange(total) - bounds[step]
     index = starts[row] + (lens[row] - 1 - step if reverse else step)
-    return index, bounds
+    last = bounds[lens - 1] + np.arange(lens.size)
+    previous = np.arange(sizes[0], total) - np.repeat(sizes[:-1], sizes[1:])
+    return index, bounds, last, previous
 
 
 def conv_relu_max(
@@ -580,9 +578,10 @@ def lstm_sequence(
     The B rows are concatenated into one (N, e) matrix, packed as
     ``conv_relu_max`` packs its ids: row b is the next ``lengths[b]``
     positions (one row of all N when lengths is None). With ``reverse``
-    each row's steps run from its last position to its first. The steps run in the order of
-    ``_time_major``, so step t is one (b_t, h) @ (h, 4h) product over the
-    b_t rows still running, with no padding and no masking. The input
+    each row's steps run from its last position to its first. The steps run
+    by the schedule of ``_time_major``, so step t is one (b_t, h) @ (h, 4h)
+    product over the b_t rows still running, with no padding and no
+    masking; a lone row runs its positions in order, by a slice. The input
     projection of all positions is one (N, e) @ (e, 4h) product; the
     hand-written BPTT collects the gate gradients of every step as an
     (N, 4h) matrix and forms the input and weight gradients from it with
@@ -599,10 +598,10 @@ def lstm_sequence(
         )
     if lengths is None or len(lengths) == 1:
         # one row: its steps are its positions, and a slice orders them
-        _check_lengths([n] if lengths is None else lengths, n)
+        _packed_rows(lengths, n)
         index, rows = slice(None, None, -1 if reverse else 1), 1
     else:
-        index, bounds = _time_major(lengths, n, reverse)
+        index, bounds, _, previous = _time_major(lengths, n, reverse)
         rows = int(bounds[1])
         # (first slot, end slot, first state row it starts from) of each step
         spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), [0] + (rows + bounds[:-2]).tolist()))
@@ -648,11 +647,9 @@ def lstm_sequence(
     out = Tensor(out_values)
 
     def backward() -> None:
-        if rows == 1:
-            prev = slice(0, n)
-        else:  # slot p of step t, row r, starts from slot p - sizes[t - 1], or from zero row r at step 0
-            sizes = np.diff(bounds)
-            prev = np.arange(rows, rows + n) - np.repeat(np.concatenate(([rows], sizes[:-1])), sizes)
+        # the state row each slot starts from: zero row r at step 0, else
+        # the state its row left one step earlier
+        prev = slice(0, n) if rows == 1 else np.concatenate((np.arange(rows), rows + previous))
         i, f, g, o = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
         # dz of slot p is [dc*gate_scale[p, 0:3], dh*out_scale[p]] block by block
         gate_scale = np.stack(

@@ -541,6 +541,15 @@ def _set(value, *keys):
     return mutate
 
 
+def _edit_bias(key, edit):
+    def mutate(bundle):
+        entry = bundle["parameters"]["projection.bias"]
+        entry[key] = edit(entry[key])
+        return bundle
+    return mutate
+
+
+NOT_NUMBERS = "tensor 'projection.bias' holds values that are not a flat list of numbers"
 MALFORMED_BUNDLES = {
     "top level is a list": (lambda bundle: [bundle], "top level is a list"),
     "config missing": (_drop("config"), r"bundle: missing keys \['config'\]"),
@@ -557,6 +566,16 @@ MALFORMED_BUNDLES = {
     "string vocabulary index": (
         _set("2", "vocabularies", "word", "printer"),
         "vocabularies.word: index '2' of 'printer' is not an integer",
+    ),
+    "string parameter value": (_edit_bias("values", lambda v: ["0.5"] + v[1:]), NOT_NUMBERS),
+    "bool parameter values": (_edit_bias("values", lambda v: v[:-2] + [True, False]), NOT_NUMBERS),
+    "nested parameter values": (_edit_bias("values", lambda v: [[x] for x in v]), NOT_NUMBERS),
+    "null parameter value": (_edit_bias("values", lambda v: [None] + v[1:]), NOT_NUMBERS),
+    "integer beyond the float range": (
+        _edit_bias("values", lambda v: [10**400] + v[1:]), "tensor 'projection.bias' holds non-finite values",
+    ),
+    "float parameter shape": (
+        _edit_bias("shape", lambda shape: [float(d) for d in shape]), r"tensor 'projection.bias' has shape \[\d+\.0\]",
     ),
 }
 

@@ -135,14 +135,6 @@ class TestBackwardAgainstFiniteDifferences:
         b = Tensor(rng.normal(size=(4, 2)))
         assert_matches_fd(lambda: _sum_all(T.matmul(a, b)), [a, b])
 
-    def test_matmul_vector_forms(self):
-        rng = np.random.default_rng(1)
-        v = Tensor(rng.normal(size=4))
-        m = Tensor(rng.normal(size=(4, 3)))
-        assert_matches_fd(lambda: _sum_all(T.matmul(v, m)), [v, m])
-        w = Tensor(rng.normal(size=3))
-        assert_matches_fd(lambda: _sum_all(T.matmul(m, w)), [m, w])
-
     def test_add_bias_broadcast(self):
         rng = np.random.default_rng(2)
         a = Tensor(rng.normal(size=(3, 4)))
@@ -477,6 +469,10 @@ class TestFusedKernels:
         # the batched and 1-D forms no model runs are rejected, not read
         # another way
         row, bank, bias = Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((3, 2, 1))), Tensor(np.zeros(1))
+        vector, matrix = Tensor(np.zeros(2)), Tensor(np.zeros((2, 2)))
+        for a, b in ((vector, matrix), (matrix, vector), (vector, vector)):
+            with pytest.raises(ValueError, match=r"\(m, p\) and \(p, q\) matrices"):
+                T.matmul(a, b)
         with pytest.raises(ValueError, match=r"\(n, e\) input"):
             T.conv1d_same(row, bank, bias)
         with pytest.raises(ValueError, match=r"\(n, f\) input"):
@@ -556,6 +552,30 @@ def test_conv_matches_fd_on_random_shapes(n, e, f, seed):
     filters = Tensor(rng.normal(size=(3, e, f)))
     bias = Tensor(rng.normal(size=f))
     assert_matches_fd(lambda: _sum_all(T.conv1d_same(seq, filters, bias)), [seq, filters, bias], tol=1e-5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=8), st.booleans())
+def test_time_major_schedule(lengths, reverse):
+    total = sum(lengths)
+    index, bounds, last, previous = T._time_major(lengths, total, reverse)
+    starts = np.cumsum(lengths) - lengths
+    assert sorted(index.tolist()) == list(range(total))
+    longest_first = sorted(range(len(lengths)), key=lambda row: -lengths[row])  # stable: ties in batch order
+    assert len(bounds) == max(lengths) + 1 and bounds[0] == 0
+    held = {}  # slot -> (batch row, step)
+    for t in range(max(lengths)):
+        running = [row for row in longest_first if lengths[row] > t]
+        slots = range(bounds[t], bounds[t + 1])
+        expected = [starts[row] + (lengths[row] - 1 - t if reverse else t) for row in running]
+        assert index[bounds[t] : bounds[t + 1]].tolist() == expected
+        held.update((p, (row, t)) for p, row in zip(slots, running, strict=True))
+    for r, row in enumerate(longest_first):
+        assert index[last[r]] == (starts[row] if reverse else starts[row] + lengths[row] - 1)
+    assert len(previous) == total - bounds[1]
+    for p in range(bounds[1], total):
+        row, t = held[p]
+        assert held[previous[p - bounds[1]]] == (row, t - 1)
 
 
 def test_determinism_same_ops_same_bits():
