@@ -200,7 +200,7 @@ def log_partition(
     start, end = params.start_index, params.end_index
     transitions = params.transitions.values
     schedule = _time_major(lengths, n)
-    index, bounds, last, previous = schedule
+    index, _, bounds, last, previous = schedule
     em = emissions.values[index]  # by slot, i.e. in the order the steps run
     refused = not (
         np.isfinite(em).all()
@@ -267,7 +267,7 @@ def _log_space_partition(
     params: CrfParams,
     constraints: ConstraintMask | None = None,
     lengths=None,
-    schedule: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    schedule: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """``log_partition`` by log-sum-exp: the recursion for constrained
     batches and for those the scaled pass refuses.
@@ -281,7 +281,7 @@ def _log_space_partition(
     start, end = params.start_index, params.end_index
     masked = _masked_transitions(params, constraints)
     trans = masked[:k, :k]
-    index, bounds, last, _ = _time_major(lengths, n) if schedule is None else schedule
+    index, _, bounds, last, _ = _time_major(lengths, n) if schedule is None else schedule
     rows = int(bounds[1])
     em = emissions.values[index]  # by slot, i.e. in the order the steps run
 

@@ -136,12 +136,10 @@ class BiLstm:
     def encode(self, seq: Tensor, lengths=None) -> Tensor:
         """(N, e) -> (N, 2*hidden) over a packed batch: row b is the next
         ``lengths[b]`` positions (one row of all N when lengths is None).
-        Each direction starts every row from zero states and is one
-        ``lstm_sequence`` node over the whole batch."""
+        Both directions start every row from zero states and run as one
+        ``lstm_sequence`` node over the whole batch, whose output already
+        holds each position's forward state before its backward one."""
         if seq.values.ndim != 2 or seq.shape[1] != self.input_dim:
             raise ValueError(f"sequence shape {seq.shape} does not match encoder input dim {self.input_dim}")
         fwd, bwd = self.fwd, self.bwd
-        return concat([
-            lstm_sequence(seq, fwd.wx, fwd.wh, fwd.b, lengths=lengths),
-            lstm_sequence(seq, bwd.wx, bwd.wh, bwd.b, reverse=True, lengths=lengths),
-        ])
+        return lstm_sequence(seq, (fwd.wx, fwd.wh, fwd.b), (bwd.wx, bwd.wh, bwd.b), lengths)

@@ -85,12 +85,14 @@ def _pin(m: Tensor, left: Tensor, right: Tensor) -> Tensor:
 
 def check_primitives(seed: int = 13) -> list[CheckResult]:
     """One instance of every op the models record; the draws of dropped
-    instances are still made, so that the others keep their inputs."""
+    instances are still made, so that the others keep their inputs. The
+    instances run once all their inputs are drawn."""
     rng = np.random.default_rng(seed)
-    results = []
+    checks = []
 
+    # a name an instance's function reads must not be bound again below
     def run(name, function, inputs):
-        results.append(CheckResult(name, grad_check(function, inputs), PRIMITIVE_BUDGET))
+        checks.append((name, function, inputs))
 
     a, b = _away_from_zero(rng, (3, 4)), _away_from_zero(rng, (4, 2))
     u3, v2 = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=2))
@@ -122,8 +124,8 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
     wx = Tensor(rng.normal(size=(3, 16)) * 0.4)
     wh = Tensor(rng.normal(size=(4, 16)) * 0.4)
     gb = Tensor(rng.normal(size=16) * 0.2)
-    probe = Tensor(rng.normal(size=4))
-    rng.normal(size=4)  # its cell-state probe
+    # the right probe of the lstm instances: the dropped instance's two state probes
+    probe = Tensor(np.concatenate([rng.normal(size=4), rng.normal(size=4)]))
 
     logits = Tensor(rng.normal(size=(1, 5)))
     run("softmax-cross-entropy", lambda: softmax_cross_entropy(logits, [2]), [logits])
@@ -148,11 +150,17 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
     # fused kernels, drawn last so the instances above stay as they were
     xs = _away_from_zero(rng, (5, 3))
     u5 = Tensor(rng.normal(size=5))
-    for name, reverse in (("lstm-sequence", False), ("lstm-sequence-reverse", True)):
+    # The backward direction's weights differ from the forward ones, so that
+    # a gradient sent to the wrong direction shows. They are drawn after
+    # every other input (at the end), so that the other instances keep
+    # theirs. The reverse instance exchanges the two directions.
+    fwd = (wx, wh, gb)
+    bwd = tuple(Tensor(np.empty(t.shape)) for t in fwd)
+    for name, (first, second) in (("lstm-sequence", (fwd, bwd)), ("lstm-sequence-reverse", (bwd, fwd))):
         run(
             name,
-            lambda reverse=reverse: _pin(lstm_sequence(xs, wx, wh, gb, reverse), u5, probe),
-            [xs, wx, wh, gb],
+            lambda first=first, second=second: _pin(lstm_sequence(xs, first, second), u5, probe),
+            [xs, *fwd, *bwd],
         )
 
     batch = _away_from_zero(rng, (3, 5, 3))
@@ -177,10 +185,8 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
     u7, u8 = Tensor(rng.normal(size=7)), Tensor(rng.normal(size=8))
     run(
         "lstm-sequence-packed",
-        lambda: _pin(
-            concat([lstm_sequence(rows, wx, wh, gb, reverse, row_lengths) for reverse in (False, True)]), u7, u8
-        ),
-        [rows, wx, wh, gb],
+        lambda: _pin(lstm_sequence(rows, fwd, bwd, row_lengths), u7, u8),
+        [rows, *fwd, *bwd],
     )
     tag_rows = Tensor(rng.normal(size=(6, 5)))
     golds = [4, 1, 3, 0, 0, 4]  # S-x | B-x E-x O | O S-x
@@ -200,7 +206,10 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
         lambda: log_partition(refused, params),
         [refused, params.transitions],
     )
-    return results
+
+    for t in bwd:  # the lstm instances' backward direction, drawn last
+        t.values[...] = rng.normal(size=t.shape) * 0.5
+    return [CheckResult(name, grad_check(function, inputs), PRIMITIVE_BUDGET) for name, function, inputs in checks]
 
 
 _TOKENS = ["please", "install", "the", "printer", "now"]

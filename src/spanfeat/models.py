@@ -242,9 +242,8 @@ class _SequenceTagger:
 
     def batch_loss(self, utterances: Sequence[AnnotatedUtterance]) -> Tensor:
         """Mean CRF negative log-likelihood of the utterances, as one forward
-        over the packed batch: one encoder call, one BiLSTM node per
-        direction, one projection and one batched CRF, whatever the batch
-        size."""
+        over the packed batch: one encoder call, one BiLSTM node, one
+        projection and one batched CRF, whatever the batch size."""
         emissions, lengths = self._packed_emissions(utterances)
         gold = [tag for u in utterances for tag in self._gold_tag_ids(u)]
         constraints = self.constraints if self.constrain_training else None

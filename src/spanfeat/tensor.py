@@ -340,32 +340,31 @@ def _packed_rows(lengths, total: int) -> tuple[np.ndarray, np.ndarray]:
     ``total`` packed positions. None is one row of all of them."""
     if lengths is None:
         lengths = [total]
-    if len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != total:
+    lens = np.asarray(lengths)
+    if lens.dtype.kind not in "iu" or len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != total:
         raise ValueError(
             f"lengths must be positive and sum to the {total} packed positions, got {list(lengths)}"
         )
-    lens = np.asarray(lengths, dtype=np.intp)
+    lens = lens.astype(np.intp, copy=False)
     if lens.size == 1:  # one-row calls (classify, decode) skip the cumsum's ~3 us, ~5 % of a classify
         return lens, np.zeros(1, dtype=np.intp)
     return lens, np.cumsum(lens) - lens
 
 
-def _time_major(
-    lengths, total: int, reverse: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _time_major(lengths, total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The step schedule of a packed batch (see ``_packed_rows``), the layout
     of cuDNN's packed variable-length sequences (Appleyard et al. 2016,
     arXiv:1604.01946). Every recursion over packed rows runs by it.
 
     Rows are taken longest first, ties in batch order, so the rows still
     running at step t are a prefix of that order, and row r of it holds
-    slot ``bounds[t] + r`` at step t. Returns ``(index, bounds, last,
-    previous)``: slots ``bounds[t]:bounds[t + 1]`` hold step t of each
-    running row; slot p reads packed position ``index[p]`` (a permutation);
-    ``last[r]`` is row r's final slot; and ``previous[p - bounds[1]]`` is
-    the slot that slot p's row held one step earlier, for every slot after
-    step 0. With ``reverse`` each row's steps run from its last position to
-    its first.
+    slot ``bounds[t] + r`` at step t. Returns ``(index, reverse, bounds,
+    last, previous)``: slots ``bounds[t]:bounds[t + 1]`` hold step t of each
+    running row; slot p reads packed position ``index[p]`` when each row
+    runs from its first position to its last, and ``reverse[p]`` when it
+    runs from its last to its first (both permutations); ``last[r]`` is row
+    r's final slot; and ``previous[p - bounds[1]]`` is the slot that slot
+    p's row held one step earlier, for every slot after step 0.
     """
     lens, starts = _packed_rows(lengths, total)
     order = np.argsort(-lens, kind="stable")
@@ -374,10 +373,11 @@ def _time_major(
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     step = np.repeat(np.arange(sizes.size), sizes)
     row = np.arange(total) - bounds[step]
-    index = starts[row] + (lens[row] - 1 - step if reverse else step)
+    index = starts[row] + step
+    reverse = starts[row] + lens[row] - 1 - step
     last = bounds[lens - 1] + np.arange(lens.size)
     previous = np.arange(sizes[0], total) - np.repeat(sizes[:-1], sizes[1:])
-    return index, bounds, last, previous
+    return index, reverse, bounds, last, previous
 
 
 def conv_relu_max(
@@ -461,7 +461,7 @@ def conv_relu_max(
                 pre[-s:] += responses[j, :s]
         part = pooled[:, offset : offset + f]
         if bsz == 1:
-            np.max(pre, axis=0, out=part[0])
+            pre.max(axis=0, out=part[0])
         else:
             part[...] = np.maximum.reduceat(pre, starts, axis=0)
         if taping:  # backward needs only where each maximum sits
@@ -569,61 +569,92 @@ def lstm_cell(
     return h_out, c_out
 
 
-def lstm_sequence(
-    xs: Tensor, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False, lengths=None
-) -> Tensor:
-    """Run ``lstm_cell`` over every row of a packed batch from zero states, as
-    one tape node; returns the (N, hidden) hidden states by packed position.
+def _block_diagonal(wh_fwd: np.ndarray, wh_bwd: np.ndarray, scale) -> np.ndarray:
+    """The (2h, 8h) recurrent weight of both directions in the gate layout
+    of ``lstm_sequence``, each gate block times its entry of ``scale``: the
+    state [h_fwd h_bwd] times it gives each direction's gates from its own
+    state only."""
+    hd = wh_fwd.shape[0]
+    out = np.zeros((2, hd, 4, 2, hd))
+    np.multiply(wh_fwd.reshape(hd, 4, hd), scale, out=out[0, :, :, 0])
+    np.multiply(wh_bwd.reshape(hd, 4, hd), scale, out=out[1, :, :, 1])
+    return out.reshape(2 * hd, 8 * hd)
 
-    The B rows are concatenated into one (N, e) matrix, packed as
-    ``conv_relu_max`` packs its ids: row b is the next ``lengths[b]``
-    positions (one row of all N when lengths is None). With ``reverse``
-    each row's steps run from its last position to its first. The steps run
-    by the schedule of ``_time_major``, so step t is one (b_t, h) @ (h, 4h)
+
+def lstm_sequence(xs: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], lengths=None) -> Tensor:
+    """Both directions of a BiLSTM over every row of a packed batch, from
+    zero states, as one tape node; returns the (N, 2h) hidden states by
+    packed position, the forward direction's h columns first.
+
+    ``fwd`` and ``bwd`` are the directions' ``(wx, wh, b)`` triples, of
+    shapes (e, 4h), (h, 4h) and (4h,), their gate blocks ordered [input,
+    forget, candidate, output] as in ``lstm_cell``. The B rows are
+    concatenated into one (N, e) matrix, packed as ``conv_relu_max`` packs
+    its ids: row b is the next ``lengths[b]`` positions (one row of all N
+    when lengths is None). The forward direction runs each row from its
+    first position, the backward one from its last.
+
+    The two directions run as one LSTM of hidden size 2h, as cuDNN's
+    bidirectional mode does (Appleyard et al. 2016, arXiv:1604.01946). Its
+    state row is [h_fwd h_bwd], its gate columns are interleaved by gate,
+    [i_fwd i_bwd | f_fwd f_bwd | g_fwd g_bwd | o_fwd o_bwd], and its
+    recurrent weight is the block-diagonal (2h, 8h) matrix of the two
+    ``wh``, so neither direction reads the other's state. The steps run by
+    the schedule of ``_time_major``: step t is one (b_t, 2h) @ (2h, 8h)
     product over the b_t rows still running, with no padding and no
-    masking; a lone row runs its positions in order, by a slice. The input
-    projection of all positions is one (N, e) @ (e, 4h) product; the
-    hand-written BPTT collects the gate gradients of every step as an
-    (N, 4h) matrix and forms the input and weight gradients from it with
-    one product or sum each (Appleyard et al. 2016, arXiv:1604.01946).
+    masking, and its slot p reads packed position ``index[p]`` in the
+    forward direction and ``reverse[p]`` in the backward one. A lone row
+    runs its positions by a slice. The input projection is one (N, e) @
+    (e, 4h) product per direction, whose rows go to their slots in that
+    direction's gate columns. The hand-written BPTT writes the gate
+    gradients of every step over the gate activations as it consumes them,
+    and forms each direction's input and weight gradients from its columns
+    of that (N, 8h) matrix with one product or sum each.
     """
     if xs.values.ndim != 2 or xs.shape[0] < 1:
         raise ValueError(f"lstm_sequence needs a non-empty (N, e) input, got {xs.shape}")
     n, e = xs.shape
-    hd = wh.shape[0]
-    if wx.shape != (e, 4 * hd) or wh.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
-        raise ValueError(
-            f"lstm_sequence parameter shapes disagree with input {xs.shape}: "
-            f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
-        )
+    hd = fwd[1].shape[0]
+    for name, (wx, wh, b) in (("fwd", fwd), ("bwd", bwd)):
+        if wx.shape != (e, 4 * hd) or wh.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
+            raise ValueError(
+                f"lstm_sequence {name} parameter shapes disagree with input {xs.shape} and hidden size {hd}: "
+                f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
+            )
     if lengths is None or len(lengths) == 1:
-        # one row: its steps are its positions, and a slice orders them
+        # one row: its steps are its positions, and slices order them
         _packed_rows(lengths, n)
-        index, rows = slice(None, None, -1 if reverse else 1), 1
+        index, reverse, rows = slice(None), slice(None, None, -1), 1
     else:
-        index, bounds, _, previous = _time_major(lengths, n, reverse)
+        index, reverse, bounds, _, previous = _time_major(lengths, n)
         rows = int(bounds[1])
         # (first slot, end slot, first state row it starts from) of each step
         spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), [0] + (rows + bounds[:-2]).tolist()))
+    width = 2 * hd  # of the joint state
     # Every array below is indexed by slot, i.e. in the order the steps run.
     # The gates use sigmoid(z) = tanh(z / 2) / 2 + 1/2, so one tanh over the
     # whole gate vector serves all four gates. Halving is exact in floating
-    # point, so it is folded into the weights ahead of the loop.
-    x = xs.values[index]
-    scale = np.full(4 * hd, 0.5)
-    scale[2 * hd : 3 * hd] = 1.0  # the candidate gate is a plain tanh
+    # point, so it is folded into the input projections and the recurrent
+    # weight ahead of the loop.
+    block_scale = np.array([[0.5], [0.5], [1.0], [0.5]])  # the candidate gate is a plain tanh
+    scale = np.repeat(block_scale, width)
     offset = 1.0 - scale
-    xz = (x @ wx.values + b.values) * scale
-    wh_scaled = wh.values * scale
-    gates = np.empty((n, 4 * hd))  # sigmoid of input/forget/output, tanh of candidate
+    xz = np.empty((n, 4, 2, hd))
+    for k, ((wx, _, b), slots) in enumerate(((fwd, index), (bwd, reverse))):
+        projected = xs.values @ wx.values
+        projected += b.values
+        np.multiply(projected.reshape(n, 4, hd)[slots], block_scale, out=xz[:, :, k])
+    xz = xz.reshape(n, 4 * width)
+    wh_scaled = _block_diagonal(fwd[1].values, bwd[1].values, block_scale)
+    gates = np.empty((n, 4 * width))  # sigmoid of input/forget/output, tanh of candidate
     # rows of zero initial states, then the state after each slot: slot p
     # leaves its state in row rows + p
-    h_all = np.zeros((rows + n, hd))
-    c_all = np.zeros((rows + n, hd))
-    tc_all = np.empty((n, hd))  # tanh of the new cell state
+    h_all = np.zeros((rows + n, width))
+    c_all = np.zeros((rows + n, width))
+    tc_all = np.empty((n, width))  # tanh of the new cell state
     # a step's arrays are rows of these with one row, blocks of rows otherwise
     lead = () if rows == 1 else (slice(None),)
-    in_cols, forget_cols, cand_cols, out_cols = (lead + (slice(k * hd, (k + 1) * hd),) for k in range(4))
+    in_cols, forget_cols, cand_cols, out_cols = (lead + (slice(k * width, (k + 1) * width),) for k in range(4))
     if rows == 1:
         steps = zip(gates, xz, h_all, h_all[1:], c_all, c_all[1:], tc_all)
     else:
@@ -642,29 +673,32 @@ def lstm_sequence(
         c_new += act[in_cols] * act[cand_cols]
         np.tanh(c_new, out=tc)
         np.multiply(act[out_cols], tc, out=h_new)
-    out_values = np.empty((n, hd))
-    out_values[index] = h_all[rows:]
+    out_values = np.empty((n, width))
+    out_values[index, :hd] = h_all[rows:, :hd]
+    out_values[reverse, hd:] = h_all[rows:, hd:]
     out = Tensor(out_values)
 
     def backward() -> None:
         # the state row each slot starts from: zero row r at step 0, else
         # the state its row left one step earlier
         prev = slice(0, n) if rows == 1 else np.concatenate((np.arange(rows), rows + previous))
-        i, f, g, o = (gates[:, k * hd : (k + 1) * hd] for k in range(4))
+        i, f, g, o = (gates[:, k * width : (k + 1) * width] for k in range(4))
         # dz of slot p is [dc*gate_scale[p, 0:3], dh*out_scale[p]] block by block
         gate_scale = np.stack(
             [g * i * (1.0 - i), c_all[prev] * f * (1.0 - f), i * (1.0 - g * g)], axis=1
         )
         out_scale = tc_all * o * (1.0 - o)
         cell_scale = o * (1.0 - tc_all * tc_all)
-        dh_out = out.grad[index]
-        dz = np.empty((n, 4 * hd))
-        dz_blocks = dz.reshape(n, 4, hd)
-        wh_t = np.ascontiguousarray(wh.values.T)
+        dh_out = np.empty((n, width))
+        dh_out[:, :hd] = out.grad[index, :hd]
+        dh_out[:, hd:] = out.grad[reverse, hd:]
+        dz = gates  # each step's gate gradients overwrite its gates once read
+        dz_blocks = dz.reshape(n, 4, width)
+        wh_t = np.ascontiguousarray(_block_diagonal(fwd[1].values, bwd[1].values, 1.0).T)
         # the gradients reaching each row's previous state; going backwards,
         # a row that has not started yet keeps zeros
-        dh_next = np.zeros((rows, hd))
-        dc_next = np.zeros((rows, hd))
+        dh_next = np.zeros((rows, width))
+        dc_next = np.zeros((rows, width))
         if rows == 1:
             views = zip(dz, dz_blocks, dh_out, cell_scale, gate_scale, out_scale, f,
                         [dh_next[0]] * n, [dc_next[0]] * n)
@@ -679,14 +713,23 @@ def lstm_sequence(
             dh = dh_t + dh_prev
             dc = dh * cell_t
             dc += dc_prev
+            np.multiply(dc, f_t, out=dc_prev)  # before dz_t overwrites f_t
             np.multiply(dc[spread], gate_t, out=dz_t_blocks[gate_blocks])
             np.multiply(dh, out_t, out=dz_t_blocks[out_block])
             np.dot(dz_t, wh_t, out=dh_prev)
-            np.multiply(dc, f_t, out=dc_prev)
-        xs.grad[index] += dz @ wx.values.T  # index is a permutation
-        wx.grad += x.T @ dz
-        wh.grad += h_all[prev].T @ dz
-        b.grad += dz.sum(axis=0)
+        # free the step inputs before the gradient products below
+        del views, gate_scale, out_scale, cell_scale, dh_out, dh_t, cell_t, gate_t, out_t
+        # each direction's gate gradients and previous states by packed position
+        dz_pos = np.empty((n, 4, hd))
+        h_pos = np.empty((n, hd))
+        for k, ((wx, wh, b), slots) in enumerate(((fwd, index), (bwd, reverse))):
+            dz_pos[slots] = dz.reshape(n, 4, 2, hd)[:, :, k]
+            h_pos[slots] = h_all[prev, k * hd : (k + 1) * hd]
+            dzk = dz_pos.reshape(n, 4 * hd)
+            xs.grad += dzk @ wx.values.T
+            wx.grad += xs.values.T @ dzk
+            wh.grad += h_pos.T @ dzk
+            b.grad += dzk.sum(axis=0)
 
     _record(backward)
     return out

@@ -243,7 +243,7 @@ class TestPackedBatch:
         with pytest.raises(ValueError, match=re.escape(f"[{b_a}]")):
             crf_nll(em, CrfParams(len(tags)), [0, 0, b_a], build_iobes_constraints(tags), [2, 1])
 
-    @pytest.mark.parametrize("lengths", [[], [0, 4], [-1, 5], [2, 1], [5]])
+    @pytest.mark.parametrize("lengths", [[], [0, 4], [-1, 5], [2, 1], [5], [2.5, 1.5], [2.0, 2.0], [True] * 4])
     def test_lengths_validated(self, lengths):
         em, params = random_crf(np.random.default_rng(33), 4, 3)
         message = re.escape(f"got {lengths}")

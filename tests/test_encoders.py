@@ -223,6 +223,14 @@ class TestBiLstm:
         assert np.allclose(out.values[0, :3], h_f.values)
         assert np.allclose(out.values[0, 3:], h_b.values)
 
+    def test_encode_is_one_tape_node(self):
+        rng = np.random.default_rng(9)
+        net = BiLstm(4, 3, rng)
+        for lengths in (None, [2, 3]):
+            with Tape() as tape:
+                net.encode(Tensor(rng.normal(size=(5, 4))), lengths)
+            assert [step.__qualname__.split(".")[0] for step in tape._steps] == ["lstm_sequence"]
+
     def test_dim_mismatch_rejected(self):
         net = BiLstm(4, 3, np.random.default_rng(2))
         with pytest.raises(ValueError, match="input dim"):

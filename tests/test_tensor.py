@@ -238,6 +238,62 @@ def _lstm_cell_loop(xs, wx, wh, b, reverse):
     return T.stack_rows(states)
 
 
+def _lstm_triple(rng, e, hd):
+    """One direction's (wx, wh, b) for lstm_sequence."""
+    return tuple(Tensor(rng.normal(size=shape) * 0.5) for shape in ((e, 4 * hd), (hd, 4 * hd), (4 * hd,)))
+
+
+def _assert_lstm_sequence_matches_cell_loops(rng, n, e, hd, lengths):
+    """lstm_sequence over n packed positions against, row by row, one
+    _lstm_cell_loop forward with ``fwd`` and one reversed with ``bwd``,
+    joined by concat: the values and all seven gradients to 1e-12."""
+    xs = Tensor(rng.normal(size=(n, e)))
+    fwd, bwd = _lstm_triple(rng, e, hd), _lstm_triple(rng, e, hd)
+    probe = rng.normal(size=(n, 2 * hd))
+    inputs = [xs, *fwd, *bwd]
+    row_lengths = [n] if lengths is None else lengths
+    starts = np.cumsum(row_lengths) - row_lengths
+
+    def rows():
+        return [
+            T.concat([_lstm_cell_loop(row, *fwd, False), _lstm_cell_loop(row, *bwd, True)])
+            for row in (T.gather_rows(xs, range(a, a + m)) for a, m in zip(starts, row_lengths))
+        ]
+
+    def looped():
+        total = None
+        for states, a, m in zip(rows(), starts, row_lengths):
+            part = _weighted_sum(states, probe[a : a + m])
+            total = part if total is None else T.add(total, part)
+        return total
+
+    fused = run_backward(lambda: _weighted_sum(T.lstm_sequence(xs, fwd, bwd, lengths), probe), inputs)
+    fused_grads = [t.grad.copy() for t in inputs]
+    reference = run_backward(looped, inputs)
+    assert abs(fused.item() - reference.item()) < 1e-12
+    for got, t in zip(fused_grads, inputs):
+        assert np.max(np.abs(got - t.grad)) < 1e-12
+    states = T.lstm_sequence(xs, fwd, bwd, lengths).values
+    for row, a, m in zip(rows(), starts, row_lengths):
+        assert np.max(np.abs(states[a : a + m] - row.values)) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.none(), st.lists(st.integers(1, 9), min_size=1, max_size=6)),
+    st.integers(1, 9),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(0, 2 ** 31 - 1),
+)
+def test_lstm_sequence_matches_two_cell_loops_on_random_batches(lengths, n, e, hd, seed):
+    # lengths None is one row of n positions; a drawn list of one length is
+    # the list form of one row, and longer lists are packed batches
+    _assert_lstm_sequence_matches_cell_loops(
+        np.random.default_rng(seed), n if lengths is None else sum(lengths), e, hd, lengths
+    )
+
+
 def _conv_relu_max_per_row(table, ids, filters, biases, lengths):
     """Reference for conv_relu_max: gather, conv, ReLU and max per row and bank."""
     starts = np.cumsum(lengths) - lengths
@@ -250,83 +306,76 @@ def _conv_relu_max_per_row(table, ids, filters, biases, lengths):
 
 class TestFusedKernels:
     @pytest.mark.parametrize("n", [1, 7])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_lstm_sequence_matches_cell_loop(self, n, reverse):
+    @pytest.mark.parametrize("listed", [False, True])
+    def test_lstm_sequence_matches_cell_loop(self, n, listed):
+        # one row, its lengths given as None or as [n]
         rng = np.random.default_rng(20 + n)
-        e, hd = 3, 4
-        xs = Tensor(rng.normal(size=(n, e)))
-        wx = Tensor(rng.normal(size=(e, 4 * hd)) * 0.5)
-        wh = Tensor(rng.normal(size=(hd, 4 * hd)) * 0.5)
-        b = Tensor(rng.normal(size=4 * hd) * 0.5)
-        probe = rng.normal(size=(n, hd))
-        inputs = [xs, wx, wh, b]
-        fused = run_backward(lambda: _weighted_sum(T.lstm_sequence(xs, wx, wh, b, reverse), probe), inputs)
-        fused_grads = [t.grad.copy() for t in inputs]
-        looped = run_backward(lambda: _weighted_sum(_lstm_cell_loop(xs, wx, wh, b, reverse), probe), inputs)
-        states = T.lstm_sequence(xs, wx, wh, b, reverse).values
-        assert np.max(np.abs(states - _lstm_cell_loop(xs, wx, wh, b, reverse).values)) < 1e-12
-        assert abs(fused.item() - looped.item()) < 1e-12
-        for got, t in zip(fused_grads, inputs):
-            assert np.max(np.abs(got - t.grad)) < 1e-10
+        _assert_lstm_sequence_matches_cell_loops(rng, n, 3, 4, [n] if listed else None)
 
     def test_lstm_sequence_one_tape_node(self):
         rng = np.random.default_rng(25)
-        with Tape() as tape:
-            T.lstm_sequence(Tensor(rng.normal(size=(6, 2))), Tensor(np.zeros((2, 12))),
-                            Tensor(np.zeros((3, 12))), Tensor(np.zeros(12)))
-        assert len(tape) == 1
+        xs = Tensor(rng.normal(size=(6, 2)))
+        triple = Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
+        for lengths in (None, [6]):
+            with Tape() as tape:
+                T.lstm_sequence(xs, triple, triple, lengths)
+            assert len(tape) == 1
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_packed_lstm_sequence_matches_cell_loop_per_row(self, reverse):
-        # rows of lengths 1, 2, 7 and 4, so the running rows are not in batch order
-        rng = np.random.default_rng(28)
+        # rows of lengths 1, 2, 7 and 4 (or the reverse), so the running rows
+        # are not in batch order
         lengths = [1, 2, 7, 4]
-        starts = np.cumsum([0] + lengths[:-1])
-        e, hd = 3, 4
-        xs = Tensor(rng.normal(size=(sum(lengths), e)))
-        wx = Tensor(rng.normal(size=(e, 4 * hd)) * 0.5)
-        wh = Tensor(rng.normal(size=(hd, 4 * hd)) * 0.5)
-        b = Tensor(rng.normal(size=4 * hd) * 0.5)
-        probe = rng.normal(size=(sum(lengths), hd))
-        inputs = [xs, wx, wh, b]
-
-        def row_loops():
-            rows = [T.gather_rows(xs, range(a, a + n)) for a, n in zip(starts, lengths)]
-            return [_lstm_cell_loop(row, wx, wh, b, reverse) for row in rows]
-
-        def looped():
-            total = None
-            for states, a, n in zip(row_loops(), starts, lengths):
-                part = _weighted_sum(states, probe[a : a + n])
-                total = part if total is None else T.add(total, part)
-            return total
-
-        packed = run_backward(lambda: _weighted_sum(T.lstm_sequence(xs, wx, wh, b, reverse, lengths), probe), inputs)
-        packed_grads = [t.grad.copy() for t in inputs]
-        reference = run_backward(looped, inputs)
-        assert abs(packed.item() - reference.item()) < 1e-12
-        for got, t in zip(packed_grads, inputs):
-            assert np.max(np.abs(got - t.grad)) < 1e-12
-        states = T.lstm_sequence(xs, wx, wh, b, reverse, lengths).values
-        for row, a, n in zip(row_loops(), starts, lengths):
-            assert np.max(np.abs(states[a : a + n] - row.values)) < 1e-12
+        _assert_lstm_sequence_matches_cell_loops(
+            np.random.default_rng(28), sum(lengths), 3, 4, lengths[::-1] if reverse else lengths
+        )
 
     def test_packed_lstm_sequence_one_tape_node_and_lengths_validated(self):
         rng = np.random.default_rng(29)
-        params = Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
+        triple = Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
         xs = Tensor(rng.normal(size=(5, 2)))
         with Tape() as tape:
-            T.lstm_sequence(xs, *params, False, [2, 3])
+            T.lstm_sequence(xs, triple, triple, [2, 3])
         assert len(tape) == 1
-        for lengths in ([], [0, 5], [-1, 6], [2, 2], [6]):
+        for lengths in ([], [0, 5], [-1, 6], [2, 2], [6], [2.5, 2.5], [2.0, 3.0], [True] * 5):
             with pytest.raises(ValueError, match=re.escape(f"got {lengths}")):
-                T.lstm_sequence(xs, *params, True, lengths)
+                T.lstm_sequence(xs, triple, triple, lengths)
+
+    def test_lstm_sequence_names_the_direction_whose_shapes_disagree(self):
+        xs = Tensor(np.zeros((5, 2)))
+        good = Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
+        for k, shape in enumerate([(3, 12), (3, 8), (8,)]):
+            bad = tuple(Tensor(np.zeros(shape)) if j == k else t for j, t in enumerate(good))
+            for direction, fwd, bwd in (("fwd", bad, good), ("bwd", good, bad)):
+                with pytest.raises(ValueError, match=f"lstm_sequence {direction} parameter shapes"):
+                    T.lstm_sequence(xs, fwd, bwd)
+        with pytest.raises(ValueError, match="non-empty"):
+            T.lstm_sequence(Tensor(np.zeros((0, 2))), good, good)
+
+    def test_lstm_sequence_row_does_not_depend_on_its_batch_mates(self):
+        rng = np.random.default_rng(31)
+        lengths = [3, 6, 2, 6]
+        e, hd = 3, 2
+        fwd, bwd = _lstm_triple(rng, e, hd), _lstm_triple(rng, e, hd)
+        xs = rng.normal(size=(sum(lengths), e))
+        mates = xs.copy()
+        mates[:3] = rng.normal(size=(3, e))
+        mates[9:] = rng.normal(size=(8, e))
+        row = slice(3, 9)
+        alone = T.lstm_sequence(Tensor(xs[row]), fwd, bwd).values
+        for batch in (xs, mates):
+            states = T.lstm_sequence(Tensor(batch), fwd, bwd, lengths).values
+            assert np.max(np.abs(states[row] - alone)) < 1e-12
+        assert np.array_equal(
+            T.lstm_sequence(Tensor(xs), fwd, bwd, lengths).values[row],
+            T.lstm_sequence(Tensor(mates), fwd, bwd, lengths).values[row],
+        )
 
     def test_lengths_validated(self):
         bank, bias = [Tensor(np.zeros((3, 1, 1)))], [Tensor(np.zeros(1))]
         table = Tensor(np.zeros((5, 1)))
         # a zero length, negative lengths, and lengths that do not sum to N
-        for lengths in ([0, 5], [-1, 6], [7, -2], [2, 2], [3, 3], []):
+        for lengths in ([0, 5], [-1, 6], [7, -2], [2, 2], [3, 3], [], [2.5, 2.5], [2.0, 3.0], [True] * 5):
             with pytest.raises(ValueError, match=rf"lengths.*got {re.escape(str(lengths))}"):
                 T.conv_relu_max(table, [0, 1, 2, 3, 4], bank, bias, lengths)
         with pytest.raises(ValueError, match="embedding table"):
@@ -555,23 +604,24 @@ def test_conv_matches_fd_on_random_shapes(n, e, f, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 9), min_size=1, max_size=8), st.booleans())
-def test_time_major_schedule(lengths, reverse):
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=8))
+def test_time_major_schedule(lengths):
     total = sum(lengths)
-    index, bounds, last, previous = T._time_major(lengths, total, reverse)
+    index, reverse, bounds, last, previous = T._time_major(lengths, total)
     starts = np.cumsum(lengths) - lengths
-    assert sorted(index.tolist()) == list(range(total))
+    assert sorted(index.tolist()) == sorted(reverse.tolist()) == list(range(total))
     longest_first = sorted(range(len(lengths)), key=lambda row: -lengths[row])  # stable: ties in batch order
     assert len(bounds) == max(lengths) + 1 and bounds[0] == 0
     held = {}  # slot -> (batch row, step)
     for t in range(max(lengths)):
         running = [row for row in longest_first if lengths[row] > t]
         slots = range(bounds[t], bounds[t + 1])
-        expected = [starts[row] + (lengths[row] - 1 - t if reverse else t) for row in running]
-        assert index[bounds[t] : bounds[t + 1]].tolist() == expected
+        assert index[bounds[t] : bounds[t + 1]].tolist() == [starts[row] + t for row in running]
+        assert reverse[bounds[t] : bounds[t + 1]].tolist() == [starts[row] + lengths[row] - 1 - t for row in running]
         held.update((p, (row, t)) for p, row in zip(slots, running, strict=True))
     for r, row in enumerate(longest_first):
-        assert index[last[r]] == (starts[row] if reverse else starts[row] + lengths[row] - 1)
+        assert index[last[r]] == starts[row] + lengths[row] - 1
+        assert reverse[last[r]] == starts[row]
     assert len(previous) == total - bounds[1]
     for p in range(bounds[1], total):
         row, t = held[p]
