@@ -153,13 +153,14 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
     # The backward direction's weights differ from the forward ones, so that
     # a gradient sent to the wrong direction shows. They are drawn after
     # every other input (at the end), so that the other instances keep
-    # theirs. The reverse instance exchanges the two directions.
+    # theirs. The reverse instance exchanges the two directions. Both
+    # one-row instances read the rows of xs once each, in order.
     fwd = (wx, wh, gb)
     bwd = tuple(Tensor(np.empty(t.shape)) for t in fwd)
     for name, (first, second) in (("lstm-sequence", (fwd, bwd)), ("lstm-sequence-reverse", (bwd, fwd))):
         run(
             name,
-            lambda first=first, second=second: _pin(lstm_sequence(xs, first, second), u5, probe),
+            lambda first=first, second=second: _pin(lstm_sequence(xs, range(5), first, second), u5, probe),
             [xs, *fwd, *bwd],
         )
 
@@ -183,9 +184,12 @@ def check_primitives(seed: int = 13) -> list[CheckResult]:
     rows = _away_from_zero(rng, (7, 3))
     row_lengths = [2, 1, 4]
     u7, u8 = Tensor(rng.normal(size=7)), Tensor(rng.normal(size=8))
+    # a fixed id list, so that no draw is added: 7 packed ids read 5 of the
+    # 7 table rows, id 4 three times (twice in the last row)
+    token_ids = [1, 4, 5, 4, 0, 4, 2]
     run(
         "lstm-sequence-packed",
-        lambda: _pin(lstm_sequence(rows, fwd, bwd, row_lengths), u7, u8),
+        lambda: _pin(lstm_sequence(rows, token_ids, fwd, bwd, row_lengths), u7, u8),
         [rows, *fwd, *bwd],
     )
     tag_rows = Tensor(rng.normal(size=(6, 5)))

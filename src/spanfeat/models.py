@@ -221,16 +221,17 @@ class _SequenceTagger:
         params["crf.transitions"] = self.crf.transitions
         return params
 
-    def _token_matrix(self, utterances: Sequence[AnnotatedUtterance]) -> Tensor:
-        """Token vectors of the utterances packed end to end, from one
-        encoder call over all their tokens."""
+    def _token_table(self, utterances: Sequence[AnnotatedUtterance]) -> tuple[Tensor, np.ndarray]:
+        """The BiLSTM's input for the utterances packed end to end: a table
+        of one token vector per distinct spelling and each position's row
+        of it, from one encoder call over all their tokens."""
         return self.encoder.encode([t for u in utterances for t in u.tokens])
 
     def _packed_emissions(self, utterances: Sequence[AnnotatedUtterance]) -> tuple[Tensor, list[int]]:
         """(N, tags) emission scores of the utterances packed end to end,
         and their lengths; a row's scores do not depend on the other rows."""
         lengths = [len(u.tokens) for u in utterances]
-        seq = self.bilstm.encode(self._token_matrix(utterances), lengths)
+        seq = self.bilstm.encode(*self._token_table(utterances), lengths)
         return self.projection.apply(seq), lengths
 
     def _emissions(self, utterance: AnnotatedUtterance) -> Tensor:
@@ -356,14 +357,19 @@ class FeatureTaggerCascaded(FeatureTaggerFlat):
         params["boundary_table"] = self.boundary_table
         return params
 
-    def _token_matrix(self, utterances: Sequence[AnnotatedUtterance]) -> Tensor:
-        ids = []
+    def _token_table(self, utterances: Sequence[AnnotatedUtterance]) -> tuple[Tensor, np.ndarray]:
+        """One table row per distinct (spelling, boundary bit) pair: the
+        encoder's token vector, then the bit's boundary embedding."""
+        pairs = []
         for utterance in utterances:
-            row = [OUTSIDE] * len(utterance.tokens)
+            bits = [OUTSIDE] * len(utterance.tokens)
             for s in utterance.spans:
-                row[s.start : s.end] = [INSIDE] * (s.end - s.start)
-            ids += row
-        return concat([super()._token_matrix(utterances), gather_rows(self.boundary_table, ids)])
+                bits[s.start : s.end] = [INSIDE] * (s.end - s.start)
+            pairs += zip(utterance.tokens, bits)
+        distinct = {pair: row for row, pair in enumerate(dict.fromkeys(pairs))}
+        boundary = gather_rows(self.boundary_table, [bit for _, bit in distinct])
+        table = self.encoder.embed([token for token, _ in distinct], [boundary])
+        return table, np.array([distinct[pair] for pair in pairs], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,17 @@ exact reverse execution order, accumulating (never overwriting) gradients, so
 parameters that appear several times in one forward pass receive summed
 gradients.
 
+The two fused nodes, ``conv_relu_max`` and ``lstm_sequence``, take one
+input form: a (D, e) table of row vectors and a flat array of N packed row
+ids, row b of the batch the next ``lengths[b]`` ids. The lookup is part of
+the node, so work that depends on a row alone (a convolution's products
+with each filter bank, an LSTM's input projection) is done once per table
+row, not once per position, and the backward sums the gradients of the
+positions that read a row (``_sum_by_id``, which ``gather_rows`` also
+uses). In a ten-utterance tagger training batch of the synthetic corpus,
+73 % of the positions repeat a token that an earlier position reads; in a
+decoded utterance, 18 %.
+
 No model runs ``relu``, ``stack_rows``, ``unstack_rows``, ``conv1d_same``,
 ``max_over_time`` or ``lstm_cell``: they are the per-row references the
 fused nodes are tested against, and grad-check does not audit them.
@@ -262,20 +273,30 @@ def _row_ids(indices, rows: int) -> np.ndarray:
     return idx
 
 
+def _sum_by_id(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids`` in increasing order and, for each, the sum of the
+    rows of the (len(ids), w) ``values`` that carry it: the scatter-add of a
+    row lookup's backward, repeats accumulated. One ``np.unique`` numbers
+    the distinct ids and one ``np.bincount`` sums every (id, column) cell,
+    the rows of an id in the order they come."""
+    keys, inverse = np.unique(ids, return_inverse=True)
+    width = values.shape[1]
+    cells = (inverse * width)[:, None] + np.arange(width)
+    sums = np.bincount(cells.reshape(-1), values.reshape(-1), minlength=keys.size * width)
+    return keys, sums.reshape(keys.size, width)
+
+
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Select rows table[indices] for a non-empty flat array of row ids;
-    backward scatter-adds (repeats accumulate) by sorting the ids and summing
-    each run of equal ones."""
+    backward scatter-adds (repeats accumulate) through ``_sum_by_id``."""
     idx = _row_ids(indices, table.shape[0])
     if idx.ndim != 1 or idx.size < 1:
         raise ValueError(f"gather_rows needs a non-empty flat array of row ids, got shape {idx.shape}")
     out = Tensor(table.values[idx])
 
     def backward() -> None:
-        order = np.argsort(idx, kind="stable")
-        keys = idx[order]
-        runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        table.grad[keys[runs]] += np.add.reduceat(out.grad[order], runs, axis=0)
+        keys, sums = _sum_by_id(idx, out.grad)
+        table.grad[keys] += sums
 
     _record(backward)
     return out
@@ -502,7 +523,8 @@ def conv_relu_max(
         if picked is None:
             table.grad += dresp @ kernel
         else:
-            np.add.at(table.grad, picked, dresp @ kernel)
+            keys, sums = _sum_by_id(picked, dresp @ kernel)
+            table.grad[keys] += sums
         dfilt = dresp.T @ source
         column = 0
         for (filt, _), w, f in zip(banks, widths, sizes):
@@ -581,18 +603,20 @@ def _block_diagonal(wh_fwd: np.ndarray, wh_bwd: np.ndarray, scale) -> np.ndarray
     return out.reshape(2 * hd, 8 * hd)
 
 
-def lstm_sequence(xs: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], lengths=None) -> Tensor:
-    """Both directions of a BiLSTM over every row of a packed batch, from
-    zero states, as one tape node; returns the (N, 2h) hidden states by
-    packed position, the forward direction's h columns first.
+def lstm_sequence(table: Tensor, ids, fwd: Sequence[Tensor], bwd: Sequence[Tensor], lengths=None) -> Tensor:
+    """Both directions of a BiLSTM over every row of a packed batch of
+    token-table rows, from zero states, as one tape node; returns the
+    (N, 2h) hidden states by packed position, the forward direction's h
+    columns first.
 
-    ``fwd`` and ``bwd`` are the directions' ``(wx, wh, b)`` triples, of
-    shapes (e, 4h), (h, 4h) and (4h,), their gate blocks ordered [input,
-    forget, candidate, output] as in ``lstm_cell``. The B rows are
-    concatenated into one (N, e) matrix, packed as ``conv_relu_max`` packs
-    its ids: row b is the next ``lengths[b]`` positions (one row of all N
-    when lengths is None). The forward direction runs each row from its
-    first position, the backward one from its last.
+    The input is the one ``conv_relu_max`` takes: a (D, e) table of token
+    vectors and a flat array of N packed row ids, row b the next
+    ``lengths[b]`` ids (one row of all N when lengths is None); position p
+    reads ``table[ids[p]]``. ``fwd`` and ``bwd`` are the directions'
+    ``(wx, wh, b)`` triples, of shapes (e, 4h), (h, 4h) and (4h,), their
+    gate blocks ordered [input, forget, candidate, output] as in
+    ``lstm_cell``. The forward direction runs each row from its first
+    position, the backward one from its last.
 
     The two directions run as one LSTM of hidden size 2h, as cuDNN's
     bidirectional mode does (Appleyard et al. 2016, arXiv:1604.01946). Its
@@ -604,21 +628,37 @@ def lstm_sequence(xs: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     product over the b_t rows still running, with no padding and no
     masking, and its slot p reads packed position ``index[p]`` in the
     forward direction and ``reverse[p]`` in the backward one. A lone row
-    runs its positions by a slice. The input projection is one (N, e) @
-    (e, 4h) product per direction, whose rows go to their slots in that
-    direction's gate columns. The hand-written BPTT writes the gate
-    gradients of every step over the gate activations as it consumes them,
-    and forms each direction's input and weight gradients from its columns
-    of that (N, 8h) matrix with one product or sum each.
+    runs its positions by a slice.
+
+    The input projection does not depend on the step, so it is lifted out
+    of the recurrence (Appleyard et al. 2016) and made once per table row,
+    not once per position: one (D, e) @ (e, 4h) product per direction, whose
+    rows each slot reads through ``ids``, as a network's hidden layer is
+    pre-computed per vocabulary item in Devlin et al. 2014 ("Fast and
+    Robust Neural Network Joint Models for SMT"). The hand-written BPTT
+    writes the gate gradients of every step over the gate activations as it
+    consumes them, puts each direction's in packed-position order, and sums
+    them by id (``_sum_by_id``) into a (D, 4h) matrix, from which that
+    direction's share of the table gradient and its ``wx`` gradient are one
+    product each; its ``wh`` gradient is one product over the N positions.
+    The saving grows with the share of positions that repeat a table row:
+    73 % in a ten-utterance tagger training batch of the synthetic corpus,
+    where it raised training throughput by about a sixth (README, design
+    notes), and 18 % in a decoded utterance.
     """
-    if xs.values.ndim != 2 or xs.shape[0] < 1:
-        raise ValueError(f"lstm_sequence needs a non-empty (N, e) input, got {xs.shape}")
-    n, e = xs.shape
+    tv = table.values
+    if tv.ndim != 2:
+        raise ValueError(f"lstm_sequence needs a (rows, e) token table, got {table.shape}")
+    d, e = tv.shape
+    idx = _row_ids(ids, d)
+    if idx.ndim != 1 or idx.size < 1:
+        raise ValueError(f"lstm_sequence needs a non-empty flat array of packed ids, got shape {idx.shape}")
+    n = idx.size
     hd = fwd[1].shape[0]
     for name, (wx, wh, b) in (("fwd", fwd), ("bwd", bwd)):
         if wx.shape != (e, 4 * hd) or wh.shape != (hd, 4 * hd) or b.shape != (4 * hd,):
             raise ValueError(
-                f"lstm_sequence {name} parameter shapes disagree with input {xs.shape} and hidden size {hd}: "
+                f"lstm_sequence {name} parameter shapes disagree with table {table.shape} and hidden size {hd}: "
                 f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
             )
     if lengths is None or len(lengths) == 1:
@@ -641,9 +681,11 @@ def lstm_sequence(xs: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
     offset = 1.0 - scale
     xz = np.empty((n, 4, 2, hd))
     for k, ((wx, _, b), slots) in enumerate(((fwd, index), (bwd, reverse))):
-        projected = xs.values @ wx.values
+        projected = tv @ wx.values
         projected += b.values
-        np.multiply(projected.reshape(n, 4, hd)[slots], block_scale, out=xz[:, :, k])
+        projected = projected.reshape(d, 4, hd)
+        projected *= block_scale
+        xz[:, :, k] = projected[idx[slots]]  # the table row each slot reads
     xz = xz.reshape(n, 4 * width)
     wh_scaled = _block_diagonal(fwd[1].values, bwd[1].values, block_scale)
     gates = np.empty((n, 4 * width))  # sigmoid of input/forget/output, tanh of candidate
@@ -719,17 +761,19 @@ def lstm_sequence(xs: Tensor, fwd: Sequence[Tensor], bwd: Sequence[Tensor], leng
             np.dot(dz_t, wh_t, out=dh_prev)
         # free the step inputs before the gradient products below
         del views, gate_scale, out_scale, cell_scale, dh_out, dh_t, cell_t, gate_t, out_t
-        # each direction's gate gradients and previous states by packed position
+        # each direction's gate gradients and previous states by packed
+        # position, then its gate gradients summed by table row
         dz_pos = np.empty((n, 4, hd))
         h_pos = np.empty((n, hd))
         for k, ((wx, wh, b), slots) in enumerate(((fwd, index), (bwd, reverse))):
             dz_pos[slots] = dz.reshape(n, 4, 2, hd)[:, :, k]
             h_pos[slots] = h_all[prev, k * hd : (k + 1) * hd]
             dzk = dz_pos.reshape(n, 4 * hd)
-            xs.grad += dzk @ wx.values.T
-            wx.grad += xs.values.T @ dzk
             wh.grad += h_pos.T @ dzk
-            b.grad += dzk.sum(axis=0)
+            keys, dz_rows = _sum_by_id(idx, dzk)
+            table.grad[keys] += dz_rows @ wx.values.T
+            wx.grad += tv[keys].T @ dz_rows
+            b.grad += dz_rows.sum(axis=0)
 
     _record(backward)
     return out

@@ -47,25 +47,26 @@ class TestConfig:
 class TestTokenEncoder:
     def test_output_shape(self):
         enc = small_encoder()
-        out = enc.encode(["install", "the", "printer"])
-        assert out.shape == (3, enc.config.token_dim)
+        table, ids = enc.encode(["install", "the", "printer"])
+        assert table.shape == (3, enc.config.token_dim)
+        assert ids.tolist() == [0, 1, 2]
 
     def test_repeated_tokens_embed_identically(self):
         enc = small_encoder()
-        out = enc.encode(["the", "printer", "the"]).values
-        assert np.array_equal(out[0], out[2])
+        table, ids = enc.encode(["the", "printer", "the"])
+        assert table.shape[0] == 2 and ids.tolist() == [0, 1, 0]
 
     def test_unknown_word_uses_unk_row(self):
         enc = small_encoder()
         d = enc.config.word_embedding_dims[0]
-        out = enc.encode(["zzzz"]).values
+        out = enc.encode(["zzzz"])[0].values
         assert np.array_equal(out[0, :d], enc.word_tables[0].values[Vocabulary.UNK])
 
     def test_word_lookup_case_insensitive_char_path_not(self):
         enc = small_encoder()
         d = enc.config.word_embedding_dims[0]
-        lower = enc.encode(["printer"]).values
-        upper = enc.encode(["PRINTER"]).values
+        lower = enc.encode(["printer"])[0].values
+        upper = enc.encode(["PRINTER"])[0].values
         assert np.array_equal(lower[0, :d], upper[0, :d])
         assert not np.array_equal(lower[0, d:], upper[0, d:])  # unknown chars differ
 
@@ -88,7 +89,7 @@ class TestTokenEncoder:
         for t in params.values():
             t.zero_grad()
         with Tape() as tape:
-            out = enc.encode(["install", "printer"])
+            out, _ = enc.encode(["install", "printer"])
             loss = T.index_sum(out, [0, 1], [0, enc.config.token_dim - 1])
         tape.backward(loss)
         for name in ("word_table_0", "char_table", "char_conv_filters"):
@@ -99,7 +100,7 @@ class TestTokenEncoder:
         targets = [enc.word_tables[0], enc.char_table, enc.char_conv_filters, enc.char_conv_bias]
 
         def f():
-            out = enc.encode(["install", "xs"])
+            out, _ = enc.encode(["install", "xs"])
             n, d = out.shape
             total = T.index_sum(out, [i for i in range(n) for _ in range(d)], list(range(d)) * n)
             return total
@@ -117,6 +118,20 @@ class TestTokenEncoder:
         a = enc.char_cnn(["abcba"]).values[0]
         b = enc.char_cnn(["abcba"[::-1]]).values[0]
         assert np.array_equal(a, b)
+
+    def test_table_holds_one_row_per_distinct_spelling(self):
+        # a repeat, a case variant that shares a word row but not a char
+        # row, and an unknown word; two word tables
+        enc = small_encoder(word_embedding_dims=[6, 2])
+        tokens = ["the", "printer", "The", "the", "zzzz", "printer", "the"]
+        table, ids = enc.encode(tokens)
+        assert ids.tolist() == [0, 1, 2, 0, 3, 1, 0]
+        assert table.shape == (4, enc.config.token_dim)
+        words = enc.word_vocab.encode([t.lower() for t in tokens])
+        per_position = np.concatenate(
+            [t.values[words] for t in enc.word_tables] + [enc.char_cnn(tokens).values], axis=1
+        )
+        assert np.array_equal(table.values[ids], per_position)
 
 
 
@@ -213,7 +228,7 @@ class TestBiLstm:
         rng = np.random.default_rng(1)
         net = BiLstm(4, 3, rng)
         seq = Tensor(rng.normal(size=(1, 4)))
-        out = net.encode(seq)
+        out = net.encode(seq, [0])
         assert out.shape == (1, 6)
         # n=1: both halves are a single step over the same token
         zero = Tensor(np.zeros(3))
@@ -228,13 +243,13 @@ class TestBiLstm:
         net = BiLstm(4, 3, rng)
         for lengths in (None, [2, 3]):
             with Tape() as tape:
-                net.encode(Tensor(rng.normal(size=(5, 4))), lengths)
+                net.encode(Tensor(rng.normal(size=(3, 4))), [0, 2, 1, 2, 0], lengths)
             assert [step.__qualname__.split(".")[0] for step in tape._steps] == ["lstm_sequence"]
 
     def test_dim_mismatch_rejected(self):
         net = BiLstm(4, 3, np.random.default_rng(2))
         with pytest.raises(ValueError, match="input dim"):
-            net.encode(Tensor(np.zeros((2, 5))))
+            net.encode(Tensor(np.zeros((2, 5))), [0, 1])
 
     def test_reversal_with_swapped_directions(self):
         rng = np.random.default_rng(3)
@@ -242,8 +257,8 @@ class TestBiLstm:
         twin = BiLstm(4, 3, rng)
         twin.fwd, twin.bwd = net.bwd, net.fwd
         seq_values = np.random.default_rng(4).normal(size=(5, 4))
-        out = net.encode(Tensor(seq_values)).values
-        rev = twin.encode(Tensor(seq_values[::-1])).values
+        out = net.encode(Tensor(seq_values), range(5)).values
+        rev = twin.encode(Tensor(seq_values), range(4, -1, -1)).values
         swapped = np.concatenate([rev[::-1, 3:], rev[::-1, :3]], axis=1)
         assert np.allclose(out, swapped, atol=1e-12)
 
@@ -251,10 +266,10 @@ class TestBiLstm:
         rng = np.random.default_rng(5)
         net = BiLstm(3, 2, rng)
         base = np.random.default_rng(6).normal(size=(4, 3))
-        out = net.encode(Tensor(base)).values
+        out = net.encode(Tensor(base), range(4)).values
         bumped = base.copy()
         bumped[2] += 1.0
-        out2 = net.encode(Tensor(bumped)).values
+        out2 = net.encode(Tensor(bumped), range(4)).values
         # forward half at positions before the bump unchanged
         assert np.allclose(out[:2, :2], out2[:2, :2])
         # backward half after the bump unchanged
@@ -271,11 +286,11 @@ class TestBiLstm:
     def test_gradient_through_sequence(self):
         rng = np.random.default_rng(8)
         net = BiLstm(3, 2, rng)
-        seq = Tensor(rng.normal(size=(4, 3)))
+        seq = Tensor(rng.normal(size=(3, 3)))
         targets = [seq, *net.parameters().values()]
 
         def f():
-            out = net.encode(seq)
+            out = net.encode(seq, [2, 0, 2, 1])
             n, d = out.shape
             return T.index_sum(out, [i for i in range(n) for _ in range(d)], list(range(d)) * n)
 

@@ -883,6 +883,36 @@ def test_tagger_batch_loss_tape_does_not_grow_with_the_batch(vocabs, corpus, arc
     assert len(one) == len(five)
 
 
+@pytest.mark.parametrize("arch", sorted(TAGGER_VARIANTS))
+def test_tagger_batch_loss_reads_one_table_of_distinct_tokens(vocabs, corpus, arch):
+    # two word tables: one gather each over the distinct spellings (and one
+    # over the boundary bits), one char-CNN node, one concat, and the BiLSTM
+    # reads the table by ids, so no gather spreads char rows over positions
+    config = EncoderConfig(**dict(SMALL_ENCODER, word_embedding_dims=[8, 3]))
+    intents = sorted({s.intent for u in corpus[0] for s in u.spans})
+    model = {
+        "intent-tagger": lambda: IntentTagger(*vocabs, intents, config),
+        "feature-tagger-flat": lambda: FeatureTaggerFlat(*vocabs, "tense", config),
+        "feature-tagger-cascaded": lambda: FeatureTaggerCascaded(*vocabs, "tense", config, boundary_dim=3),
+    }[arch]()
+    utterances = _ragged_utterances(corpus)
+    with Tape() as tape:
+        model.batch_loss(utterances)
+    ops = [step.__qualname__.split(".")[0] for step in tape._steps]
+    cascaded = arch == "feature-tagger-cascaded"
+    assert ops.count("gather_rows") == 2 + cascaded
+    assert [ops.count(op) for op in ("conv_relu_max", "concat", "lstm_sequence")] == [1, 1, 1]
+
+    table, ids = model._token_table(utterances)
+    keys = [t for u in utterances for t in u.tokens]
+    if cascaded:
+        bits = [[int(any(s.start <= i < s.end for s in u.spans)) for i in range(len(u.tokens))] for u in utterances]
+        keys = list(zip(keys, [b for row in bits for b in row]))
+    distinct = list(dict.fromkeys(keys))
+    assert table.shape[0] == len(distinct) < len(keys)
+    assert [distinct[i] for i in ids] == keys
+
+
 MISTYPED_CONFIGS = {
     "intent tagger with a string flag": (0, _set("no", "config", "constrain_training"), "config.constrain_training"),
     "intent tagger with a boolean seed": (0, _set(True, "config", "seed"), "config.seed"),

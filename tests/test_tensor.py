@@ -227,13 +227,13 @@ def _weighted_sum(t, weights):
 
 
 def _lstm_cell_loop(xs, wx, wh, b, reverse):
-    """Reference for lstm_sequence: one lstm_cell node per step."""
+    """Reference for lstm_sequence: one lstm_cell node per step over the
+    list of row tensors ``xs``."""
     hd = wh.shape[0]
     h, c = Tensor(np.zeros(hd)), Tensor(np.zeros(hd))
-    rows = T.unstack_rows(xs)
-    states = [None] * len(rows)
-    for t in (range(len(rows) - 1, -1, -1) if reverse else range(len(rows))):
-        h, c = T.lstm_cell(rows[t], h, c, wx, wh, b)
+    states = [None] * len(xs)
+    for t in (range(len(xs) - 1, -1, -1) if reverse else range(len(xs))):
+        h, c = T.lstm_cell(xs[t], h, c, wx, wh, b)
         states[t] = h
     return T.stack_rows(states)
 
@@ -243,21 +243,26 @@ def _lstm_triple(rng, e, hd):
     return tuple(Tensor(rng.normal(size=shape) * 0.5) for shape in ((e, 4 * hd), (hd, 4 * hd), (4 * hd,)))
 
 
-def _assert_lstm_sequence_matches_cell_loops(rng, n, e, hd, lengths):
-    """lstm_sequence over n packed positions against, row by row, one
-    _lstm_cell_loop forward with ``fwd`` and one reversed with ``bwd``,
-    joined by concat: the values and all seven gradients to 1e-12."""
-    xs = Tensor(rng.normal(size=(n, e)))
+def _assert_lstm_sequence_matches_cell_loops(rng, ids, table_rows, e, hd, lengths):
+    """lstm_sequence over a (table_rows, e) table read by the packed ``ids``
+    against, row by row, one _lstm_cell_loop forward with ``fwd`` and one
+    reversed with ``bwd`` over the rows table[ids], joined by concat: the
+    values and all seven gradients, the table's included, to 1e-12. The
+    loops read the table through unstack_rows, so a repeated id sums its
+    gradient in lstm_cell's backward, not in a row lookup's."""
+    table = Tensor(rng.normal(size=(table_rows, e)))
     fwd, bwd = _lstm_triple(rng, e, hd), _lstm_triple(rng, e, hd)
+    n = len(ids)
     probe = rng.normal(size=(n, 2 * hd))
-    inputs = [xs, *fwd, *bwd]
+    inputs = [table, *fwd, *bwd]
     row_lengths = [n] if lengths is None else lengths
     starts = np.cumsum(row_lengths) - row_lengths
 
     def rows():
+        vectors = T.unstack_rows(table)
         return [
             T.concat([_lstm_cell_loop(row, *fwd, False), _lstm_cell_loop(row, *bwd, True)])
-            for row in (T.gather_rows(xs, range(a, a + m)) for a, m in zip(starts, row_lengths))
+            for row in ([vectors[i] for i in ids[a : a + m]] for a, m in zip(starts, row_lengths))
         ]
 
     def looped():
@@ -267,13 +272,13 @@ def _assert_lstm_sequence_matches_cell_loops(rng, n, e, hd, lengths):
             total = part if total is None else T.add(total, part)
         return total
 
-    fused = run_backward(lambda: _weighted_sum(T.lstm_sequence(xs, fwd, bwd, lengths), probe), inputs)
+    fused = run_backward(lambda: _weighted_sum(T.lstm_sequence(table, ids, fwd, bwd, lengths), probe), inputs)
     fused_grads = [t.grad.copy() for t in inputs]
     reference = run_backward(looped, inputs)
     assert abs(fused.item() - reference.item()) < 1e-12
     for got, t in zip(fused_grads, inputs):
         assert np.max(np.abs(got - t.grad)) < 1e-12
-    states = T.lstm_sequence(xs, fwd, bwd, lengths).values
+    states = T.lstm_sequence(table, ids, fwd, bwd, lengths).values
     for row, a, m in zip(rows(), starts, row_lengths):
         assert np.max(np.abs(states[a : a + m] - row.values)) < 1e-12
 
@@ -288,10 +293,13 @@ def _assert_lstm_sequence_matches_cell_loops(rng, n, e, hd, lengths):
 )
 def test_lstm_sequence_matches_two_cell_loops_on_random_batches(lengths, n, e, hd, seed):
     # lengths None is one row of n positions; a drawn list of one length is
-    # the list form of one row, and longer lists are packed batches
-    _assert_lstm_sequence_matches_cell_loops(
-        np.random.default_rng(seed), n if lengths is None else sum(lengths), e, hd, lengths
-    )
+    # the list form of one row, and longer lists are packed batches. The
+    # table has from 1 to n + 2 rows, so ids repeat or rows go unread.
+    rng = np.random.default_rng(seed)
+    n = n if lengths is None else sum(lengths)
+    table_rows = int(rng.integers(1, n + 3))
+    ids = rng.integers(0, table_rows, size=n)
+    _assert_lstm_sequence_matches_cell_loops(rng, ids, table_rows, e, hd, lengths)
 
 
 def _conv_relu_max_per_row(table, ids, filters, biases, lengths):
@@ -308,67 +316,92 @@ class TestFusedKernels:
     @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("listed", [False, True])
     def test_lstm_sequence_matches_cell_loop(self, n, listed):
-        # one row, its lengths given as None or as [n]
+        # one row, its lengths given as None or as [n]; seven positions read
+        # a 4-row table, id 2 three times and id 0 twice, and row 3 never
         rng = np.random.default_rng(20 + n)
-        _assert_lstm_sequence_matches_cell_loops(rng, n, 3, 4, [n] if listed else None)
+        ids = [2, 0, 2, 1, 2, 0, 1][:n]
+        _assert_lstm_sequence_matches_cell_loops(rng, ids, 4, 3, 4, [n] if listed else None)
 
     def test_lstm_sequence_one_tape_node(self):
         rng = np.random.default_rng(25)
-        xs = Tensor(rng.normal(size=(6, 2)))
+        table = Tensor(rng.normal(size=(4, 2)))
         triple = Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
         for lengths in (None, [6]):
             with Tape() as tape:
-                T.lstm_sequence(xs, triple, triple, lengths)
+                T.lstm_sequence(table, [0, 1, 3, 1, 2, 0], triple, triple, lengths)
             assert len(tape) == 1
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_packed_lstm_sequence_matches_cell_loop_per_row(self, reverse):
         # rows of lengths 1, 2, 7 and 4 (or the reverse), so the running rows
-        # are not in batch order
+        # are not in batch order; 14 ids read 6 table rows of 8, id 3 three
+        # times in the longest row and once in each other row, id 5 in two
         lengths = [1, 2, 7, 4]
-        _assert_lstm_sequence_matches_cell_loops(
-            np.random.default_rng(28), sum(lengths), 3, 4, lengths[::-1] if reverse else lengths
-        )
+        ids = [3, 5, 3, 0, 3, 1, 3, 6, 3, 2, 5, 0, 1, 3]
+        if reverse:
+            lengths, ids = lengths[::-1], [1, 3, 5, 0, 3, 1, 3, 6, 3, 2, 0, 5, 3, 3]
+        _assert_lstm_sequence_matches_cell_loops(np.random.default_rng(28), ids, 8, 3, 4, lengths)
 
     def test_packed_lstm_sequence_one_tape_node_and_lengths_validated(self):
         rng = np.random.default_rng(29)
         triple = Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
-        xs = Tensor(rng.normal(size=(5, 2)))
+        table = Tensor(rng.normal(size=(5, 2)))
+        ids = [4, 0, 0, 2, 4]
         with Tape() as tape:
-            T.lstm_sequence(xs, triple, triple, [2, 3])
+            T.lstm_sequence(table, ids, triple, triple, [2, 3])
         assert len(tape) == 1
         for lengths in ([], [0, 5], [-1, 6], [2, 2], [6], [2.5, 2.5], [2.0, 3.0], [True] * 5):
             with pytest.raises(ValueError, match=re.escape(f"got {lengths}")):
-                T.lstm_sequence(xs, triple, triple, lengths)
+                T.lstm_sequence(table, ids, triple, triple, lengths)
+
+    def test_lstm_sequence_rejects_ids_that_name_no_table_row(self):
+        table = Tensor(np.zeros((5, 2)))
+        triple = Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
+        for ids, named in (
+            ([1.5, 0, 2], "1.5"),
+            ([0.0, 1.0], "0.0"),
+            ([True, False], "True"),
+            ([0, -1, 2], "-1"),
+            ([0, 5, 2], "5"),
+        ):
+            for lengths in (None, [1, len(ids) - 1]):
+                with pytest.raises(ValueError, match=rf"row id {re.escape(named)} .*table of 5 rows"):
+                    T.lstm_sequence(table, ids, triple, triple, lengths)
 
     def test_lstm_sequence_names_the_direction_whose_shapes_disagree(self):
-        xs = Tensor(np.zeros((5, 2)))
+        table = Tensor(np.zeros((3, 2)))
+        ids = [0, 2, 1, 2, 0]
         good = Tensor(np.zeros((2, 12))), Tensor(np.zeros((3, 12))), Tensor(np.zeros(12))
         for k, shape in enumerate([(3, 12), (3, 8), (8,)]):
             bad = tuple(Tensor(np.zeros(shape)) if j == k else t for j, t in enumerate(good))
             for direction, fwd, bwd in (("fwd", bad, good), ("bwd", good, bad)):
                 with pytest.raises(ValueError, match=f"lstm_sequence {direction} parameter shapes"):
-                    T.lstm_sequence(xs, fwd, bwd)
+                    T.lstm_sequence(table, ids, fwd, bwd)
         with pytest.raises(ValueError, match="non-empty"):
-            T.lstm_sequence(Tensor(np.zeros((0, 2))), good, good)
+            T.lstm_sequence(table, [], good, good)
+        with pytest.raises(ValueError, match="non-empty"):
+            T.lstm_sequence(table, [[0, 1], [2, 0]], good, good)
+        with pytest.raises(ValueError, match="token table"):
+            T.lstm_sequence(Tensor(np.zeros((3, 2, 1))), ids, good, good)
 
     def test_lstm_sequence_row_does_not_depend_on_its_batch_mates(self):
         rng = np.random.default_rng(31)
         lengths = [3, 6, 2, 6]
         e, hd = 3, 2
         fwd, bwd = _lstm_triple(rng, e, hd), _lstm_triple(rng, e, hd)
-        xs = rng.normal(size=(sum(lengths), e))
-        mates = xs.copy()
-        mates[:3] = rng.normal(size=(3, e))
-        mates[9:] = rng.normal(size=(8, e))
+        table = Tensor(rng.normal(size=(9, e)))
+        ids = rng.integers(0, 6, size=sum(lengths))
+        mates = ids.copy()
+        mates[:3] = rng.integers(6, 9, size=3)
+        mates[9:] = rng.integers(6, 9, size=8)
         row = slice(3, 9)
-        alone = T.lstm_sequence(Tensor(xs[row]), fwd, bwd).values
-        for batch in (xs, mates):
-            states = T.lstm_sequence(Tensor(batch), fwd, bwd, lengths).values
+        alone = T.lstm_sequence(table, ids[row], fwd, bwd).values
+        for batch in (ids, mates):
+            states = T.lstm_sequence(table, batch, fwd, bwd, lengths).values
             assert np.max(np.abs(states[row] - alone)) < 1e-12
         assert np.array_equal(
-            T.lstm_sequence(Tensor(xs), fwd, bwd, lengths).values[row],
-            T.lstm_sequence(Tensor(mates), fwd, bwd, lengths).values[row],
+            T.lstm_sequence(table, ids, fwd, bwd, lengths).values[row],
+            T.lstm_sequence(table, mates, fwd, bwd, lengths).values[row],
         )
 
     def test_lengths_validated(self):
