@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,6 +23,7 @@ __all__ = [
     "iobes_tag_set",
     "load_corpus",
     "save_corpus",
+    "write_text_atomic",
     "utterance_from_json",
     "utterance_to_json",
     "build_vocabularies",
@@ -148,14 +152,11 @@ class Vocabulary:
                 self._index[t] = len(self._index)
 
     @classmethod
-    def build(cls, sequences: Iterable[Sequence[str]], min_count: int = 2) -> "Vocabulary":
-        """Count tokens across sequences; those seen fewer than min_count times map to UNK."""
-        counts: dict[str, int] = {}
-        for seq in sequences:
-            for t in seq:
-                counts[t] = counts.get(t, 0) + 1
-        kept = [t for t, c in counts.items() if c >= min_count]
-        return cls(kept)
+    def build(cls, sequences: Iterable[Iterable[str]], min_count: int = 2) -> "Vocabulary":
+        """Count tokens across sequences; indices follow first occurrence, and
+        tokens seen fewer than min_count times map to UNK."""
+        counts = Counter(chain.from_iterable(sequences))
+        return cls(t for t, c in counts.items() if c >= min_count)
 
     def __len__(self) -> int:
         return len(self._index)
@@ -338,9 +339,23 @@ def load_corpus(path: str | Path, require_features: bool = True) -> list[Annotat
 
 
 def save_corpus(utterances: Iterable[AnnotatedUtterance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for u in utterances:
-            handle.write(json.dumps(utterance_to_json(u), ensure_ascii=False) + "\n")
+    write_text_atomic(
+        path, "".join(json.dumps(utterance_to_json(u), ensure_ascii=False) + "\n" for u in utterances)
+    )
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: a new file beside the
+    target replaces it in one rename, and is removed if anything fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def build_vocabularies(corpus: Iterable[AnnotatedUtterance]) -> tuple[Vocabulary, Vocabulary]:
@@ -351,9 +366,8 @@ def build_vocabularies(corpus: Iterable[AnnotatedUtterance]) -> tuple[Vocabulary
     """
     utterances = list(corpus)
     word_vocab = Vocabulary.build([[t.lower() for t in u.tokens] for u in utterances])
-    char_vocab = Vocabulary.build(
-        [list(t) for u in utterances for t in u.tokens], min_count=1
-    )
+    # a token string is its own sequence of characters
+    char_vocab = Vocabulary.build([t for u in utterances for t in u.tokens], min_count=1)
     return word_vocab, char_vocab
 
 

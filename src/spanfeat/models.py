@@ -32,6 +32,7 @@ from .data import (
     decode_iobes,
     encode_iobes,
     iobes_tag_set,
+    write_text_atomic,
 )
 from .encoders import BiLstm, EncoderConfig, TokenEncoder
 from .tensor import (
@@ -585,7 +586,18 @@ def _decode_config(config_type, raw, where: str):
         raise ModelError(f"{where}: {err}") from None
 
 
+def _require_finite(name: str, values) -> None:
+    if values is None or not np.all(np.isfinite(values)):
+        raise ModelError(f"tensor {name!r} holds non-finite values (NaN, Infinity or beyond the float range)")
+
+
 def serialize_model(model, path: str | Path) -> None:
+    """Write the model's bundle to ``path``, whole or not at all; a model with
+    a non-finite parameter, which no bundle may hold, is refused."""
+    parameters = {}
+    for name, t in sorted(model.parameters().items()):
+        _require_finite(name, t.values)
+        parameters[name] = {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
     bundle = {
         "format_version": FORMAT_VERSION,
         "architecture": model.architecture,
@@ -593,14 +605,11 @@ def serialize_model(model, path: str | Path) -> None:
         "vocabularies": {
             name: getattr(model, f"{name}_vocab").to_dict() for name in model.vocab_names
         },
-        "parameters": {
-            name: {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
-            for name, t in sorted(model.parameters().items())
-        },
+        "parameters": parameters,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(bundle, handle, sort_keys=True)
-        handle.write("\n")
+    # json.dumps runs the C encoder in one shot, where json.dump streams through
+    # the pure-Python one; both write the same bytes
+    write_text_atomic(path, json.dumps(bundle, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_model(path: str | Path):
@@ -647,7 +656,6 @@ def load_model(path: str | Path):
             values = np.array(values, dtype=np.float64)
         except OverflowError:  # an integer beyond the float range
             values = None
-        if values is None or not np.all(np.isfinite(values)):
-            raise ModelError(f"tensor {name!r} holds non-finite values (NaN, Infinity or beyond the float range)")
+        _require_finite(name, values)
         t.values[...] = values.reshape(t.shape)
     return model

@@ -11,8 +11,10 @@ determines every label while any single span often does not.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .data import FEATURE_DIMENSIONS, AnnotatedUtterance, IntentSpan
@@ -71,6 +73,7 @@ OBJECT_NOUNS = {
 }
 
 _DIM_ORDER = tuple(FEATURE_DIMENSIONS)
+_INTENTS = tuple(sorted(INTENT_VERBS))
 
 
 @dataclass
@@ -102,8 +105,12 @@ class SyntheticConfig:
             labels = FEATURE_DIMENSIONS.get(dim)
             if labels is None:
                 raise ValueError(f"unknown dimension {dim!r} in priors")
-            if len(weights) != len(labels) or min(weights) < 0 or sum(weights) <= 0:
-                raise ValueError(f"bad prior weights for {dim!r}")
+            # random.choices draws only from finite weights with a finite, positive total
+            if len(weights) != len(labels) or not (
+                all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf
+            ):
+                raise ValueError(f"bad prior weights for {dim!r}: need {len(labels)} finite, non-negative "
+                                 "weights with a finite, positive sum")
 
     def rho_for(self, dimension: str) -> float:
         return self.rho_by_dimension.get(dimension, self.rho)
@@ -117,21 +124,11 @@ class SyntheticConfig:
         return [w / total for w in raw]
 
 
-def _sample_label(rng: random.Random, labels: Sequence[str], weights: Sequence[float]) -> str:
-    return rng.choices(labels, weights=weights, k=1)[0]
-
-
-def _one_utterance(rng: random.Random, config: SyntheticConfig, objects: Sequence[str]) -> AnnotatedUtterance:
-    n_spans = rng.randint(1, config.max_spans)
-    intents = rng.sample(sorted(INTENT_VERBS), n_spans)
-    labels = {
-        dim: _sample_label(rng, FEATURE_DIMENSIONS[dim], config.priors_for(dim))
-        for dim in _DIM_ORDER
-    }
-    carried = {
-        dim: [rng.random() < config.rho_for(dim) for _ in range(n_spans)]
-        for dim in _DIM_ORDER
-    }
+def _one_utterance(rng: random.Random, max_spans: int, dims: list[tuple], objects: Sequence[str]) -> AnnotatedUtterance:
+    n_spans = rng.randint(1, max_spans)
+    intents = rng.sample(_INTENTS, n_spans)
+    labels = {dim: rng.choices(values, cum_weights=cum, k=1)[0] for dim, values, cum, _ in dims}
+    carried = {dim: [rng.random() < rho for _ in range(n_spans)] for dim, _, _, rho in dims}
 
     tokens: list[str] = []
     spans: list[IntentSpan] = []
@@ -160,7 +157,13 @@ def generate_utterances(
     rng: random.Random, config: SyntheticConfig, size: int, partition: str
 ) -> list[AnnotatedUtterance]:
     objects = OBJECT_NOUNS[partition]
-    return [_one_utterance(rng, config, objects) for _ in range(size)]
+    # (dimension, labels, cumulative priors, rho) once per split; choices() makes
+    # the same random() call and bisect given cum_weights as given weights
+    dims = [
+        (dim, FEATURE_DIMENSIONS[dim], list(accumulate(config.priors_for(dim))), config.rho_for(dim))
+        for dim in _DIM_ORDER
+    ]
+    return [_one_utterance(rng, config.max_spans, dims, objects) for _ in range(size)]
 
 
 def generate_synthetic(

@@ -15,6 +15,7 @@ from spanfeat.data import (
     encode_iobes,
     iobes_tag_set,
     load_corpus,
+    build_vocabularies,
     masked_examples,
     save_corpus,
     utterance_from_json,
@@ -78,6 +79,17 @@ class TestVocabulary:
         a, b, c = v.encode(["a", "b", "c"])
         assert Vocabulary.UNK not in (a, c) and a != c
         assert b == Vocabulary.UNK
+
+    def test_build_vocabularies_index_maps_are_pinned(self):
+        # first-occurrence order; words lowercased and kept if seen twice; every character kept
+        corpus = [
+            AnnotatedUtterance(tokens=text.split(), spans=[])
+            for text in ("I install the printer", "i cancel The router", "we install my printer")
+        ]
+        word, char = build_vocabularies(corpus)
+        assert word.to_dict() == {"<pad>": 0, "<unk>": 1, "i": 2, "install": 3, "the": 4, "printer": 5}
+        assert list(char.to_dict()) == ["<pad>", "<unk>", *"IinstalheprcTouwmy"]
+        assert list(char.to_dict().values()) == list(range(20))
 
     def test_roundtrip(self):
         v = Vocabulary(["x", "y"])
@@ -200,6 +212,20 @@ class TestCorpusIO:
         assert u.tokens[4] == "install"
         assert u.spans[0].features["modality"] == "modal-try"
         assert u.spans[1].features["communicative_function"] == "issue"
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([self._sample(), self._sample()], path)
+        before = path.read_bytes()
+
+        def rows():
+            yield self._sample()
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            save_corpus(rows(), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_line_numbers_in_errors(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -416,7 +417,37 @@ def all_models(vocabs):
     ]
 
 
+# SHA-256 of each all_models bundle as serialize_model writes it
+BUNDLE_SHA256 = {
+    "intent-tagger": "1dfa649c96c19b04b30db38b12a7a068f8c3ef997ad8b6e6b3167c068488b3d4",
+    "feature-tagger-flat": "f1b88797058e59d150c72cca3b08dacecc9a37cad6fcb76e0e0f4cb054963c61",
+    "feature-tagger-cascaded": "b4421ddaf5cf014998220f1110fcc7a7ea19cdb380f6b2d5a162ea8f22236949",
+    "span-cnn": "f8143676c2998ec4984c1086cd486ac047e9b6caa76406c1b68dc9983da426e8",
+    "global-local": "ddcda7ccd7c4d1288b7e28e7108025bc82a24a4401f28b5160182309a748540b",
+}
+
+
 class TestSerialization:
+    def test_bundle_bytes_are_pinned(self, vocabs, tmp_path):
+        # a round trip cannot see a changed byte, such as a float written another way
+        for model in all_models(vocabs):
+            path = tmp_path / f"{model.architecture}.model.json"
+            serialize_model(model, path)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == BUNDLE_SHA256[model.architecture], model.architecture
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_refused_and_old_bundle_kept(self, vocabs, tmp_path, bad):
+        model = all_models(vocabs)[3]
+        path = tmp_path / "m.json"
+        serialize_model(model, path)
+        before = path.read_bytes()
+        model.parameters()["projection.bias"].values[0] = bad
+        with pytest.raises(ModelError, match="tensor 'projection.bias' holds non-finite values"):
+            serialize_model(model, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_round_trip_bitwise_all_architectures(self, vocabs, tmp_path):
         for model in all_models(vocabs):
             path = tmp_path / f"{model.architecture}.model.json"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -39,6 +41,25 @@ class TestDeterminismAndShape:
         a = generate_synthetic(SyntheticConfig(train_size=50, dev_size=10, test_size=10, seed=7))
         b = generate_synthetic(SyntheticConfig(train_size=50, dev_size=10, test_size=10, seed=8))
         assert corpus_fingerprint(a[0]) != corpus_fingerprint(b[0])
+
+    @pytest.mark.parametrize("config, digest", [
+        (
+            SyntheticConfig(train_size=50, dev_size=10, test_size=10),
+            "d784e07776fdf60402852ead1abb335b35ba7ddd96aebdfdd87cf016331306f0",
+        ),
+        (
+            SyntheticConfig(
+                train_size=50, dev_size=10, test_size=10, seed=3, rho=0.2,
+                rho_by_dimension={"tense": 0.0, "negation": 0.9},
+                priors={"tense": [0.6, 0.3, 0.1], "communicative_function": [5, 1, 1, 2, 1]},
+            ),
+            "148cb2227fb12bcea40434e5c14fa2202299cb765c354c58ac47e181cf494e75",
+        ),
+    ], ids=["default", "rho-and-priors"])
+    def test_corpus_bytes_are_pinned(self, config, digest):
+        # a moved random draw changes these bytes; equality within one run would not see it
+        text = "\n".join(corpus_fingerprint(split) for split in generate_synthetic(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_sizes(self):
         train, dev, test = generate_synthetic(SyntheticConfig(train_size=20, dev_size=5, test_size=8))
@@ -203,6 +224,10 @@ class TestConfigValidation:
     def test_rejects_bad_priors(self):
         with pytest.raises(ValueError):
             SyntheticConfig(priors={"negation": [1.0]})
+        # weights random.choices cannot draw from: not finite, or a sum that overflows
+        for weights in ([math.nan, 1.0, 1.0], [math.inf, 1.0, 1.0], [1.0, -math.inf, 1.0], [1e308, 1e308, 1.0]):
+            with pytest.raises(ValueError, match="prior weights for 'tense'"):
+                SyntheticConfig(priors={"tense": weights})
 
     def test_rejects_empty_sizes(self):
         with pytest.raises(ValueError):
