@@ -1,9 +1,10 @@
 """Linear-chain CRF: log-partition, gold-path score, constrained Viterbi.
 
-Transition constraints are applied by masking forbidden entries to -inf,
-so no emission score, however large, can make an illegal path win or
-count. Viterbi and the gold score work in log space. Without constraints
-the log-partition runs its forward-backward in scaled probability space:
+Transition constraints (for IOBES tags, the grammar ``data.may_follow``
+states) are applied by masking forbidden entries to -inf, so no emission
+score, however large, can make an illegal path win or count. Viterbi and
+the gold score work in log space. Without constraints the log-partition
+runs its forward-backward in scaled probability space:
 each position's emissions are shifted by their largest entry and
 exponentiated, and each step's alphas are renormalised, the logs of the
 normalisers adding up to log Z. A guard sends any batch whose scaled
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _CLOSED, _split_tag, may_follow
 from .tensor import Tensor, _packed_rows, _record, _time_major, add, index_sum, sub
 
 __all__ = [
@@ -76,39 +78,20 @@ class ConstraintMask:
 def build_iobes_constraints(tags: list[str]) -> ConstraintMask:
     """Permitted-transition matrix for an IOBES tag list (O plus B/I/E/S per label).
 
-    Inside a span the label may not change; spans may only begin at B or S and
-    only end at E or S; the start state behaves like O for outgoing edges, the
-    end state like O for incoming ones.
+    Each entry is ``data.may_follow`` of the two tags' parsed kinds, the
+    start and end states being the closed kind O, so the mask and
+    ``decode_iobes``'s repair count read one grammar. The start state never
+    reaches the end state: a path has at least one tag.
     """
-    kinds: list[tuple[str, str | None]] = []
-    for tag in tags:
-        if tag == "O":
-            kinds.append(("O", None))
-        elif len(tag) > 2 and tag[1] == "-" and tag[0] in "BIES":
-            kinds.append((tag[0], tag[2:]))
-        else:
-            raise ValueError(f"not an IOBES tag: {tag!r}")
-
-    k = len(tags)
+    kinds = [_split_tag(tag) for tag in tags]
+    k = len(kinds)
     start, end = k, k + 1
     allowed = np.zeros((k + 2, k + 2), dtype=bool)
-
-    def may_follow(src: tuple[str, str | None], dst: tuple[str, str | None]) -> bool:
-        sp, sl = src
-        dp, dl = dst
-        if sp in ("O", "START"):
-            return dp in ("O", "B", "S") or dp == "END"
-        if sp in ("B", "I"):
-            return dp in ("I", "E") and dl == sl
-        if sp in ("E", "S"):
-            return dp in ("O", "B", "S") or dp == "END"
-        raise AssertionError(sp)
-
     for i, src in enumerate(kinds):
         for j, dst in enumerate(kinds):
             allowed[i, j] = may_follow(src, dst)
-        allowed[i, end] = may_follow(src, ("END", None))
-        allowed[start, i] = may_follow(("START", None), kinds[i])
+        allowed[i, end] = may_follow(src, _CLOSED)
+        allowed[start, i] = may_follow(_CLOSED, src)
     return ConstraintMask(allowed=allowed)
 
 

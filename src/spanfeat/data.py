@@ -21,6 +21,7 @@ __all__ = [
     "encode_iobes",
     "decode_iobes",
     "iobes_tag_set",
+    "may_follow",
     "load_corpus",
     "save_corpus",
     "write_text_atomic",
@@ -190,6 +191,11 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 # IOBES codec
 # ---------------------------------------------------------------------------
+# The tag grammar is stated once: ``_split_tag`` parses a tag into its
+# (prefix, label) kind and ``may_follow`` says which kind may come next. The
+# CRF's constraint mask is filled from the same predicate.
+
+_CLOSED: tuple[str, str | None] = ("O", None)
 
 
 def iobes_tag_set(labels: Sequence[str]) -> list[str]:
@@ -204,13 +210,16 @@ def encode_iobes(spans: Sequence[IntentSpan], length: int, key: str | None = Non
     """Render non-overlapping spans as an IOBES tag sequence of the given length.
 
     With ``key`` set, tag suffixes come from that feature dimension instead of
-    the intent label.
+    the intent label; a span without that feature raises CorpusError.
     """
     tags = ["O"] * length
     for s in spans:
         if s.end > length:
             raise CorpusError(f"span [{s.start}, {s.end}) exceeds length {length}")
-        label = s.features[key] if key is not None else s.intent
+        try:
+            label = s.intent if key is None else s.features[key]
+        except KeyError:
+            raise CorpusError(f"span [{s.start}, {s.end}) {s.intent!r} has no {key!r} feature") from None
         if s.end - s.start == 1:
             tags[s.start] = f"S-{label}"
         else:
@@ -222,52 +231,56 @@ def encode_iobes(spans: Sequence[IntentSpan], length: int, key: str | None = Non
 
 
 def _split_tag(tag: str) -> tuple[str, str | None]:
+    """The (prefix, label) kind of an IOBES tag: ("O", None) or e.g. ("B", "x")."""
     if tag == "O":
-        return "O", None
+        return _CLOSED
     if len(tag) > 2 and tag[1] == "-" and tag[0] in "BIES":
         return tag[0], tag[2:]
-    raise CorpusError(f"malformed tag {tag!r}")
+    raise CorpusError(f"malformed tag {tag!r}: not an IOBES tag")
+
+
+def may_follow(prev: tuple[str, str | None], kind: tuple[str, str | None]) -> bool:
+    """The IOBES grammar over parsed kinds: may ``kind`` come right after ``prev``?
+
+    A span is S alone or B, any number of I, then E, all of one label. The
+    start and end states are the closed kind ("O", None). After B or I only
+    I or E of the same label may follow; anywhere else only O, B, S or the
+    end state may.
+    """
+    if prev[0] in ("B", "I"):
+        return kind[0] in ("I", "E") and kind[1] == prev[1]
+    return kind[0] in ("O", "B", "S")
 
 
 def decode_iobes(tags: Sequence[str]) -> tuple[list[IntentSpan], int]:
-    """Recover spans from tags, repairing scheme violations instead of failing.
+    """Recover spans from tags, repairing grammar violations instead of failing.
 
-    A dangling or inconsistent partial span is closed at the position where the
-    violation appears. Returns the spans plus how many repairs were applied, so
-    callers can distinguish clean decodes from salvaged ones.
+    One repair is counted at each step of start -> tags -> end that
+    ``may_follow`` forbids, the rule the CRF's constraint mask is built
+    from. There the open span, if any, is closed, and an I or E that finds
+    no open span opens one. Returns the spans plus the repair count, so
+    callers can tell clean decodes from salvaged ones.
     """
     spans: list[IntentSpan] = []
     repairs = 0
-    open_start: int | None = None
-    open_label: str | None = None
-
-    def close(end: int) -> None:
-        nonlocal open_start, open_label
-        if open_start is not None:
-            spans.append(IntentSpan(open_start, end, open_label))
-            open_start = None
-            open_label = None
-
-    for i, tag in enumerate(tags):
-        prefix, label = _split_tag(tag)
-        if prefix in ("I", "E"):
-            if open_start is None or label != open_label:
-                repairs += 1
-                close(i)
-                open_start, open_label = i, label
+    start: int | None = None  # where the span a B or I left open begins
+    prev = _CLOSED
+    for i, kind in enumerate(chain(map(_split_tag, tags), [_CLOSED])):
+        if not may_follow(prev, kind):
+            repairs += 1
+            if start is not None:
+                spans.append(IntentSpan(start, i, prev[1]))
+                start = None
+        prefix, label = kind
+        if prefix == "S":
+            spans.append(IntentSpan(i, i + 1, label))
+        elif prefix != "O":
+            if start is None:
+                start = i
             if prefix == "E":
-                close(i + 1)
-        else:
-            if open_start is not None:
-                repairs += 1
-                close(i)
-            if prefix == "B":
-                open_start, open_label = i, label
-            elif prefix == "S":
-                spans.append(IntentSpan(i, i + 1, label))
-    if open_start is not None:
-        repairs += 1
-        close(len(tags))
+                spans.append(IntentSpan(start, i + 1, label))
+                start = None
+        prev = kind
     return spans, repairs
 
 

@@ -256,13 +256,14 @@ def unstack_rows(mat: Tensor) -> list[Tensor]:
     return rows
 
 
-def _row_ids(indices, rows: int) -> np.ndarray:
-    """``indices`` as an intp array of row ids of a table with ``rows`` rows.
-    A non-integer id (bools included) or one outside [0, rows) raises
-    ValueError, so that no id silently reads another row."""
+def _row_ids(indices, rows: int, op: str, what: str) -> np.ndarray:
+    """``indices`` as a flat intp array of row ids of a table with ``rows``
+    rows. An empty or not flat array, a non-integer id (bools included) or
+    one outside [0, rows) raises ValueError naming ``op`` and what its ids
+    are, so that no id silently reads another row."""
     idx = np.asarray(indices)
-    if idx.size == 0:
-        return idx.astype(np.intp)
+    if idx.ndim != 1 or idx.size < 1:
+        raise ValueError(f"{op} needs a non-empty flat array of {what}, got shape {idx.shape}")
     if idx.dtype.kind not in "iu":
         first = idx.reshape(-1)[:1].tolist()[0]
         raise ValueError(f"row id {first!r} is not an integer ({idx.dtype}) for a table of {rows} rows")
@@ -289,9 +290,7 @@ def _sum_by_id(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Select rows table[indices] for a non-empty flat array of row ids;
     backward scatter-adds (repeats accumulate) through ``_sum_by_id``."""
-    idx = _row_ids(indices, table.shape[0])
-    if idx.ndim != 1 or idx.size < 1:
-        raise ValueError(f"gather_rows needs a non-empty flat array of row ids, got shape {idx.shape}")
+    idx = _row_ids(indices, table.shape[0], "gather_rows", "row ids")
     out = Tensor(table.values[idx])
 
     def backward() -> None:
@@ -423,20 +422,19 @@ def conv_relu_max(
     reads zeros past its ends. The bias is constant over positions, so it
     is added after the maximum, and ReLU commutes with the maximum, so it is
     applied to the pooled values alone. The per-row maxima are one
-    ``np.maximum.reduceat`` per bank; a batch of one row needs neither the
-    zeroing nor the reduceat. Backward reads the argmax windows only: each
-    positive pooled (row, channel) sends its gradient to the w (offset,
-    source row) responses its argmax position (lowest index on ties) read,
-    one ``np.bincount`` sums them into a (source rows, sum of w*f) response
-    gradient, and the table and filter gradients are one product each.
+    ``np.maximum.reduceat`` per bank; the forward of a batch of one row
+    needs neither the zeroing nor the reduceat. Backward reads the argmax
+    windows only: each positive pooled (row, channel) sends its gradient
+    to the w (offset, source row) responses its argmax position (lowest
+    index on ties) read, one ``np.bincount`` sums them into a (source rows,
+    sum of w*f) response gradient, and the table and filter gradients are
+    one product each.
     """
     tv = table.values
     if tv.ndim != 2:
         raise ValueError(f"conv_relu_max needs a (rows, e) embedding table, got {table.shape}")
     rows, e = tv.shape
-    idx = _row_ids(ids, rows)
-    if idx.ndim != 1 or idx.size < 1:
-        raise ValueError(f"conv_relu_max needs a non-empty flat array of packed ids, got shape {idx.shape}")
+    idx = _row_ids(ids, rows, "conv_relu_max", "packed ids")
     total = idx.size
     lens, starts = _packed_rows(lengths, total)
     bsz = lens.size
@@ -486,11 +484,8 @@ def conv_relu_max(
         else:
             part[...] = np.maximum.reduceat(pre, starts, axis=0)
         if taping:  # backward needs only where each maximum sits
-            if bsz == 1:
-                argmaxes.append(pre.argmax(axis=0)[None])
-            else:
-                at_max = np.where(pre == np.repeat(part, lens, axis=0), np.arange(total)[:, None], total)
-                argmaxes.append(np.minimum.reduceat(at_max, starts, axis=0))
+            at_max = np.where(pre == np.repeat(part, lens, axis=0), np.arange(total)[:, None], total)
+            argmaxes.append(np.minimum.reduceat(at_max, starts, axis=0))
         part += bias.values
         offset += f
         del responses, pre  # before the next bank allocates its own
@@ -650,9 +645,7 @@ def lstm_sequence(table: Tensor, ids, fwd: Sequence[Tensor], bwd: Sequence[Tenso
     if tv.ndim != 2:
         raise ValueError(f"lstm_sequence needs a (rows, e) token table, got {table.shape}")
     d, e = tv.shape
-    idx = _row_ids(ids, d)
-    if idx.ndim != 1 or idx.size < 1:
-        raise ValueError(f"lstm_sequence needs a non-empty flat array of packed ids, got shape {idx.shape}")
+    idx = _row_ids(ids, d, "lstm_sequence", "packed ids")
     n = idx.size
     hd = fwd[1].shape[0]
     for name, (wx, wh, b) in (("fwd", fwd), ("bwd", bwd)):

@@ -445,19 +445,28 @@ class TestIobesConstraints:
         assert not mask.allowed[idx["O"], idx["I-b"]]
 
     def test_legality_matches_decoder(self):
-        # a sequence the mask accepts must decode with zero repairs and back
+        # decode_iobes counts one repair for each transition the mask forbids
+        # along start -> tags -> end, so a sequence the mask accepts decodes
+        # with zero repairs and back
         rng = np.random.default_rng(13)
         tags = iobes_tag_set(["a", "b"])
         mask = build_iobes_constraints(tags)
+        start, end = len(tags), len(tags) + 1
         agree = 0
+        counts = set()
         for _ in range(300):
             n = int(rng.integers(1, 6))
             ids = [int(i) for i in rng.integers(0, len(tags), size=n)]
+            path = [start] + ids + [end]
+            forbidden = sum(not mask.allowed[a, b] for a, b in zip(path, path[1:]))
             legal = mask.is_legal(ids)
             _, repairs = decode_iobes([tags[i] for i in ids])
+            assert repairs == forbidden
             assert legal == (repairs == 0)
             agree += legal
+            counts.add(repairs)
         assert 0 < agree < 300  # both outcomes exercised
+        assert len(counts) > 2  # and more than one repair in a sequence
 
     def test_rejects_non_iobes_tag(self):
         with pytest.raises(ValueError, match="not an IOBES tag"):

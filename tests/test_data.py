@@ -119,6 +119,12 @@ class TestIobesCodec:
         spans = [IntentSpan(0, 2, "a", dict(FULL, tense="past"))]
         assert encode_iobes(spans, 2, key="tense") == ["B-past", "E-past"]
 
+    def test_encode_names_the_span_missing_the_dimension(self):
+        spans = [IntentSpan(0, 2, "a", dict(FULL, tense="past")), IntentSpan(2, 3, "install")]
+        with pytest.raises(CorpusError, match=r"span \[2, 3\) 'install' has no 'tense' feature"):
+            encode_iobes(spans, 3, key="tense")
+        assert encode_iobes(spans, 3) == ["B-a", "E-a", "S-install"]
+
     def test_clean_decode_has_zero_repairs(self):
         spans, repairs = decode_iobes(["S-a", "O", "B-b", "I-b", "E-b"])
         assert repairs == 0
