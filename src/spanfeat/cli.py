@@ -25,6 +25,7 @@ from .data import (
     build_vocabularies,
     load_corpus,
     masked_examples,
+    parse_json,
     save_corpus,
     utterance_from_json,
     utterance_to_json,
@@ -98,7 +99,7 @@ def _read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         value = value.strip()
         try:
-            overrides[key] = lineno, json.loads(value)
+            overrides[key] = lineno, parse_json(value)
         except json.JSONDecodeError:
             overrides[key] = lineno, value
     return overrides
@@ -428,7 +429,7 @@ def _cmd_predict(args) -> int:
             continue
         read += 1
         try:  # a line that does not parse or cannot be labelled
-            annotated = _predict_utterance(model, utterance_from_json(json.loads(line)))
+            annotated = _predict_utterance(model, utterance_from_json(parse_json(line)))
         except ValueError as err:  # JSON, corpus and model errors alike
             if args.on_error == "fail":
                 raise CorpusError(f"stdin:{lineno}: {err}") from None

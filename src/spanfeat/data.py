@@ -23,6 +23,7 @@ __all__ = [
     "iobes_tag_set",
     "may_follow",
     "load_corpus",
+    "parse_json",
     "save_corpus",
     "write_text_atomic",
     "utterance_from_json",
@@ -334,20 +335,29 @@ def utterance_to_json(u: AnnotatedUtterance) -> dict:
     }
 
 
+def parse_json(text: str):
+    """``json.loads(text)``, with text nested too deeply for the parser
+    reported as the ``json.JSONDecodeError`` of any other malformed text."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
 def load_corpus(path: str | Path, require_features: bool = True) -> list[AnnotatedUtterance]:
     utterances = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+    # bytes.splitlines cuts at the line ends of text mode: \n, \r\n and \r
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:  # each line is decoded on its own, so a byte that is not UTF-8 is named by its line
+            line = raw.decode("utf-8")
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-                u = utterance_from_json(obj)
-                if require_features:
-                    u.require_full_features()
-            except (json.JSONDecodeError, CorpusError) as err:
-                raise CorpusError(f"{path}:{lineno}: {err}") from None
-            utterances.append(u)
+            u = utterance_from_json(parse_json(line))
+            if require_features:
+                u.require_full_features()
+        except (UnicodeDecodeError, json.JSONDecodeError, CorpusError) as err:
+            raise CorpusError(f"{path}:{lineno}: {err}") from None
+        utterances.append(u)
     return utterances
 
 

@@ -13,6 +13,7 @@ spans, one label each.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -32,6 +33,7 @@ from .data import (
     decode_iobes,
     encode_iobes,
     iobes_tag_set,
+    parse_json,
     write_text_atomic,
 )
 from .encoders import BiLstm, EncoderConfig, TokenEncoder
@@ -65,7 +67,7 @@ __all__ = [
     "load_model",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelError(ValueError):
@@ -597,7 +599,8 @@ def serialize_model(model, path: str | Path) -> None:
     parameters = {}
     for name, t in sorted(model.parameters().items()):
         _require_finite(name, t.values)
-        parameters[name] = {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
+        raw = np.ascontiguousarray(t.values, "<f8").tobytes()
+        parameters[name] = {"shape": list(t.shape), "values": base64.b64encode(raw).decode("ascii")}
     bundle = {
         "format_version": FORMAT_VERSION,
         "architecture": model.architecture,
@@ -613,16 +616,17 @@ def serialize_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            bundle = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ModelError(f"{path}: not a model bundle: {err}") from None
+    """Read a bundle of format 1 (values as lists of JSON numbers) or 2
+    (values as base64 float64); a malformed one raises one ``ModelError``."""
+    try:
+        bundle = parse_json(Path(path).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ModelError(f"{path}: not a model bundle: {err}") from None
     if not isinstance(bundle, dict):
         raise ModelError(f"{path}: not a model bundle: the top level is a {type(bundle).__name__}")
     version = bundle.get("format_version")
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise ModelError(f"unsupported format version {version!r} (expected {FORMAT_VERSION})")
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
+        raise ModelError(f"unsupported format version {version!r} (expected 1 to {FORMAT_VERSION})")
     arch = bundle.get("architecture")
     cls = ARCHITECTURES.get(arch) if isinstance(arch, str) else None
     if cls is None:
@@ -647,15 +651,24 @@ def load_model(path: str | Path):
         shape, values = entry["shape"], entry["values"]
         if not _has_type(shape, list[int]) or shape != list(t.shape):
             raise ModelError(f"tensor {name!r} has shape {shape!r}, expected {list(t.shape)}")
-        # one pass over the values; a JSON bool would pass for a number with numpy
-        if type(values) is not list or not set(map(type, values)) <= {float, int}:
-            raise ModelError(f"tensor {name!r} holds values that are not a flat list of numbers")
-        if len(values) != t.values.size:
-            raise ModelError(f"tensor {name!r} has {len(values)} values, expected {t.values.size}")
-        try:
-            values = np.array(values, dtype=np.float64)
-        except OverflowError:  # an integer beyond the float range
-            values = None
+        if version == 1:  # a list of JSON numbers
+            # one pass over the values; a JSON bool would pass for a number with numpy
+            if type(values) is not list or not set(map(type, values)) <= {float, int}:
+                raise ModelError(f"tensor {name!r} holds values that are not a flat list of numbers")
+            if len(values) != t.values.size:
+                raise ModelError(f"tensor {name!r} has {len(values)} values, expected {t.values.size}")
+            try:
+                values = np.array(values, dtype=np.float64)
+            except OverflowError:  # an integer beyond the float range
+                values = None
+        else:  # base64 of the little-endian float64 bytes
+            try:
+                raw = base64.b64decode(values, validate=True)
+            except (TypeError, ValueError):  # not a string, a character outside the alphabet, bad padding
+                raise ModelError(f"tensor {name!r} holds values that are not a base64 string") from None
+            if len(raw) != 8 * t.values.size:
+                raise ModelError(f"tensor {name!r} has {len(raw)} value bytes, expected {8 * t.values.size}")
+            values = np.frombuffer(raw, "<f8")
         _require_finite(name, values)
         t.values[...] = values.reshape(t.shape)
     return model

@@ -9,7 +9,8 @@ JSON_VALUES = [None, True, False, 0, 3, -2, 2.5, float("nan"), float("inf"), "",
 
 def _mutate_json(data, tree) -> None:
     """Walk from the root of a JSON tree to a node at a random depth, then
-    drop it, change its JSON type, make it NaN, or truncate it (a list)."""
+    drop it, change its JSON type, make it NaN, or truncate it (a list or a
+    string)."""
     depth = data.draw(st.integers(1, 6), label="depth")
     parent, key, node = None, None, tree
     while isinstance(node, (dict, list)) and node and depth:
@@ -28,6 +29,8 @@ def _mutate_json(data, tree) -> None:
         parent[key] = float("nan")
     elif isinstance(node, list):
         del node[data.draw(st.integers(0, len(node)), label="keep"):]
+    elif isinstance(node, str):
+        parent[key] = node[: data.draw(st.integers(0, len(node)), label="keep")]
 
 
 @pytest.fixture(scope="session")

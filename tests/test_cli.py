@@ -26,6 +26,9 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
+# nested past the recursion limit of Python's json parser
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+
 TINY_TAGGER = ["--word-dim", "12", "--lstm-hidden", "6", "--epochs", "1"]
 TINY_CLASSIFIER = ["--embedding-dim", "12", "--filters", "3", "--epochs", "1"]
 
@@ -279,6 +282,12 @@ class TestConfigFile:
         config.write_text("# header\nlr = 0.1  # note\n")
         assert _read_config_file(str(config)) == {"lr": (2, 0.1)}
 
+    def test_deeply_nested_value_reads_as_text(self, tmp_path):
+        # like any value that is not JSON, it is left for the flag's type to judge
+        config = tmp_path / "run.cfg"
+        config.write_text(f"dimension = {DEEP_LIST}\n")
+        assert _read_config_file(str(config)) == {"dimension": (1, DEEP_LIST)}
+
     @settings(max_examples=100, deadline=None)
     @given(entries=st.dictionaries(
         st.from_regex(r"[a-z][a-z_]{0,8}", fullmatch=True),
@@ -497,6 +506,19 @@ class TestPredict:
         err = captured.err.splitlines()
         assert err[0] == "skipped 1 of 4 lines"
         assert len(err) == 2 and err[1].startswith("stdin:2: ")
+
+    @pytest.mark.parametrize("on_error, code, line", [
+        ("fail", 1, "error: stdin:2: nested too deeply"),
+        ("skip", 0, "stdin:2: nested too deeply"),
+    ])
+    def test_deeply_nested_line_is_malformed(self, trained, monkeypatch, capsys, on_error, code, line):
+        good = '{"tokens": ["hi"], "spans": []}\n'
+        deep = '{"tokens": ' + DEEP_LIST + ', "spans": []}\n'
+        monkeypatch.setattr("sys.stdin", io.StringIO(good + deep + good))
+        assert run(["predict", "--model", str(trained["intent"]), "--on-error", on_error]) == code
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == (1 if on_error == "fail" else 2)
+        assert line in captured.err.splitlines()[-1]
 
     def test_on_error_skip_fails_when_nothing_is_written(self, trained, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO('not json\n{"tokens": ["a", ""], "spans": []}\n'))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,25 @@ class TestCorpusIO:
         save_corpus([self._sample()], path)
         path.write_text(path.read_text() + "\n\n", encoding="utf-8")
         assert len(load_corpus(path)) == 1
+
+    def test_line_ends_of_text_mode_split_rows(self, tmp_path):
+        path = tmp_path / "ends.jsonl"
+        good = json.dumps({"tokens": ["hi"], "spans": []})
+        path.write_bytes(f"{good}\r\n{good}\r{good}\n".encode())
+        assert [u.tokens for u in load_corpus(path)] == [["hi"]] * 3
+
+    def test_line_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(json.dumps({"tokens": ["hi"], "spans": []}).encode() + b"\n\xff\xfe{}\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:2: 'utf-8' codec can't decode byte 0xff")):
+            load_corpus(path)
+
+    def test_deeply_nested_line_is_malformed(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        deep = '{"tokens": ' + "[" * 100_000 + "]" * 100_000 + ', "spans": []}'
+        path.write_text(json.dumps({"tokens": ["hi"], "spans": []}) + "\n" + deep + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:2: nested too deeply")):
+            load_corpus(path)
 
 
 def test_masked_examples_one_per_span():

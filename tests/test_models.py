@@ -1,5 +1,7 @@
+import base64
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -417,14 +419,40 @@ def all_models(vocabs):
     ]
 
 
-# SHA-256 of each all_models bundle as serialize_model writes it
+# SHA-256 of each all_models bundle as serialize_model writes it (format 2)
 BUNDLE_SHA256 = {
+    "intent-tagger": "d8db1ed137e0da31eee0611e23f9d6d2131cec48e73b84667e89bf7e2858ae6c",
+    "feature-tagger-flat": "f0a251dc6b481889682460806ac30ef33c1832e87d890132de0870b0d3626ffd",
+    "feature-tagger-cascaded": "3f9faba365b972a69ed86a53f68cab70bbe03990c364bf207967134e4843b83f",
+    "span-cnn": "4516e2aa6ff23ba47dadde764501b660b6c8ef4952c6e695f5cdaf3401588a31",
+    "global-local": "3867cc6f56fb3603952adf69493bd478a7f8be0a90a86d6ae7499462bb69e320",
+}
+# SHA-256 of the same bundles as format 1 wrote them, values as lists of JSON numbers
+FORMAT_1_SHA256 = {
     "intent-tagger": "1dfa649c96c19b04b30db38b12a7a068f8c3ef997ad8b6e6b3167c068488b3d4",
     "feature-tagger-flat": "f1b88797058e59d150c72cca3b08dacecc9a37cad6fcb76e0e0f4cb054963c61",
     "feature-tagger-cascaded": "b4421ddaf5cf014998220f1110fcc7a7ea19cdb380f6b2d5a162ea8f22236949",
     "span-cnn": "f8143676c2998ec4984c1086cd486ac047e9b6caa76406c1b68dc9983da426e8",
     "global-local": "ddcda7ccd7c4d1288b7e28e7108025bc82a24a4401f28b5160182309a748540b",
 }
+
+
+def _floats(text: str) -> np.ndarray:
+    """The float64 values of a format-2 ``values`` string."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _as_format_1(bundle: dict) -> dict:
+    """``bundle``, in place, as format 1 stores it: each tensor's values as a
+    list of JSON numbers."""
+    for entry in bundle["parameters"].values():
+        entry["values"] = _floats(entry["values"]).tolist()
+    bundle["format_version"] = 1
+    return bundle
 
 
 class TestSerialization:
@@ -435,6 +463,39 @@ class TestSerialization:
             serialize_model(model, path)
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == BUNDLE_SHA256[model.architecture], model.architecture
+
+    def test_format_1_bundles_keep_their_bytes_and_load_bitwise(self, vocabs, tmp_path):
+        new, old, resaved = tmp_path / "new.json", tmp_path / "old.json", tmp_path / "resaved.json"
+        for model in all_models(vocabs):
+            serialize_model(model, new)
+            text = json.dumps(_as_format_1(json.loads(new.read_text())), sort_keys=True, allow_nan=False) + "\n"
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == FORMAT_1_SHA256[model.architecture], model.architecture
+            old.write_text(text, encoding="utf-8")
+            loaded = load_model(old)
+            restored = loaded.parameters()
+            for name, t in model.parameters().items():
+                assert t.values.tobytes() == restored[name].values.tobytes(), name
+            serialize_model(loaded, resaved)
+            assert resaved.read_bytes() == new.read_bytes(), model.architecture
+
+    def test_loaded_parameters_are_writable(self, vocabs, tmp_path):
+        serialize_model(all_models(vocabs)[4], tmp_path / "m.json")
+        for t in load_model(tmp_path / "m.json").parameters().values():
+            t.values += 1.0
+
+    def test_bundle_that_is_not_utf8_names_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe{}")
+        message = f"{path}: not a model bundle: 'utf-8' codec can't decode byte 0xff"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            load_model(path)
+
+    def test_deeply_nested_bundle_is_malformed(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"format_version": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        with pytest.raises(ModelError, match=re.escape(f"{path}: not a model bundle: nested too deeply")):
+            load_model(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameter_refused_and_old_bundle_kept(self, vocabs, tmp_path, bad):
@@ -503,7 +564,7 @@ class TestSerialization:
         model = all_models(vocabs)[0]
         path = tmp_path / "m.json"
         serialize_model(model, path)
-        bundle = json.loads(path.read_text())
+        bundle = _as_format_1(json.loads(path.read_text()))
         bundle["parameters"]["projection.bias"]["values"][0] = float("nan")
         path.write_text(json.dumps(bundle))
         with pytest.raises(ModelError, match="projection.bias.*non-finite"):
@@ -516,7 +577,7 @@ class TestSerialization:
         path = tmp_path / "m.json"
         serialize_model(model, path)
         bundle = json.loads(path.read_text())
-        bundle["format_version"] = 2
+        bundle["format_version"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(bundle))
         with pytest.raises(ModelError, match="format version"):
             load_model(path)
@@ -580,7 +641,18 @@ def _edit_bias(key, edit):
     return mutate
 
 
+def _edit_format_1_bias(edit):
+    return lambda bundle: _edit_bias("values", edit)(_as_format_1(bundle))
+
+
+def _with_first_value(x):
+    return _edit_bias("values", lambda v: _b64([x, *_floats(v)[1:]]))
+
+
 NOT_NUMBERS = "tensor 'projection.bias' holds values that are not a flat list of numbers"
+NOT_BASE64 = "tensor 'projection.bias' holds values that are not a base64 string"
+WRONG_LENGTH = r"tensor 'projection.bias' has \d+ value bytes, expected \d+"
+NON_FINITE = "tensor 'projection.bias' holds non-finite values"
 MALFORMED_BUNDLES = {
     "top level is a list": (lambda bundle: [bundle], "top level is a list"),
     "config missing": (_drop("config"), r"bundle: missing keys \['config'\]"),
@@ -598,13 +670,20 @@ MALFORMED_BUNDLES = {
         _set("2", "vocabularies", "word", "printer"),
         "vocabularies.word: index '2' of 'printer' is not an integer",
     ),
-    "string parameter value": (_edit_bias("values", lambda v: ["0.5"] + v[1:]), NOT_NUMBERS),
-    "bool parameter values": (_edit_bias("values", lambda v: v[:-2] + [True, False]), NOT_NUMBERS),
-    "nested parameter values": (_edit_bias("values", lambda v: [[x] for x in v]), NOT_NUMBERS),
-    "null parameter value": (_edit_bias("values", lambda v: [None] + v[1:]), NOT_NUMBERS),
-    "integer beyond the float range": (
-        _edit_bias("values", lambda v: [10**400] + v[1:]), "tensor 'projection.bias' holds non-finite values",
-    ),
+    "string parameter value": (_edit_format_1_bias(lambda v: ["0.5"] + v[1:]), NOT_NUMBERS),
+    "bool parameter values": (_edit_format_1_bias(lambda v: v[:-2] + [True, False]), NOT_NUMBERS),
+    "nested parameter values": (_edit_format_1_bias(lambda v: [[x] for x in v]), NOT_NUMBERS),
+    "null parameter value": (_edit_format_1_bias(lambda v: [None] + v[1:]), NOT_NUMBERS),
+    "integer beyond the float range": (_edit_format_1_bias(lambda v: [10**400] + v[1:]), NON_FINITE),
+    "format-2 values as a list": (_edit_bias("values", lambda v: _floats(v).tolist()), NOT_BASE64),
+    "non-alphabet character in values": (_edit_bias("values", lambda v: v[:4] + "*" + v[4:]), NOT_BASE64),
+    "values cut by 1 character": (_edit_bias("values", lambda v: v[:-1]), NOT_BASE64),
+    "values cut by 4 characters": (_edit_bias("values", lambda v: v[:-4]), WRONG_LENGTH),
+    "values cut by 8 characters": (_edit_bias("values", lambda v: v[:-8]), WRONG_LENGTH),
+    "values with 8 extra bytes": (_edit_bias("values", lambda v: _b64([*_floats(v), 0.5])), WRONG_LENGTH),
+    "NaN in values": (_with_first_value(float("nan")), NON_FINITE),
+    "infinity in values": (_with_first_value(float("inf")), NON_FINITE),
+    "negative infinity in values": (_with_first_value(float("-inf")), NON_FINITE),
     "float parameter shape": (
         _edit_bias("shape", lambda shape: [float(d) for d in shape]), r"tensor 'projection.bias' has shape \[\d+\.0\]",
     ),
@@ -672,7 +751,7 @@ BUNDLE_FORMAT = {
 
 
 def test_bundle_format_is_pinned(vocabs, tmp_path):
-    assert FORMAT_VERSION == 1
+    assert FORMAT_VERSION == 2
     for model in all_models(vocabs):
         bundle = _bundle_of(model, tmp_path)
         assert sorted(bundle) == ["architecture", "config", "format_version", "parameters", "vocabularies"]
@@ -680,6 +759,7 @@ def test_bundle_format_is_pinned(vocabs, tmp_path):
         assert _flat_keys(bundle["config"]) == config_keys, model.architecture
         assert sorted(bundle["vocabularies"]) == vocab_names, model.architecture
         assert sorted(bundle["parameters"]) == parameter_names, model.architecture
+        assert all(type(entry["values"]) is str for entry in bundle["parameters"].values())
 
 
 @pytest.mark.parametrize("switch, names", [
@@ -971,7 +1051,8 @@ def test_mistyped_config_value_names_field(vocabs, tmp_path, case):
 @pytest.fixture(scope="module")
 def serialized_small_models(vocabs):
     with tempfile.TemporaryDirectory() as root:
-        return [_bundle_of(model, Path(root)) for model in all_models(vocabs)]
+        bundles = [_bundle_of(model, Path(root)) for model in all_models(vocabs)]
+    return bundles + [_as_format_1(json.loads(json.dumps(b))) for b in bundles]
 
 
 @settings(max_examples=300, deadline=None)
