@@ -9,7 +9,9 @@ which wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -86,11 +88,16 @@ def _read_config_file(path: str) -> dict:
     """
     overrides = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as err:
         raise CliError(f"cannot read config file: {err}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+    # bytes.splitlines cuts at the line ends of text mode: \n, \r\n and \r
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:  # each line is decoded on its own, so a byte that is not UTF-8 is named by its line
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CliError(f"{path}:{lineno}: {err}") from None
+        line = _COMMENT.split(text, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -421,22 +428,41 @@ def _predict_utterance(model, u: AnnotatedUtterance) -> AnnotatedUtterance:
     return AnnotatedUtterance(tokens=u.tokens, spans=spans)
 
 
+@contextlib.contextmanager
+def _utf8_stdin():
+    """stdin read as UTF-8 whatever the locale, its lines cut as text mode
+    cuts them; a byte that is not UTF-8 stays in its line as a lone
+    surrogate (PEP 383), so that the line holding it, and no other, fails
+    to decode."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:  # a text stream with no bytes beneath it
+        yield sys.stdin
+        return
+    stdin = io.TextIOWrapper(buffer, encoding="utf-8", errors="surrogateescape")
+    try:
+        yield stdin
+    finally:
+        stdin.detach()  # leaving sys.stdin's buffer open
+
+
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     read, written, skipped = 0, 0, []
-    for lineno, line in enumerate(sys.stdin, start=1):
-        if not line.strip():
-            continue
-        read += 1
-        try:  # a line that does not parse or cannot be labelled
-            annotated = _predict_utterance(model, utterance_from_json(parse_json(line)))
-        except ValueError as err:  # JSON, corpus and model errors alike
-            if args.on_error == "fail":
-                raise CorpusError(f"stdin:{lineno}: {err}") from None
-            skipped.append(f"stdin:{lineno}: {err}")
-            continue
-        sys.stdout.write(json.dumps(utterance_to_json(annotated), ensure_ascii=False) + "\n")
-        written += 1
+    with _utf8_stdin() as stdin:
+        for lineno, line in enumerate(stdin, start=1):
+            if not line.strip():
+                continue
+            read += 1
+            try:  # a line that is not UTF-8, does not parse or cannot be labelled
+                line = line.encode("utf-8", "surrogateescape").decode("utf-8")
+                annotated = _predict_utterance(model, utterance_from_json(parse_json(line)))
+            except ValueError as err:  # decode, JSON, corpus and model errors alike
+                if args.on_error == "fail":
+                    raise CorpusError(f"stdin:{lineno}: {err}") from None
+                skipped.append(f"stdin:{lineno}: {err}")
+                continue
+            sys.stdout.write(json.dumps(utterance_to_json(annotated), ensure_ascii=False) + "\n")
+            written += 1
     if args.on_error == "skip":
         sys.stdout.flush()
         print(f"skipped {len(skipped)} of {read} lines", file=sys.stderr)

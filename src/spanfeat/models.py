@@ -394,6 +394,8 @@ class GlobalLocalClassifier(_FeatureModel):
     config_key = "global_local"  # the config's key in a bundle
     global_view = True
     vocab_names = ("word",)
+    # (tokens, pooled global view) of the utterance ``feature_spans`` is labelling
+    _held_view: tuple[list[str], Tensor] | None = None
 
     def __init__(
         self,
@@ -452,7 +454,8 @@ class GlobalLocalClassifier(_FeatureModel):
         ``conv_relu_max`` node that reads them from its embedding table, so
         no embedded copy of the batch is made; every row is pooled over its
         own positions only, so a row's vectors do not depend on the rest of
-        the batch.
+        the batch. A one-row call for the utterance ``feature_spans`` is
+        labelling reads the global view that call pooled.
         """
         if len(tokens) != len(masks) or not tokens:
             raise ModelError("represent needs one mask per token list, and at least one of each")
@@ -469,7 +472,10 @@ class GlobalLocalClassifier(_FeatureModel):
             span_ids += span
             word_lengths.append(len(ids))
             span_lengths.append(len(span))
-        if self.global_view:  # first, so backward frees the local view before the larger global one
+        held = self._held_view
+        if held is not None and len(tokens) == 1 and held[0] == tokens[0]:
+            g = held[1]
+        elif self.global_view:  # first, so backward frees the local view before the larger global one
             global_ids, global_lengths = (
                 (word_ids, word_lengths) if self.config.use_global_context else (span_ids, span_lengths)
             )
@@ -496,11 +502,22 @@ class GlobalLocalClassifier(_FeatureModel):
         return int(self._logits(example.tokens, example.mask).values.argmax())
 
     def feature_spans(self, tokens: list[str], spans: list[IntentSpan]) -> list[IntentSpan]:
-        """The given spans, in order, each labelled by its own ``classify`` call."""
-        return [
-            IntentSpan(s.start, s.end, self.labels[self.classify(MaskedExample.for_span(tokens, s))])
-            for s in spans
-        ]
+        """The given spans, in order, each labelled by its own ``classify`` call.
+
+        A global view over the whole utterance does not depend on the span,
+        so it is pooled once and held for those calls' ``represent``; it is
+        dropped however the call ends, so no parameter update meets it.
+        """
+        try:
+            if self.global_view and self.config.use_global_context and tokens and spans:
+                ids = self.word_vocab.encode([t.lower() for t in tokens])
+                self._held_view = list(tokens), self.global_pool.apply(self.global_embedding, ids, [len(ids)])
+            return [
+                IntentSpan(s.start, s.end, self.labels[self.classify(MaskedExample.for_span(tokens, s))])
+                for s in spans
+            ]
+        finally:
+            self._held_view = None
 
     def to_config(self) -> dict:
         return {

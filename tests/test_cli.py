@@ -355,6 +355,14 @@ class TestConfigFile:
         assert run(["gen-data", "--out-dir", str(tmp_path), "--config", str(config)]) == 1
         assert "key = value" in capsys.readouterr().err
 
+    def test_line_that_is_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"seed = 1\n\xff\n")
+        assert run(["gen-data", "--out-dir", str(tmp_path), "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}:2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
 
 @pytest.fixture(scope="module")
 def trained(corpus_dir, tmp_path_factory):
@@ -519,6 +527,31 @@ class TestPredict:
         captured = capsys.readouterr()
         assert len(captured.out.splitlines()) == (1 if on_error == "fail" else 2)
         assert line in captured.err.splitlines()[-1]
+
+    # stdin as Python opens it under a C locale, and under PYTHONIOENCODING=utf-8:strict
+    @pytest.mark.parametrize("errors", ["surrogateescape", "strict"])
+    @pytest.mark.parametrize("on_error, code", [("fail", 1), ("skip", 0)])
+    def test_line_that_is_not_utf8_is_malformed(
+        self, corpus_dir, trained, tmp_path, monkeypatch, capsys, errors, on_error, code
+    ):
+        corpus = load_corpus(corpus_dir / "test.jsonl")[:2]
+        good = [json.dumps(utterance_to_json(u)).encode() + b"\n" for u in corpus]
+        data = good[0] + b'{"tokens": ["h\xffi"], "spans": []}\n' + good[1]
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors))
+        assert run(["predict", "--model", str(trained["cnn"]), "--on-error", on_error]) == code
+        captured = capsys.readouterr()
+        reason = "stdin:2: 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"
+        assert captured.err.splitlines()[-1] == (f"error: {reason}" if on_error == "fail" else reason)
+        out_path = tmp_path / "predicted.jsonl"
+        out_path.write_text(captured.out, encoding="utf-8")
+        kept = corpus[:1] if on_error == "fail" else corpus
+        assert [u.tokens for u in load_corpus(out_path)] == [u.tokens for u in kept]
+
+    def test_lone_surrogate_in_a_text_stream_is_malformed(self, trained, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"tokens": ["h\udcffi"], "spans": []}\n'))
+        assert run(["predict", "--model", str(trained["cnn"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: stdin:1: 'utf-8' codec can't decode byte 0xff" in captured.err
 
     def test_on_error_skip_fails_when_nothing_is_written(self, trained, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO('not json\n{"tokens": ["a", ""], "spans": []}\n'))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from spanfeat.data import (
     FEATURE_DIMENSIONS,
     AnnotatedUtterance,
+    CorpusError,
     IntentSpan,
     MaskedExample,
     Vocabulary,
@@ -21,6 +22,7 @@ from spanfeat.data import (
     masked_examples,
 )
 from spanfeat.encoders import EncoderConfig
+from spanfeat.evaluation import COMPARISON_ROLES
 from spanfeat.models import (
     ARCHITECTURES,
     CLASSIFIER_ARCHS,
@@ -38,7 +40,8 @@ from spanfeat.models import (
     serialize_model,
 )
 from spanfeat.synthetic import SyntheticConfig, generate_synthetic
-from spanfeat.tensor import Tape
+from spanfeat.tensor import Tape, conv_relu_max
+from spanfeat.training import Adadelta, AdadeltaConfig
 
 SMALL_ENCODER = dict(
     word_embedding_dims=[8], char_embedding_dim=4, char_filters=5, lstm_hidden=4
@@ -926,6 +929,107 @@ def test_batch_loss_is_one_tape_per_batch(vocabs):
     for tape in (one, five):
         ops = [step.__qualname__.split(".")[0] for step in tape._steps]
         assert "gather_rows" not in ops and ops.count("conv_relu_max") == 2
+
+
+SHARED_VIEW_VARIANTS = {**COMPARISON_ROLES, "shared-pooling": (GlobalLocalClassifier, {"share_pooling_params": True})}
+
+# one, two and three spans, with tokens repeated inside a span, across spans
+# and outside them, and two spans over the same words
+SHARED_VIEW_UTTERANCES = [
+    ("i install the the printer".split(), [IntentSpan(1, 5, "install")]),
+    ("we cancel the order and we cancel the order".split(), [IntentSpan(0, 4, "cancel"), IntentSpan(5, 9, "cancel")]),
+    ("refund it now refund it and install it".split(),
+     [IntentSpan(0, 2, "refund"), IntentSpan(3, 5, "refund"), IntentSpan(6, 8, "install")]),
+]
+
+
+def _logged_logits(model) -> list[np.ndarray]:
+    """Route the model's ``_logits`` through a log of the values it returns."""
+    log = []
+
+    def logits(tokens, mask=None):
+        out = type(model)._logits(model, tokens, mask)
+        log.append(out.values.copy())
+        return out
+
+    model._logits = logits
+    return log
+
+
+def _alone(model, tokens, span) -> np.ndarray:
+    """The logits of one span labelled alone, outside ``feature_spans``."""
+    return type(model)._logits(model, tokens, MaskedExample.for_span(tokens, span).mask).values
+
+
+class TestSharedGlobalView:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("variant", sorted(SHARED_VIEW_VARIANTS))
+    def test_labels_match_one_span_logits(self, vocabs, variant, seed):
+        cls, switches = SHARED_VIEW_VARIANTS[variant]
+        model = cls(vocabs[0], "tense", cls.config_type(embedding_dim=8, filters_per_width=4, **switches), seed=seed)
+        for tokens, spans in SHARED_VIEW_UTTERANCES:
+            log = _logged_logits(model)
+            labels = [s.intent for s in model.feature_spans(tokens, spans)]
+            alone = [_alone(model, tokens, s) for s in spans]
+            assert labels == [model.labels[int(a.argmax())] for a in alone]
+            assert len(log) == len(spans) and all(np.array_equal(a, b) for a, b in zip(log, alone))
+
+    def test_held_view_never_outlives_its_call(self, vocabs):
+        model = classifier_fixture(vocabs, GlobalLocalClassifier)
+        held = []
+
+        def classify(example):
+            held.append(model._held_view is not None)
+            return type(model).classify(model, example)
+
+        model.classify = classify
+        tokens, spans = SHARED_VIEW_UTTERANCES[2]
+        model.feature_spans(tokens, spans)
+        assert held == [True] * len(spans) and model._held_view is None
+        # the second span runs past the utterance, so MaskedExample.for_span raises
+        with pytest.raises(CorpusError, match="mask length"):
+            model.feature_spans(tokens[:4], spans)
+        assert held[len(spans):] == [True] and model._held_view is None
+
+    def test_labels_follow_a_parameter_update(self, vocabs):
+        model = classifier_fixture(vocabs, GlobalLocalClassifier)
+        tokens, spans = SHARED_VIEW_UTTERANCES[1]
+        before = [_alone(model, tokens, s) for s in spans]
+        model.feature_spans(tokens, spans)
+        params = model.parameters()
+        with Tape() as tape:
+            loss = model.batch_loss(RAGGED_BATCH)
+        tape.backward(loss)
+        Adadelta(params, AdadeltaConfig()).step()
+        log = _logged_logits(model)
+        labels = [s.intent for s in model.feature_spans(tokens, spans)]
+        after = [_alone(model, tokens, s) for s in spans]
+        assert not any(np.array_equal(a, b) for a, b in zip(before, after))
+        assert all(np.array_equal(a, b) for a, b in zip(log, after))
+        assert labels == [model.labels[int(a.argmax())] for a in after]
+
+    # conv_relu_max calls of one feature_spans call over S spans: once + per_span * S
+    @pytest.mark.parametrize("variant, once, per_span", [
+        ("global-local", 1, 1),
+        ("no-shared-embedding", 1, 1),
+        ("shared-pooling", 1, 1),
+        ("no-global-context", 0, 2),
+        ("span-cnn", 0, 1),
+    ])
+    def test_conv_calls_per_labelling_call_are_pinned(self, vocabs, monkeypatch, variant, once, per_span):
+        cls, switches = SHARED_VIEW_VARIANTS[variant]
+        model = classifier_fixture(vocabs, cls, **switches)
+        count = [0]
+
+        def counted(*args):
+            count[0] += 1
+            return conv_relu_max(*args)
+
+        monkeypatch.setattr("spanfeat.models.conv_relu_max", counted)
+        for tokens, spans in SHARED_VIEW_UTTERANCES:
+            count[0] = 0
+            model.feature_spans(tokens, spans)
+            assert count[0] == once + per_span * len(spans), len(spans)
 
 
 TAGGER_VARIANTS = {
