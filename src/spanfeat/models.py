@@ -210,6 +210,7 @@ class _SequenceTagger:
         self.seed = seed
         self.constrain_training = constrain_training
         self.tags = iobes_tag_set(self.labels)
+        self._tag_ids = {tag: i for i, tag in enumerate(self.tags)}
         rng = np.random.default_rng(seed)
         self.encoder = TokenEncoder(word_vocab, char_vocab, encoder_config, rng)
         self.bilstm = BiLstm(encoder_config.token_dim + extra_input_dim, encoder_config.lstm_hidden, rng)
@@ -242,7 +243,10 @@ class _SequenceTagger:
 
     def _gold_tag_ids(self, utterance: AnnotatedUtterance) -> list[int]:
         tags = encode_iobes(utterance.spans, len(utterance.tokens), key=self.dimension)
-        return [self.tags.index(t) for t in tags]
+        try:
+            return [self._tag_ids[t] for t in tags]
+        except KeyError as err:
+            raise ModelError(f"gold tag {err.args[0]!r} is not one of the model's tags") from None
 
     def batch_loss(self, utterances: Sequence[AnnotatedUtterance]) -> Tensor:
         """Mean CRF negative log-likelihood of the utterances, as one forward
@@ -394,8 +398,9 @@ class GlobalLocalClassifier(_FeatureModel):
     config_key = "global_local"  # the config's key in a bundle
     global_view = True
     vocab_names = ("word",)
-    # (tokens, pooled global view) of the utterance ``feature_spans`` is labelling
-    _held_view: tuple[list[str], Tensor] | None = None
+    # (tokens, word ids, pooled global view or None) of the utterance
+    # ``feature_spans`` is labelling
+    _held_view: tuple[list[str], list[int], Tensor | None] | None = None
 
     def __init__(
         self,
@@ -455,16 +460,19 @@ class GlobalLocalClassifier(_FeatureModel):
         no embedded copy of the batch is made; every row is pooled over its
         own positions only, so a row's vectors do not depend on the rest of
         the batch. A one-row call for the utterance ``feature_spans`` is
-        labelling reads the global view that call pooled.
+        labelling reads the word ids, and any global view, that call made.
         """
         if len(tokens) != len(masks) or not tokens:
             raise ModelError("represent needs one mask per token list, and at least one of each")
+        held = self._held_view
+        if held is not None and (len(tokens) != 1 or held[0] != tokens[0]):
+            held = None
         encode = self.word_vocab.encode
         word_ids, span_ids, word_lengths, span_lengths = [], [], [], []
         for toks, mask in zip(tokens, masks):
             if len(mask) != len(toks):
                 raise ModelError("mask length disagrees with token count")
-            ids = encode([t.lower() for t in toks])
+            ids = held[1] if held else encode([t.lower() for t in toks])
             span = [i for i, bit in zip(ids, mask) if bit]
             if not span:
                 raise ModelError("mask selects no tokens")
@@ -472,9 +480,8 @@ class GlobalLocalClassifier(_FeatureModel):
             span_ids += span
             word_lengths.append(len(ids))
             span_lengths.append(len(span))
-        held = self._held_view
-        if held is not None and len(tokens) == 1 and held[0] == tokens[0]:
-            g = held[1]
+        if held and held[2] is not None:
+            g = held[2]
         elif self.global_view:  # first, so backward frees the local view before the larger global one
             global_ids, global_lengths = (
                 (word_ids, word_lengths) if self.config.use_global_context else (span_ids, span_lengths)
@@ -484,11 +491,13 @@ class GlobalLocalClassifier(_FeatureModel):
         return concat([g, local]) if self.global_view else local
 
     def _logits(self, tokens: list[str] | MaskedExample, mask: list[int] | None = None) -> Tensor:
-        """(c,) logits of one masked span; the batched forward at B=1, off the tape."""
+        """(c,) logits of one masked span; the batched forward at B=1, off the
+        tape, so the projection is one numpy expression on the (1, d) row
+        (``_Projection.apply``'s arithmetic, in its order)."""
         if mask is None:  # a whole MaskedExample, as the benchmark's span-cnn check passes it
             tokens, mask = tokens.tokens, tokens.mask
-        logits = self.projection.apply(self.represent([tokens], [mask]))
-        return Tensor(logits.values[0])
+        joint = self.represent([tokens], [mask]).values
+        return Tensor((joint @ self.projection.weight.values + self.projection.bias.values)[0])
 
     def batch_loss(self, examples: Sequence[MaskedExample]) -> Tensor:
         """Mean cross-entropy of a batch of masked examples, one forward for all."""
@@ -504,14 +513,17 @@ class GlobalLocalClassifier(_FeatureModel):
     def feature_spans(self, tokens: list[str], spans: list[IntentSpan]) -> list[IntentSpan]:
         """The given spans, in order, each labelled by its own ``classify`` call.
 
-        A global view over the whole utterance does not depend on the span,
-        so it is pooled once and held for those calls' ``represent``; it is
-        dropped however the call ends, so no parameter update meets it.
+        The utterance's word ids, and a global view over the whole
+        utterance, do not depend on the span, so they are made once and held
+        for those calls' ``represent``; they are dropped however the call
+        ends, so no parameter update meets the view.
         """
         try:
-            if self.global_view and self.config.use_global_context and tokens and spans:
+            if tokens and spans:
                 ids = self.word_vocab.encode([t.lower() for t in tokens])
-                self._held_view = list(tokens), self.global_pool.apply(self.global_embedding, ids, [len(ids)])
+                whole = self.global_view and self.config.use_global_context
+                view = self.global_pool.apply(self.global_embedding, ids, [len(ids)]) if whole else None
+                self._held_view = list(tokens), ids, view
             return [
                 IntentSpan(s.start, s.end, self.labels[self.classify(MaskedExample.for_span(tokens, s))])
                 for s in spans

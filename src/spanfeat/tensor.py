@@ -256,6 +256,12 @@ def unstack_rows(mat: Tensor) -> list[Tensor]:
     return rows
 
 
+# ndarray.max without its Python wrapper, and the longest list of ids that
+# ``_row_ids`` range-checks in Python (past about 40 ids numpy is faster)
+_max = np.maximum.reduce
+_SHORT = 32
+
+
 def _row_ids(indices, rows: int, op: str, what: str) -> np.ndarray:
     """``indices`` as a flat intp array of row ids of a table with ``rows``
     rows. An empty or not flat array, a non-integer id (bools included) or
@@ -268,7 +274,13 @@ def _row_ids(indices, rows: int, op: str, what: str) -> np.ndarray:
         first = idx.reshape(-1)[:1].tolist()[0]
         raise ValueError(f"row id {first!r} is not an integer ({idx.dtype}) for a table of {rows} rows")
     idx = idx.astype(np.intp, copy=False)
-    if idx.view(np.uintp).max() >= rows:  # one pass: a negative id reads as a huge unsigned one
+    if type(indices) is list and len(indices) <= _SHORT:
+        # Python's min and max scan a short list faster than a ufunc
+        # reduction sets up; its integer dtype says they compare as integers
+        in_range = min(indices) >= 0 and max(indices) < rows
+    else:
+        in_range = _max(idx.view(np.uintp)) < rows  # one pass: a negative id reads as a huge unsigned one
+    if not in_range:
         bad = idx[(idx < 0) | (idx >= rows)][0]
         raise ValueError(f"row id {bad} is outside [0, {rows}) for a table of {rows} rows")
     return idx
@@ -360,14 +372,15 @@ def _packed_rows(lengths, total: int) -> tuple[np.ndarray, np.ndarray]:
     ``total`` packed positions. None is one row of all of them."""
     if lengths is None:
         lengths = [total]
+    if type(lengths) is list and len(lengths) == 1 and type(lengths[0]) is int and lengths[0] == total > 0:
+        # the one-row calls of classify and decode, checked without numpy
+        return np.array(lengths, dtype=np.intp), np.zeros(1, dtype=np.intp)
     lens = np.asarray(lengths)
     if lens.dtype.kind not in "iu" or len(lengths) == 0 or min(lengths) < 1 or sum(lengths) != total:
         raise ValueError(
             f"lengths must be positive and sum to the {total} packed positions, got {list(lengths)}"
         )
     lens = lens.astype(np.intp, copy=False)
-    if lens.size == 1:  # one-row calls (classify, decode) skip the cumsum's ~3 us, ~5 % of a classify
-        return lens, np.zeros(1, dtype=np.intp)
     return lens, np.cumsum(lens) - lens
 
 
@@ -423,7 +436,9 @@ def conv_relu_max(
     is added after the maximum, and ReLU commutes with the maximum, so it is
     applied to the pooled values alone. The per-row maxima are one
     ``np.maximum.reduceat`` per bank; the forward of a batch of one row
-    needs neither the zeroing nor the reduceat. Backward reads the argmax
+    needs neither the zeroing nor the reduceat. Off a tape the node is
+    that forward alone: the argmax windows are found, and the backward
+    defined, only while a tape records. Backward reads the argmax
     windows only: each positive pooled (row, channel) sends its gradient
     to the w (offset, source row) responses its argmax position (lowest
     index on ties) read, one ``np.bincount`` sums them into a (source rows,
@@ -433,6 +448,11 @@ def conv_relu_max(
     tv = table.values
     if tv.ndim != 2:
         raise ValueError(f"conv_relu_max needs a (rows, e) embedding table, got {table.shape}")
+    if not filters or len(filters) != len(biases):
+        raise ValueError(
+            f"conv_relu_max needs at least one filter bank and one bias per bank, "
+            f"got {len(filters)} filter banks and {len(biases)} biases"
+        )
     rows, e = tv.shape
     idx = _row_ids(ids, rows, "conv_relu_max", "packed ids")
     total = idx.size
@@ -445,18 +465,14 @@ def conv_relu_max(
         source, picked, slots = tv, None, idx
     else:
         source, picked, slots = tv[idx], idx, None
-    banks = list(zip(filters, biases, strict=True))
-    widths = [filt.values.shape[0] for filt, _ in banks]
-    sizes = [filt.values.shape[-1] for filt, _ in banks]
     if bsz > 1:
         pos = np.arange(total) - np.repeat(starts, lens)  # position within its row
         rest = np.repeat(lens - 1, lens) - pos  # positions after it in its row
-    crossing = {}  # shift -> the inputs it would carry into a neighbouring row
-    pooled = np.empty((bsz, sum(sizes)))
+        crossing = {}  # shift -> the inputs it would carry into a neighbouring row
     taping = bool(_TAPES)
-    argmaxes = []
-    offset = 0
-    for (filt, bias), w, f in zip(banks, widths, sizes):
+    parts, argmaxes = [], []
+    for filt, bias in zip(filters, biases):
+        w, f = filt.values.shape[0], filt.values.shape[-1]
         if filt.values.shape != (w, e, f) or bias.values.shape != (f,):
             raise ValueError(
                 f"conv_relu_max filters {filt.shape} and bias {bias.shape} do not fit the table {table.shape}"
@@ -478,18 +494,20 @@ def conv_relu_max(
                 pre[:-s] += responses[j, s:]
             elif s < 0:
                 pre[-s:] += responses[j, :s]
-        part = pooled[:, offset : offset + f]
-        if bsz == 1:
-            pre.max(axis=0, out=part[0])
-        else:
-            part[...] = np.maximum.reduceat(pre, starts, axis=0)
+        part = _max(pre, axis=0, keepdims=True) if bsz == 1 else np.maximum.reduceat(pre, starts, axis=0)
         if taping:  # backward needs only where each maximum sits
             at_max = np.where(pre == np.repeat(part, lens, axis=0), np.arange(total)[:, None], total)
             argmaxes.append(np.minimum.reduceat(at_max, starts, axis=0))
         part += bias.values
-        offset += f
+        parts.append(part)
         del responses, pre  # before the next bank allocates its own
+    pooled = np.concatenate(parts, axis=1) if len(parts) > 1 else part
     out = Tensor(np.maximum(pooled, 0.0, out=pooled))
+    if not taping:
+        return out
+    banks = list(zip(filters, biases))
+    widths = [filt.values.shape[0] for filt, _ in banks]
+    sizes = [filt.values.shape[-1] for filt, _ in banks]
 
     def backward() -> None:
         g = out.grad * (out.values > 0.0)

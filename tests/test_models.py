@@ -19,6 +19,7 @@ from spanfeat.data import (
     Vocabulary,
     build_vocabularies,
     decode_iobes,
+    encode_iobes,
     masked_examples,
 )
 from spanfeat.encoders import EncoderConfig
@@ -975,21 +976,36 @@ class TestSharedGlobalView:
             assert len(log) == len(spans) and all(np.array_equal(a, b) for a, b in zip(log, alone))
 
     def test_held_view_never_outlives_its_call(self, vocabs):
-        model = classifier_fixture(vocabs, GlobalLocalClassifier)
-        held = []
+        # span-cnn holds the utterance's word ids alone, global-local its
+        # global view too
+        for cls in (GlobalLocalClassifier, SpanCnnClassifier):
+            model = classifier_fixture(vocabs, cls)
+            held = []
 
-        def classify(example):
-            held.append(model._held_view is not None)
-            return type(model).classify(model, example)
+            def classify(example, model=model, held=held):
+                held.append(model._held_view is not None)
+                return type(model).classify(model, example)
 
-        model.classify = classify
-        tokens, spans = SHARED_VIEW_UTTERANCES[2]
-        model.feature_spans(tokens, spans)
-        assert held == [True] * len(spans) and model._held_view is None
-        # the second span runs past the utterance, so MaskedExample.for_span raises
-        with pytest.raises(CorpusError, match="mask length"):
-            model.feature_spans(tokens[:4], spans)
-        assert held[len(spans):] == [True] and model._held_view is None
+            model.classify = classify
+            tokens, spans = SHARED_VIEW_UTTERANCES[2]
+            model.feature_spans(tokens, spans)
+            assert held == [True] * len(spans) and model._held_view is None
+            # the second span runs past the utterance, so MaskedExample.for_span raises
+            with pytest.raises(CorpusError, match="mask length"):
+                model.feature_spans(tokens[:4], spans)
+            assert held[len(spans):] == [True] and model._held_view is None
+
+    @pytest.mark.parametrize("variant", sorted(SHARED_VIEW_VARIANTS))
+    def test_logits_are_the_projection_node_bit_for_bit(self, vocabs, variant):
+        # off the tape, _logits projects the (1, d) row as one numpy
+        # expression; it must give the bits of the projection's tape nodes
+        cls, switches = SHARED_VIEW_VARIANTS[variant]
+        model = classifier_fixture(vocabs, cls, **switches)
+        for tokens, spans in SHARED_VIEW_UTTERANCES:
+            for span in spans:
+                mask = MaskedExample.for_span(tokens, span).mask
+                nodes = model.projection.apply(model.represent([tokens], [mask])).values[0]
+                assert np.array_equal(model._logits(tokens, mask).values, nodes)
 
     def test_labels_follow_a_parameter_update(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
@@ -1039,6 +1055,18 @@ TAGGER_VARIANTS = {
         *vocabs, "tense", EncoderConfig(**SMALL_ENCODER), boundary_dim=3
     ),
 }
+
+
+@pytest.mark.parametrize("variant", sorted(TAGGER_VARIANTS))
+def test_gold_tag_ids_are_positions_in_the_tag_list(vocabs, corpus, variant):
+    intents = sorted({s.intent for u in corpus[0] for s in u.spans})
+    model = TAGGER_VARIANTS[variant](vocabs, intents)
+    for u in corpus[0] + corpus[1] + corpus[2]:
+        tags = encode_iobes(u.spans, len(u.tokens), key=model.dimension)
+        assert model._gold_tag_ids(u) == [model.tags.index(t) for t in tags]
+    if variant == "intent-tagger":  # feature values are checked when a span is made
+        with pytest.raises(ModelError, match="gold tag 'S-unheard' is not one of the model's tags"):
+            model._gold_tag_ids(AnnotatedUtterance(["a", "b"], [IntentSpan(1, 2, "unheard")]))
 
 
 def _ragged_utterances(corpus):

@@ -411,6 +411,15 @@ class TestFusedKernels:
         for lengths in ([0, 5], [-1, 6], [7, -2], [2, 2], [3, 3], [], [2.5, 2.5], [2.0, 3.0], [True] * 5):
             with pytest.raises(ValueError, match=rf"lengths.*got {re.escape(str(lengths))}"):
                 T.conv_relu_max(table, [0, 1, 2, 3, 4], bank, bias, lengths)
+        # one-row lengths: a count other than N, a bool and a float, each as
+        # a list and as an array
+        for lengths, ids in (([4], [0] * 5), ([6], [0] * 5), ([True], [0]), ([3.0], [0, 1, 2])):
+            for given in (lengths, np.array(lengths)):
+                with pytest.raises(ValueError, match=rf"lengths.*got {re.escape(str(list(given)))}"):
+                    T.conv_relu_max(table, ids, bank, bias, given)
+        for given in ([5], np.array([5]), [np.int64(5)], None):
+            lens, starts = T._packed_rows(given, 5)
+            assert lens.tolist() == [5] and starts.tolist() == [0]
         with pytest.raises(ValueError, match="embedding table"):
             T.conv_relu_max(Tensor(np.zeros((1, 5, 1))), [0, 0, 0, 0, 0], bank, bias, [5])
         with pytest.raises(ValueError, match="flat array of packed ids"):
@@ -513,6 +522,31 @@ class TestFusedKernels:
             assert np.max(np.abs(alone[0] - batch[b])) < 1e-12
             assert np.max(np.abs(alone[0] - reference)) < 1e-12
 
+    def test_conv_relu_max_same_bytes_on_and_off_the_tape(self):
+        # off a tape the node runs its forward alone; the values must not
+        # depend on it, for one row and for packed rows, with a table that
+        # has fewer rows than the call has positions and one that has more
+        rng = np.random.default_rng(32)
+        filters = [Tensor(rng.normal(size=(w, 3, 4))) for w in (1, 2, 3, 5)]
+        biases = [Tensor(rng.normal(size=4)) for _ in filters]
+        for rows in (4, 40):
+            table = Tensor(rng.normal(size=(rows, 3)))
+            for lengths in ([7], [3, 1, 6, 2]):
+                ids = rng.integers(0, rows, size=sum(lengths))
+                off = T.conv_relu_max(table, ids, filters, biases, lengths).values
+                with Tape() as tape:
+                    on = T.conv_relu_max(table, ids, filters, biases, lengths).values
+                assert len(tape) == 1
+                assert off.shape == (len(lengths), 16) and off.tobytes() == on.tobytes()
+
+    def test_conv_relu_max_needs_one_bias_per_bank(self):
+        table = Tensor(np.zeros((5, 2)))
+        bank, bias = Tensor(np.zeros((2, 2, 1))), Tensor(np.zeros(1))
+        for filters, biases in (([], []), ([bank], []), ([], [bias]), ([bank, bank], [bias])):
+            counts = rf"got {len(filters)} filter banks and {len(biases)} biases"
+            with pytest.raises(ValueError, match=rf"conv_relu_max needs .*{counts}"):
+                T.conv_relu_max(table, [0, 1, 2], filters, biases, [3])
+
     def test_conv_relu_max_one_tape_node(self):
         rng = np.random.default_rng(29)
         for rows in (3, 9):  # fewer and more table rows than positions
@@ -521,17 +555,29 @@ class TestFusedKernels:
                                 [Tensor(np.zeros(1))] * 2, [4, 1])
             assert len(tape) == 1
 
-    @pytest.mark.parametrize("ids", [[0, -1, 2], [0, 5, 1], [True, False, True], [0.0, 1.0, 2.0], ["a", "b", "c"]])
+    @pytest.mark.parametrize("ids", [
+        [0, -1, 2], [0, 5, 1], [True, False, True], [0.0, 1.0, 2.0], ["a", "b", "c"],
+        # two bad ids, the larger or the smaller first; and lists longer than
+        # the ones range-checked in Python
+        [1, 7, -2, 0], [4, -3, 9], [0] * 40 + [6, -1], [3] * 40 + [-4, 8],
+    ])
     def test_bad_ids_rejected_naming_the_id_and_the_row_count(self, ids):
+        # the first bad id in order is named, whether the ids come as a list
+        # or as an array
         table = Tensor(np.zeros((5, 2)))
         bank, bias = [Tensor(np.zeros((2, 2, 1)))], [Tensor(np.zeros(1))]
         bad = next((i for i in ids if type(i) is not int or not 0 <= i < 5), ids[0])
         named = rf"row id {re.escape(repr(bad))} .* 5 rows"
-        with pytest.raises(ValueError, match=named):
-            T.gather_rows(table, ids)
-        with pytest.raises(ValueError, match=named):
-            T.conv_relu_max(table, ids, bank, bias, [3])
+        for given in (ids, np.array(ids)):
+            with pytest.raises(ValueError, match=named):
+                T.gather_rows(table, given)
+            with pytest.raises(ValueError, match=named):
+                T.conv_relu_max(table, given, bank, bias, [len(ids)])
         assert T.gather_rows(table, np.array([4, 0], dtype=np.uint8)).shape == (2, 2)
+        # numpy integer scalars in a list, and ids at both ends of the table
+        for good in ([np.int64(4), np.uint8(0), np.int32(2)], [0, 4] * 3, [4, 0] * 30):
+            assert np.array_equal(T.gather_rows(table, good).values, table.values[np.array(good, dtype=np.intp)])
+            assert T.conv_relu_max(table, good, bank, bias, [len(good)]).shape == (1, 1)
 
     def test_gather_rows_backward_matches_add_at(self):
         rng = np.random.default_rng(31)
