@@ -92,6 +92,9 @@ class SpanCnnConfig:
             raise ValueError("embedding and filter counts must be positive")
         if not self.filter_widths or min(self.filter_widths) < 1:
             raise ValueError("filter widths must be positive")
+        if len(set(self.filter_widths)) != len(self.filter_widths):
+            # the conv banks and their parameter names are keyed by width
+            raise ValueError(f"filter widths must be distinct, got {self.filter_widths}")
 
 
 @dataclass

@@ -256,10 +256,12 @@ def unstack_rows(mat: Tensor) -> list[Tensor]:
     return rows
 
 
-# ndarray.max without its Python wrapper, and the longest list of ids that
-# ``_row_ids`` range-checks in Python (past about 40 ids numpy is faster)
+# ndarray.max without its Python wrapper, the longest list of ids that
+# ``_row_ids`` range-checks in Python (past about 40 ids numpy is faster),
+# and the types of the bools it looks for among integer ids
 _max = np.maximum.reduce
 _SHORT = 32
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _row_ids(indices, rows: int, op: str, what: str) -> np.ndarray:
@@ -270,6 +272,9 @@ def _row_ids(indices, rows: int, op: str, what: str) -> np.ndarray:
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size < 1:
         raise ValueError(f"{op} needs a non-empty flat array of {what}, got shape {idx.shape}")
+    if idx.dtype.kind in "iu" and not isinstance(indices, np.ndarray) and not _BOOLS.isdisjoint(map(type, indices)):
+        # numpy reads a bool among integers as 0 or 1: name the first bool
+        idx = np.array([i for i in indices if type(i) in _BOOLS])
     if idx.dtype.kind not in "iu":
         first = idx.reshape(-1)[:1].tolist()[0]
         raise ValueError(f"row id {first!r} is not an integer ({idx.dtype}) for a table of {rows} rows")
@@ -426,24 +431,37 @@ def conv_relu_max(
     lengths, and no position is padding. The embedding lookup is part of
     the node: when the table has no more rows than the batch has positions,
     every table row is convolved once however often it occurs, and
-    otherwise the row of each position is convolved. The
-    convolution is shift-and-add ("kn2row", Vasudevan et al. 2017,
-    arXiv:1704.04428): one product of the source rows with each bank as
-    stored gives every offset's response, the responses are read back by
-    position, and the w offset slices are summed shifted. The responses a
-    shift would carry across a row boundary are zeroed first, so every row
-    reads zeros past its ends. The bias is constant over positions, so it
-    is added after the maximum, and ReLU commutes with the maximum, so it is
+    otherwise the row of each position is convolved.
+
+    The convolution is shift-and-add ("kn2row", Vasudevan et al. 2017,
+    arXiv:1704.04428), all banks in one pass. Output position t of a bank
+    of width w reads input t + s for the shifts s from -(w // 2) to
+    w - 1 - w // 2, so the widest width W spans every shift any bank reads.
+    One product of the source rows with each bank as stored writes its w
+    offset responses into the bank's own column block of one (W, source
+    rows, sum of f) buffer, each at the row of its shift. A shift that a
+    bank does not read stays zero in its columns; banks of one width, such
+    as the char-CNN's one bank, write every cell, and the buffer is not
+    zeroed for them. The rest runs once per call, not once per bank. Each
+    shift's responses are read back by position as they are added, with
+    the responses it would carry across a row boundary zeroed first, so
+    that every row reads zeros past its ends: W - 1 contiguous (N, sum of
+    f) adds, 4 for widths 3, 4 and 5 where one bank at a time took 9.
+    Adding 0.0 leaves every sum as it was but a -0.0 one, so values and
+    gradients are the banks' own, one at a time, bit for bit but for the
+    sign of a zero. The bias is constant over positions, so it is added
+    after the maximum, and ReLU commutes with the maximum, so it is
     applied to the pooled values alone. The per-row maxima are one
-    ``np.maximum.reduceat`` per bank; the forward of a batch of one row
-    needs neither the zeroing nor the reduceat. Off a tape the node is
-    that forward alone: the argmax windows are found, and the backward
-    defined, only while a tape records. Backward reads the argmax
-    windows only: each positive pooled (row, channel) sends its gradient
-    to the w (offset, source row) responses its argmax position (lowest
-    index on ties) read, one ``np.bincount`` sums them into a (source rows,
-    sum of w*f) response gradient, and the table and filter gradients are
-    one product each.
+    ``np.maximum.reduceat``; the forward of a batch of one row needs
+    neither the zeroing nor the reduceat.
+
+    Off a tape the node is that forward alone: the argmax windows are
+    found, and the backward defined, only while a tape records. Backward
+    reads the argmax windows only, bank by bank as column blocks: each
+    positive pooled (row, channel) sends its gradient to the w (offset,
+    source row) responses its argmax position (lowest index on ties) read,
+    one ``np.bincount`` sums them into a (source rows, sum of w*f) response
+    gradient, and the table and filter gradients are one product each.
     """
     tv = table.values
     if tv.ndim != 2:
@@ -465,49 +483,53 @@ def conv_relu_max(
         source, picked, slots = tv, None, idx
     else:
         source, picked, slots = tv[idx], idx, None
-    if bsz > 1:
-        pos = np.arange(total) - np.repeat(starts, lens)  # position within its row
-        rest = np.repeat(lens - 1, lens) - pos  # positions after it in its row
-        crossing = {}  # shift -> the inputs it would carry into a neighbouring row
-    taping = bool(_TAPES)
-    parts, argmaxes = [], []
+    widths, sizes = [], []
     for filt, bias in zip(filters, biases):
         w, f = filt.values.shape[0], filt.values.shape[-1]
         if filt.values.shape != (w, e, f) or bias.values.shape != (f,):
             raise ValueError(
                 f"conv_relu_max filters {filt.shape} and bias {bias.shape} do not fit the table {table.shape}"
             )
-        left = w // 2
-        # responses[j] is offset j's contribution from each input position;
-        # output position t reads input t + j - left
-        responses = np.matmul(source, filt.values)
-        if slots is not None:
-            responses = responses.take(slots, axis=1)
-        pre = responses[left]
-        for j in range(max(0, left - total + 1), min(w, left + total)):
-            s = j - left
-            if bsz > 1 and s != 0:  # so that each row reads zeros past its ends
-                if s not in crossing:
-                    crossing[s] = pos < s if s > 0 else rest < -s
-                responses[j, crossing[s]] = 0.0
-            if s > 0:
-                pre[:-s] += responses[j, s:]
-            elif s < 0:
-                pre[-s:] += responses[j, :s]
-        part = _max(pre, axis=0, keepdims=True) if bsz == 1 else np.maximum.reduceat(pre, starts, axis=0)
-        if taping:  # backward needs only where each maximum sits
-            at_max = np.where(pre == np.repeat(part, lens, axis=0), np.arange(total)[:, None], total)
-            argmaxes.append(np.minimum.reduceat(at_max, starts, axis=0))
-        part += bias.values
-        parts.append(part)
-        del responses, pre  # before the next bank allocates its own
-    pooled = np.concatenate(parts, axis=1) if len(parts) > 1 else part
+        widths.append(w)
+        sizes.append(f)
+    # responses[lead + s] holds each bank's response to shift s in its own
+    # columns (output position t reads input t + s), zeros where a bank
+    # does not read s; bank w's offset j is shift j - w // 2
+    widest = max(widths)
+    lead = widest // 2
+    responses = (np.empty if min(widths) == widest else np.zeros)((widest, source.shape[0], sum(sizes)))
+    column = 0
+    for filt, w, f in zip(filters, widths, sizes):
+        first = lead - w // 2
+        np.matmul(source, filt.values, out=responses[first : first + w, :, column : column + f])
+        column += f
+    pre = responses[lead] if slots is None else responses[lead].take(slots, axis=0)
+    if bsz > 1:
+        pos = np.arange(total) - np.repeat(starts, lens)  # position within its row
+        rest = np.repeat(lens - 1, lens) - pos  # positions after it in its row
+    for s in range(max(-lead, 1 - total), min(widest - lead, total)):
+        if s == 0:
+            continue
+        # one shift's responses by position, gathered as it is added
+        shifted = responses[lead + s] if slots is None else responses[lead + s].take(slots, axis=0)
+        if bsz > 1:  # so that each row reads zeros past its ends
+            shifted[pos < s if s > 0 else rest < -s] = 0.0
+        if s > 0:
+            pre[:-s] += shifted[s:]
+        else:
+            pre[-s:] += shifted[:s]
+        del shifted
+    del responses  # before the argmax pass allocates its own arrays
+    pooled = _max(pre, axis=0, keepdims=True) if bsz == 1 else np.maximum.reduceat(pre, starts, axis=0)
+    taping = bool(_TAPES)
+    if taping:  # backward needs only where each maximum sits
+        at_max = np.where(pre == np.repeat(pooled, lens, axis=0), np.arange(total)[:, None], total)
+        argmax = np.minimum.reduceat(at_max, starts, axis=0)
+    pooled += np.concatenate([bias.values for bias in biases]) if len(biases) > 1 else biases[0].values
     out = Tensor(np.maximum(pooled, 0.0, out=pooled))
     if not taping:
         return out
     banks = list(zip(filters, biases))
-    widths = [filt.values.shape[0] for filt, _ in banks]
-    sizes = [filt.values.shape[-1] for filt, _ in banks]
 
     def backward() -> None:
         g = out.grad * (out.values > 0.0)
@@ -517,9 +539,9 @@ def conv_relu_max(
         # output, leaving out those past either end of the row.
         reads, columns = [], []
         offset = column = 0
-        for (_, bias), argmax, w, f in zip(banks, argmaxes, widths, sizes):
+        for (_, bias), w, f in zip(banks, widths, sizes):
             bias.grad += g[:, offset : offset + f].sum(axis=0)
-            reads.append((argmax[:, :, None] + (np.arange(w) - w // 2)).reshape(bsz, f * w))
+            reads.append((argmax[:, offset : offset + f, None] + (np.arange(w) - w // 2)).reshape(bsz, f * w))
             columns.append((column + np.arange(w) * f + np.arange(f)[:, None]).reshape(f * w))
             offset += f
             column += w * f

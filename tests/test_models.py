@@ -795,7 +795,7 @@ def small_models(draw, vocabs):
             )}
         config = cls.config_type(
             embedding_dim=draw(SMALL), filters_per_width=draw(SMALL),
-            filter_widths=draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)), **switches,
+            filter_widths=draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)), **switches,
         )
         return cls(word, dimension, config, seed=seed)
     encoder = EncoderConfig(
@@ -1177,6 +1177,21 @@ def test_mistyped_config_value_names_field(vocabs, tmp_path, case):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(mutate(bundle)))
     with pytest.raises(ModelError, match=rf"^{field_name} must be of type "):
+        load_model(path)
+
+
+@pytest.mark.parametrize("index, key", [(3, "cnn"), (4, "global_local")])
+def test_duplicate_filter_widths_rejected(vocabs, tmp_path, index, key):
+    # the conv banks and their parameter names are keyed by width, so a
+    # repeated width would build one bank and use it twice
+    config_type = type(all_models(vocabs)[index].config)
+    for widths in ([3, 3], [3, 4, 3]):
+        with pytest.raises(ValueError, match=rf"^filter widths must be distinct, got {re.escape(str(widths))}$"):
+            config_type(filter_widths=widths)
+    bundle = _set([5, 4, 5], "config", key, "filter_widths")(_bundle_of(all_models(vocabs)[index], tmp_path))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bundle))
+    with pytest.raises(ModelError, match=rf"^config\.{key}: filter widths must be distinct, got \[5, 4, 5\]$"):
         load_model(path)
 
 

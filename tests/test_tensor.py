@@ -312,7 +312,110 @@ def _conv_relu_max_per_row(table, ids, filters, biases, lengths):
     ])
 
 
+def _conv_relu_max_per_bank(tv, ids, filters, biases, lengths, grad):
+    """conv_relu_max's arithmetic one filter bank at a time, in plain numpy
+    over the arrays of its tensors: the pooled (B, sum of f) values and the
+    table, filter and bias gradients that the output gradient ``grad``
+    adds to zeros. Each bank's responses are shifted and summed in its own
+    (w, N, f) array, and its maximum, argmax and bias add are its own."""
+    rows, e = tv.shape
+    idx = np.asarray(ids, dtype=np.intp)
+    total = idx.size
+    lens = np.asarray(lengths, dtype=np.intp)
+    starts = np.cumsum(lens) - lens
+    if rows <= total:
+        source, picked, slots = tv, None, idx
+    else:
+        source, picked, slots = tv[idx], idx, None
+    pos = np.arange(total) - np.repeat(starts, lens)
+    rest = np.repeat(lens - 1, lens) - pos
+    parts, argmaxes = [], []
+    for filt, bias in zip(filters, biases):
+        w = filt.shape[0]
+        left = w // 2
+        responses = np.matmul(source, filt)
+        if slots is not None:
+            responses = responses.take(slots, axis=1)
+        pre = responses[left]
+        for j in range(max(0, left - total + 1), min(w, left + total)):
+            s = j - left
+            if lens.size > 1 and s != 0:
+                responses[j, pos < s if s > 0 else rest < -s] = 0.0
+            if s > 0:
+                pre[:-s] += responses[j, s:]
+            elif s < 0:
+                pre[-s:] += responses[j, :s]
+        part = np.maximum.reduceat(pre, starts, axis=0)
+        at_max = np.where(pre == np.repeat(part, lens, axis=0), np.arange(total)[:, None], total)
+        argmaxes.append(np.minimum.reduceat(at_max, starts, axis=0))
+        part += bias
+        parts.append(part)
+    out = np.maximum(np.concatenate(parts, axis=1), 0.0)
+
+    g = grad * (out > 0.0)
+    widths, sizes = [f.shape[0] for f in filters], [f.shape[-1] for f in filters]
+    bias_grads, reads, columns = [], [], []
+    offset = column = 0
+    for argmax, w, f in zip(argmaxes, widths, sizes):
+        bias_grads.append(np.zeros(f))
+        bias_grads[-1] += g[:, offset : offset + f].sum(axis=0)
+        reads.append((argmax[:, :, None] + (np.arange(w) - w // 2)).reshape(lens.size, f * w))
+        columns.append((column + np.arange(w) * f + np.arange(f)[:, None]).reshape(f * w))
+        offset += f
+        column += w * f
+    reads = np.concatenate(reads, axis=1)
+    keep = (reads >= starts[:, None]) & (reads < (starts + lens)[:, None])
+    read = reads[keep]
+    cells = (read if slots is None else slots[read]) * column
+    cells += np.broadcast_to(np.concatenate(columns), reads.shape)[keep]
+    values = np.repeat(g, np.repeat(widths, sizes), axis=1)[keep]
+    dresp = np.bincount(cells, values, minlength=source.shape[0] * column).reshape(-1, column)
+    kernel = np.concatenate([filt.transpose(0, 2, 1).reshape(w * f, e) for filt, w, f in zip(filters, widths, sizes)])
+    table_grad = np.zeros_like(tv)
+    if picked is None:
+        table_grad += dresp @ kernel
+    else:
+        keys, sums = T._sum_by_id(picked, dresp @ kernel)
+        table_grad[keys] += sums
+    dfilt = dresp.T @ source
+    filter_grads = []
+    column = 0
+    for w, f in zip(widths, sizes):
+        filter_grads.append(np.zeros((w, e, f)))
+        filter_grads[-1] += dfilt[column : column + w * f].reshape(w, f, e).transpose(0, 2, 1)
+        column += w * f
+    return out, [table_grad] + filter_grads + bias_grads
+
+
 class TestFusedKernels:
+    @pytest.mark.parametrize("widths", [(3, 4, 5), (5, 3, 4), (2, 4), (1, 3, 2), (4, 4, 4), (6,)])
+    def test_conv_relu_max_is_the_per_bank_arithmetic_bit_for_bit(self, widths):
+        # all banks share one shift-major buffer, so the shifts one bank does
+        # not read add zeros to its columns: values and gradients must still
+        # be the per-bank node's bytes, for unsorted, even, width-1 and equal
+        # widths, one row and packed rows (some shorter than the widest
+        # window), and tables with fewer and more rows than positions
+        rng = np.random.default_rng(sum(widths) * 10 + len(widths))
+        e = 4
+        filters = [Tensor(rng.normal(size=(w, e, int(rng.integers(1, 4))))) for w in widths]
+        biases = [Tensor(rng.normal(size=f.shape[-1]) * 0.5) for f in filters]
+        for lengths in ([7], [2], [1], [3, 1, 6, 2], [1, 2, 9, 4]):
+            total = sum(lengths)
+            for rows in (max(1, total // 2), total + 5):
+                table = Tensor(rng.normal(size=(rows, e)))
+                ids = rng.integers(0, rows, size=total)
+                params = [table] + filters + biases
+                probe = rng.normal(size=(len(lengths), sum(f.shape[-1] for f in filters)))
+                out = run_backward(lambda: _weighted_sum(
+                    T.conv_relu_max(table, ids, filters, biases, lengths), probe), params)
+                pooled = T.conv_relu_max(table, ids, filters, biases, lengths).values
+                expected, grads = _conv_relu_max_per_bank(
+                    table.values, ids, [f.values for f in filters], [b.values for b in biases], lengths, probe
+                )
+                assert pooled.tobytes() == expected.tobytes()
+                assert out.values.tobytes() == (expected * probe).sum().tobytes()
+                assert [t.grad.tobytes() for t in params] == [g.tobytes() for g in grads]
+
     @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("listed", [False, True])
     def test_lstm_sequence_matches_cell_loop(self, n, listed):
@@ -578,6 +681,24 @@ class TestFusedKernels:
         for good in ([np.int64(4), np.uint8(0), np.int32(2)], [0, 4] * 3, [4, 0] * 30):
             assert np.array_equal(T.gather_rows(table, good).values, table.values[np.array(good, dtype=np.intp)])
             assert T.conv_relu_max(table, good, bank, bias, [len(good)]).shape == (1, 1)
+
+    def test_a_bool_among_integer_ids_is_rejected(self):
+        # numpy reads [0, True] as the integers [0, 1]; a sequence that mixes
+        # a bool into integer ids is refused naming its first bool, as an
+        # array of bools is, however long it is
+        table = Tensor(np.zeros((5, 2)))
+        bank, bias = [Tensor(np.zeros((2, 2, 1)))], [Tensor(np.zeros(1))]
+        triple = Tensor(np.zeros((2, 4))), Tensor(np.zeros((1, 4))), Tensor(np.zeros(4))
+        for ids, named in (
+            ([0, True], "True"), ((3, 1, False, True), "False"), ([2, np.True_], "True"), ([0] * 40 + [False], "False"),
+        ):
+            message = rf"^row id {named} is not an integer \(bool\) for a table of 5 rows$"
+            with pytest.raises(ValueError, match=message):
+                T.gather_rows(table, ids)
+            with pytest.raises(ValueError, match=message):
+                T.conv_relu_max(table, ids, bank, bias, [len(ids)])
+            with pytest.raises(ValueError, match=message):
+                T.lstm_sequence(table, ids, triple, triple)
 
     def test_gather_rows_backward_matches_add_at(self):
         rng = np.random.default_rng(31)
