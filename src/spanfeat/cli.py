@@ -31,6 +31,7 @@ from .data import (
     save_corpus,
     utterance_from_json,
     utterance_to_json,
+    write_text_atomic,
 )
 from .encoders import EncoderConfig
 from .evaluation import (
@@ -306,6 +307,14 @@ def _check_train_flags(args) -> None:
             raise CliError(f"--{dest.replace('_', '-')} applies to {', '.join(archs)} only")
 
 
+def _check_output_parents(*paths: str | None) -> None:
+    """Refuse, before any work is done, an output path whose directory does
+    not exist; a path that is not given (None) is skipped."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise CliError(f"cannot write {path}: no directory {Path(path).parent}")
+
+
 def _given(**values) -> dict:
     """The keyword arguments whose flag was given (is not None)."""
     return {k: v for k, v in values.items() if v is not None}
@@ -355,6 +364,7 @@ def _train_one(model, train_corpus, dev_corpus, epochs, seed, batch_size=None, l
 
 def _cmd_train(args) -> int:
     _check_train_flags(args)
+    _check_output_parents(args.model, args.history)
     seed = _resolve_seed(args.seed)
     require = args.arch != "intent-tagger"
     train_corpus = load_corpus(args.train_path, require_features=require)
@@ -376,7 +386,7 @@ def _cmd_train(args) -> int:
     )
     serialize_model(model, args.model)
     if args.history:
-        Path(args.history).write_text(history_lines(history), encoding="utf-8")
+        write_text_atomic(args.history, history_lines(history))
     last = history[-1]
     best = max((r.dev_metric for r in history if r.dev_metric is not None), default=None)
     summary = f"trained {args.arch} for {len(history)} epochs; final train_loss={last.train_loss:.4f}"
@@ -387,6 +397,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_output_parents(args.out)
     model = load_model(args.model)
     corpus_tag = Path(args.corpus).name
     if args.pipeline and not args.intent_model:
@@ -406,7 +417,7 @@ def _cmd_eval(args) -> int:
         report = evaluate_feature_model(model, corpus, corpus_tag=corpus_tag, intent_tagger=tagger)
     sys.stdout.write(report.to_text())
     if args.out:
-        Path(args.out).write_text(report_to_json_text(report), encoding="utf-8")
+        write_text_atomic(args.out, report_to_json_text(report))
     return 0
 
 
@@ -472,6 +483,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    _check_output_parents(args.out)
     seed = _resolve_seed(args.seed)
     train_corpus = load_corpus(args.train_path)
     test_corpus = load_corpus(args.test_path)
@@ -503,7 +515,7 @@ def _cmd_ablate(args) -> int:
             "failures": result.failures,
             "verdict": result.verdict,
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_text_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if result.verdict == "PASS" else 1
 
 

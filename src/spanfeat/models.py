@@ -190,9 +190,10 @@ class _SequenceTagger:
     """
 
     vocab_names = ("word", "char")
-    # bundle config keys beyond encoder, seed and constrain_training; each
-    # names both a constructor argument and an attribute
-    own_config_keys: tuple[str, ...] = ()
+    # a bundle's config: each architecture's ``stored_args``, constructor
+    # arguments that are also attributes, as they are, and its nested sizes
+    # by (bundle key, constructor argument, dataclass)
+    nested_config = ("encoder", "encoder_config", EncoderConfig)
     dimension: str | None = None  # the feature dimension tagged; None tags intents
 
     def __init__(
@@ -273,37 +274,17 @@ class _SequenceTagger:
         decoded, _ = decode_iobes([self.tags[i] for i in path])
         return decoded
 
-    def to_config(self) -> dict:
-        config = {key: getattr(self, key) for key in self.own_config_keys}
-        config.update(
-            encoder=asdict(self.encoder_config), seed=self.seed,
-            constrain_training=self.constrain_training,
-        )
-        return config
-
-    @classmethod
-    def from_config(cls, config: dict, vocabs: dict[str, Vocabulary]) -> "_SequenceTagger":
-        keys = ("encoder", "seed", "constrain_training") + cls.own_config_keys
-        _exact_keys(config, keys, "config")
-        _check_types(config, get_type_hints(cls.__init__), "config")
-        return cls(
-            vocabs["word"], vocabs["char"],
-            encoder_config=_decode_config(EncoderConfig, config["encoder"], "config.encoder"),
-            seed=config["seed"], constrain_training=config["constrain_training"],
-            **{key: config[key] for key in cls.own_config_keys},
-        )
-
 
 class IntentTagger(_SequenceTagger):
     architecture = "intent-tagger"
-    own_config_keys = ("labels",)
+    stored_args = ("labels", "seed", "constrain_training")
 
 
 class FeatureTaggerFlat(_SequenceTagger, _FeatureModel):
     """IOBES tagger over one feature dimension's labels, boundaries unsupervised."""
 
     architecture = "feature-tagger-flat"
-    own_config_keys = ("dimension",)
+    stored_args = ("dimension", "seed", "constrain_training")
 
     def __init__(
         self,
@@ -340,7 +321,7 @@ class FeatureTaggerCascaded(FeatureTaggerFlat):
     """
 
     architecture = "feature-tagger-cascaded"
-    own_config_keys = ("dimension", "boundary_dim")
+    stored_args = ("dimension", "boundary_dim", "seed", "constrain_training")
 
     def __init__(
         self,
@@ -398,7 +379,8 @@ class GlobalLocalClassifier(_FeatureModel):
 
     architecture = "global-local"
     config_type = GlobalLocalConfig
-    config_key = "global_local"  # the config's key in a bundle
+    stored_args = ("dimension", "seed")
+    nested_config = ("global_local", "config", config_type)
     global_view = True
     vocab_names = ("word",)
     # (tokens, word ids, pooled global view or None) of the utterance
@@ -534,21 +516,6 @@ class GlobalLocalClassifier(_FeatureModel):
         finally:
             self._held_view = None
 
-    def to_config(self) -> dict:
-        return {
-            "dimension": self.dimension, self.config_key: asdict(self.config), "seed": self.seed,
-        }
-
-    @classmethod
-    def from_config(cls, config: dict, vocabs: dict[str, Vocabulary]) -> "GlobalLocalClassifier":
-        _exact_keys(config, ("dimension", cls.config_key, "seed"), "config")
-        _check_types(config, get_type_hints(cls.__init__), "config")
-        where = f"config.{cls.config_key}"
-        return cls(
-            vocabs["word"], config["dimension"],
-            _decode_config(cls.config_type, config[cls.config_key], where), seed=config["seed"],
-        )
-
 
 class SpanCnnClassifier(GlobalLocalClassifier):
     """Global-local without its global view: embed the span's own tokens,
@@ -556,7 +523,7 @@ class SpanCnnClassifier(GlobalLocalClassifier):
 
     architecture = "span-cnn"
     config_type = SpanCnnConfig
-    config_key = "cnn"
+    nested_config = ("cnn", "config", config_type)
     global_view = False
 
 
@@ -633,10 +600,13 @@ def serialize_model(model, path: str | Path) -> None:
         _require_finite(name, t.values)
         raw = np.ascontiguousarray(t.values, "<f8").tobytes()
         parameters[name] = {"shape": list(t.shape), "values": base64.b64encode(raw).decode("ascii")}
+    key, arg, _ = model.nested_config
+    config = {name: getattr(model, name) for name in model.stored_args}
+    config[key] = asdict(getattr(model, arg))
     bundle = {
         "format_version": FORMAT_VERSION,
         "architecture": model.architecture,
-        "config": model.to_config(),
+        "config": config,
         "vocabularies": {
             name: getattr(model, f"{name}_vocab").to_dict() for name in model.vocab_names
         },
@@ -664,14 +634,19 @@ def load_model(path: str | Path):
     if cls is None:
         raise ModelError(f"unknown architecture tag {arch!r}")
     _exact_keys(bundle, BUNDLE_KEYS, "bundle")
-    vocabs = {}
+    args = {}
     for name, raw in _exact_keys(bundle["vocabularies"], cls.vocab_names, "vocabularies").items():
         try:
-            vocabs[name] = Vocabulary.from_dict(raw)
+            args[f"{name}_vocab"] = Vocabulary.from_dict(raw)
         except CorpusError as err:
             raise ModelError(f"vocabularies.{name}: {err}") from None
+    key, arg, config_type = cls.nested_config
+    config = _exact_keys(bundle["config"], (key, *cls.stored_args), "config")
+    _check_types(config, get_type_hints(cls.__init__), "config")
+    args.update({name: config[name] for name in cls.stored_args})
+    args[arg] = _decode_config(config_type, config[key], f"config.{key}")
     try:
-        model = cls.from_config(bundle["config"], vocabs)
+        model = cls(**args)
     except ModelError:
         raise
     except (TypeError, ValueError) as err:

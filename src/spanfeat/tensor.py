@@ -276,7 +276,12 @@ def _row_ids(indices, rows: int, op: str, what: str) -> np.ndarray:
         # numpy reads a bool among integers as 0 or 1: name the first bool
         idx = np.array([i for i in indices if type(i) in _BOOLS])
     if idx.dtype.kind not in "iu":
+        # every element of an array has its dtype, so an array names its
+        # first; a list or tuple names its first id that is not an integer
         first = idx.reshape(-1)[:1].tolist()[0]
+        if isinstance(indices, (list, tuple)):
+            bad = (i for i in indices if type(i) in _BOOLS or not isinstance(i, (int, np.integer)))
+            first = np.asarray(next(bad, first)).tolist()  # a numpy scalar as its Python value
         raise ValueError(f"row id {first!r} is not an integer ({idx.dtype}) for a table of {rows} rows")
     idx = idx.astype(np.intp, copy=False)
     if type(indices) is list and len(indices) <= _SHORT:

@@ -1,8 +1,10 @@
-"""The benchmark's tracer finds every name it patches, and puts each back.
+"""The benchmark's tracer finds every name it patches, and puts each back,
+and every workload passes its output checks at a smoke size.
 
 ``perfbench/spanbench/tracer.py`` looks up spanfeat functions and methods by
 name, so renaming or deleting one of them in ``src/`` breaks traced benchmark
-runs; these tests catch that without running the benchmark.
+runs; these tests catch that without running the benchmark. The smoke runs,
+untraced, catch a change in ``src/`` that the workloads' checks reject.
 """
 
 import importlib
@@ -14,7 +16,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spanfeat.cli  # noqa: E402,F401  (load every module the tracer patches)
+from spanbench import WORKLOADS, runner, workloads  # noqa: E402
 from spanbench.tracer import TRACED, Tracer  # noqa: E402
+
+# the smoke sizes of perfbench/tests/test_bench_checks.py
+SMALL = workloads.Sizes(train=150, dev=20, test=20, tagger_train_per_round=10, predict_per_round=4, setups=1)
 
 
 @pytest.mark.parametrize("module_name,path", [(m, p) for m, p, _ in TRACED], ids=[n for *_, n in TRACED])
@@ -53,3 +59,10 @@ def test_install_then_uninstall_restores_every_patched_attribute():
         changed = [attr for attr, value in attrs.items() if now[attr] is not value]
         assert not changed, (owner, changed)
     assert patched and patched <= {id(owner) for owner, _ in before}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_checks_out_at_smoke_size(name, tmp_path):
+    result = runner.run_workload(name, seed=2, seconds=0.05, trace=False, workdir=tmp_path, sizes=SMALL)
+    assert result["problems"] == []
+    assert result["correct"] and result["failed"] == 0

@@ -608,3 +608,22 @@ class TestSeedsAndErrors:
     def test_unknown_command_exits_nonzero(self):
         with pytest.raises(SystemExit):
             run(["serve"])
+
+    @pytest.mark.parametrize("command", [
+        lambda corpus_dir, trained, out: train_args(
+            "global-local", corpus_dir, out.parents[1] / "m.json", "--dimension", "tense",
+            *TINY_CLASSIFIER, "--history", str(out),
+        ),
+        lambda corpus_dir, trained, out: [
+            "eval", "--model", str(trained["cnn"]), "--corpus", str(corpus_dir / "test.jsonl"), "--out", str(out),
+        ],
+    ], ids=["train --history", "eval --out"])
+    def test_output_directory_checked_before_any_work(self, corpus_dir, trained, tmp_path, capsys, command):
+        # a missing directory is reported before a model is trained, saved
+        # or evaluated, so the run leaves nothing behind and prints no report
+        out = tmp_path / "nodir" / "out.txt"
+        assert run(command(corpus_dir, trained, out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot write {out}: no directory {out.parent}"]
+        assert list(tmp_path.iterdir()) == []

@@ -658,46 +658,57 @@ NOT_BASE64 = "tensor 'projection.bias' holds values that are not a base64 string
 WRONG_LENGTH = r"tensor 'projection.bias' has \d+ value bytes, expected \d+"
 NON_FINITE = "tensor 'projection.bias' holds non-finite values"
 MALFORMED_BUNDLES = {
-    "top level is a list": (lambda bundle: [bundle], "top level is a list"),
-    "config missing": (_drop("config"), r"bundle: missing keys \['config'\]"),
-    "parameters missing": (_drop("parameters"), r"bundle: missing keys \['parameters'\]"),
-    "unknown config key": (_set(0.5, "config", "dropout"), r"config: .*unknown keys \['dropout'\]"),
+    "top level is a list": (4, lambda bundle: [bundle], "top level is a list"),
+    "config missing": (4, _drop("config"), r"bundle: missing keys \['config'\]"),
+    "parameters missing": (4, _drop("parameters"), r"bundle: missing keys \['parameters'\]"),
+    "unknown config key": (4, _set(0.5, "config", "dropout"), r"config: .*unknown keys \['dropout'\]"),
     "unknown nested config key": (
-        _set(0.5, "config", "global_local", "dropout"),
+        4, _set(0.5, "config", "global_local", "dropout"),
         r"config.global_local: .*unknown keys \['dropout'\]",
     ),
     "parameter without shape": (
-        _drop("parameters", "projection.bias", "shape"),
+        4, _drop("parameters", "projection.bias", "shape"),
         r"parameters.projection.bias: missing keys \['shape'\]",
     ),
     "string vocabulary index": (
-        _set("2", "vocabularies", "word", "printer"),
+        4, _set("2", "vocabularies", "word", "printer"),
         "vocabularies.word: index '2' of 'printer' is not an integer",
     ),
-    "string parameter value": (_edit_format_1_bias(lambda v: ["0.5"] + v[1:]), NOT_NUMBERS),
-    "bool parameter values": (_edit_format_1_bias(lambda v: v[:-2] + [True, False]), NOT_NUMBERS),
-    "nested parameter values": (_edit_format_1_bias(lambda v: [[x] for x in v]), NOT_NUMBERS),
-    "null parameter value": (_edit_format_1_bias(lambda v: [None] + v[1:]), NOT_NUMBERS),
-    "integer beyond the float range": (_edit_format_1_bias(lambda v: [10**400] + v[1:]), NON_FINITE),
-    "format-2 values as a list": (_edit_bias("values", lambda v: _floats(v).tolist()), NOT_BASE64),
-    "non-alphabet character in values": (_edit_bias("values", lambda v: v[:4] + "*" + v[4:]), NOT_BASE64),
-    "values cut by 1 character": (_edit_bias("values", lambda v: v[:-1]), NOT_BASE64),
-    "values cut by 4 characters": (_edit_bias("values", lambda v: v[:-4]), WRONG_LENGTH),
-    "values cut by 8 characters": (_edit_bias("values", lambda v: v[:-8]), WRONG_LENGTH),
-    "values with 8 extra bytes": (_edit_bias("values", lambda v: _b64([*_floats(v), 0.5])), WRONG_LENGTH),
-    "NaN in values": (_with_first_value(float("nan")), NON_FINITE),
-    "infinity in values": (_with_first_value(float("inf")), NON_FINITE),
-    "negative infinity in values": (_with_first_value(float("-inf")), NON_FINITE),
+    "string parameter value": (4, _edit_format_1_bias(lambda v: ["0.5"] + v[1:]), NOT_NUMBERS),
+    "bool parameter values": (4, _edit_format_1_bias(lambda v: v[:-2] + [True, False]), NOT_NUMBERS),
+    "nested parameter values": (4, _edit_format_1_bias(lambda v: [[x] for x in v]), NOT_NUMBERS),
+    "null parameter value": (4, _edit_format_1_bias(lambda v: [None] + v[1:]), NOT_NUMBERS),
+    "integer beyond the float range": (4, _edit_format_1_bias(lambda v: [10**400] + v[1:]), NON_FINITE),
+    "format-2 values as a list": (4, _edit_bias("values", lambda v: _floats(v).tolist()), NOT_BASE64),
+    "non-alphabet character in values": (4, _edit_bias("values", lambda v: v[:4] + "*" + v[4:]), NOT_BASE64),
+    "values cut by 1 character": (4, _edit_bias("values", lambda v: v[:-1]), NOT_BASE64),
+    "values cut by 4 characters": (4, _edit_bias("values", lambda v: v[:-4]), WRONG_LENGTH),
+    "values cut by 8 characters": (4, _edit_bias("values", lambda v: v[:-8]), WRONG_LENGTH),
+    "values with 8 extra bytes": (4, _edit_bias("values", lambda v: _b64([*_floats(v), 0.5])), WRONG_LENGTH),
+    "NaN in values": (4, _with_first_value(float("nan")), NON_FINITE),
+    "infinity in values": (4, _with_first_value(float("inf")), NON_FINITE),
+    "negative infinity in values": (4, _with_first_value(float("-inf")), NON_FINITE),
     "float parameter shape": (
-        _edit_bias("shape", lambda shape: [float(d) for d in shape]), r"tensor 'projection.bias' has shape \[\d+\.0\]",
+        4, _edit_bias("shape", lambda shape: [float(d) for d in shape]),
+        r"tensor 'projection.bias' has shape \[\d+\.0\]",
+    ),
+    # the taggers' configs go through the same codec
+    "tagger config without its encoder": (
+        0, _drop("config", "encoder"), r"^config: missing keys \['encoder'\], unknown keys \[\]$",
+    ),
+    "unknown tagger encoder key": (
+        2, _set(0.5, "config", "encoder", "dropout"), r"^config.encoder: missing keys \[\], unknown keys \['dropout'\]$",
+    ),
+    "unknown tagger config key": (
+        1, _set(0.5, "config", "dropout"), r"^config: missing keys \[\], unknown keys \['dropout'\]$",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
 def test_malformed_bundle_names_field(vocabs, tmp_path, case):
-    mutate, message = MALFORMED_BUNDLES[case]
-    bundle = _bundle_of(all_models(vocabs)[4], tmp_path)
+    index, mutate, message = MALFORMED_BUNDLES[case]
+    bundle = _bundle_of(all_models(vocabs)[index], tmp_path)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(mutate(bundle)))
     with pytest.raises(ModelError, match=message):
