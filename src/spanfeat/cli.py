@@ -25,10 +25,10 @@ from .data import (
     CorpusError,
     IntentSpan,
     build_vocabularies,
+    corpus_text,
     load_corpus,
     masked_examples,
     parse_json,
-    save_corpus,
     utterance_from_json,
     utterance_to_json,
     write_text_atomic,
@@ -52,8 +52,8 @@ from .models import (
     TAGGER_ARCHS,
     IntentTagger,
     ModelError,
+    bundle_text,
     load_model,
-    serialize_model,
 )
 from .synthetic import SyntheticConfig, generate_synthetic
 from .training import TrainingError, history_lines, recipe_for, train
@@ -273,10 +273,12 @@ def _cmd_gen_data(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / f"{name}.jsonl" for name in ("train", "dev", "test")]
+    _check_output_parents(*paths)
     parts = generate_synthetic(config)
-    for name, corpus in zip(("train", "dev", "test"), parts):
-        save_corpus(corpus, out_dir / f"{name}.jsonl")
-        print(f"wrote {out_dir / f'{name}.jsonl'} ({len(corpus)} utterances)")
+    write_text_atomic({path: corpus_text(corpus) for path, corpus in zip(paths, parts)})
+    for path, corpus in zip(paths, parts):
+        print(f"wrote {path} ({len(corpus)} utterances)")
     return 0
 
 
@@ -307,12 +309,20 @@ def _check_train_flags(args) -> None:
             raise CliError(f"--{dest.replace('_', '-')} applies to {', '.join(archs)} only")
 
 
-def _check_output_parents(*paths: str | None) -> None:
+def _check_output_parents(*paths: str | Path | None) -> None:
     """Refuse, before any work is done, an output path whose directory does
-    not exist; a path that is not given (None) is skipped."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
-            raise CliError(f"cannot write {path}: no directory {Path(path).parent}")
+    not exist, that is an existing directory, which no file can replace, or
+    that names the file of an earlier output, which it would overwrite; a
+    path that is not given (None or empty) is skipped."""
+    seen = set()
+    for path in map(Path, filter(None, paths)):
+        if not path.parent.is_dir():
+            raise CliError(f"cannot write {path}: no directory {path.parent}")
+        if path.is_dir():
+            raise CliError(f"cannot write {path}: it is a directory")
+        if path.resolve() in seen:
+            raise CliError(f"cannot write {path}: another output is written there")
+        seen.add(path.resolve())
 
 
 def _given(**values) -> dict:
@@ -384,9 +394,10 @@ def _cmd_train(args) -> int:
         model, train_corpus, dev_corpus, args.epochs, seed,
         batch_size=args.batch_size, lr=args.lr,
     )
-    serialize_model(model, args.model)
+    outputs = {args.model: bundle_text(model)}
     if args.history:
-        write_text_atomic(args.history, history_lines(history))
+        outputs[args.history] = history_lines(history)
+    write_text_atomic(outputs)  # the bundle and the history, or neither
     last = history[-1]
     best = max((r.dev_metric for r in history if r.dev_metric is not None), default=None)
     summary = f"trained {args.arch} for {len(history)} epochs; final train_loss={last.train_loss:.4f}"
@@ -398,10 +409,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _check_output_parents(args.out)
-    model = load_model(args.model)
-    corpus_tag = Path(args.corpus).name
     if args.pipeline and not args.intent_model:
         raise CliError("--pipeline needs --intent-model")
+    if args.intent_model and not args.pipeline:
+        raise CliError("--intent-model applies only with --pipeline")
+    model = load_model(args.model)
+    corpus_tag = Path(args.corpus).name
     if isinstance(model, IntentTagger):
         if args.pipeline:
             raise CliError("--pipeline applies to feature models, not intent-tagger")
@@ -417,7 +430,7 @@ def _cmd_eval(args) -> int:
         report = evaluate_feature_model(model, corpus, corpus_tag=corpus_tag, intent_tagger=tagger)
     sys.stdout.write(report.to_text())
     if args.out:
-        write_text_atomic(args.out, report_to_json_text(report))
+        write_text_atomic({args.out: report_to_json_text(report)})
     return 0
 
 
@@ -515,7 +528,7 @@ def _cmd_ablate(args) -> int:
             "failures": result.failures,
             "verdict": result.verdict,
         }
-        write_text_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_text_atomic({args.out: json.dumps(payload, indent=2, sort_keys=True) + "\n"})
     return 0 if result.verdict == "PASS" else 1
 
 

@@ -182,8 +182,7 @@ def log_partition(
     n, k = _checked_emissions(emissions.values, params)
     start, end = params.start_index, params.end_index
     transitions = params.transitions.values
-    schedule = _time_major(lengths, n)
-    index, _, bounds, last, previous = schedule
+    index, _, bounds, last, previous = _time_major(lengths, n)
     em = emissions.values[index]  # by slot, i.e. in the order the steps run
     refused = not (
         np.isfinite(em).all()
@@ -195,7 +194,7 @@ def log_partition(
         weights = np.exp(em - shift[:, None])
         refused = not np.all(weights >= _TINY)
     if refused:
-        return _log_space_partition(emissions, params, None, lengths, schedule)
+        return _log_space_partition(emissions, params, None, lengths)
 
     rows, steps = int(bounds[1]), bounds.size - 1
     trans = np.exp(transitions[:k, :k])
@@ -217,7 +216,7 @@ def log_partition(
             np.divide(unnormed[lo:hi], norms[lo:hi, None], out=alphas[lo:hi])
         totals = alphas[last] @ ends
     if not (np.all(unnormed >= _FLOOR * np.maximum(norms, 1.0)[:, None]) and np.all(totals >= _FLOOR)):
-        return _log_space_partition(emissions, params, None, lengths, schedule)
+        return _log_space_partition(emissions, params, None, lengths)
     out = Tensor(float(np.log(norms).sum() + shift.sum() + np.log(totals).sum()))
 
     def backward() -> None:
@@ -250,21 +249,20 @@ def _log_space_partition(
     params: CrfParams,
     constraints: ConstraintMask | None = None,
     lengths=None,
-    schedule: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """``log_partition`` by log-sum-exp: the recursion for constrained
     batches and for those the scaled pass refuses.
 
     Step t is one (b_t, k, k) log-sum-exp over the b_t rows still running.
     The backward pass replays the recursion with per-step softmax weights,
-    so this whole routine is one tape node. ``schedule`` is the batch's
-    ``_time_major`` schedule, when the caller has it already.
+    so this whole routine is one tape node. It runs by the batch's
+    ``_time_major`` schedule, which it computes itself.
     """
     n, k = _checked_emissions(emissions.values, params)
     start, end = params.start_index, params.end_index
     masked = _masked_transitions(params, constraints)
     trans = masked[:k, :k]
-    index, _, bounds, last, _ = _time_major(lengths, n) if schedule is None else schedule
+    index, _, bounds, last, _ = _time_major(lengths, n)
     rows = int(bounds[1])
     em = emissions.values[index]  # by slot, i.e. in the order the steps run
 

@@ -8,7 +8,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "FEATURE_DIMENSIONS",
@@ -24,6 +24,7 @@ __all__ = [
     "may_follow",
     "load_corpus",
     "parse_json",
+    "corpus_text",
     "save_corpus",
     "write_text_atomic",
     "utterance_from_json",
@@ -361,23 +362,35 @@ def load_corpus(path: str | Path, require_features: bool = True) -> list[Annotat
     return utterances
 
 
+def corpus_text(utterances: Iterable[AnnotatedUtterance]) -> str:
+    """The JSON-lines text of a corpus, one utterance a line."""
+    return "".join(json.dumps(utterance_to_json(u), ensure_ascii=False) + "\n" for u in utterances)
+
+
 def save_corpus(utterances: Iterable[AnnotatedUtterance], path: str | Path) -> None:
-    write_text_atomic(
-        path, "".join(json.dumps(utterance_to_json(u), ensure_ascii=False) + "\n" for u in utterances)
-    )
+    write_text_atomic({path: corpus_text(utterances)})
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all: a new file beside the
-    target replaces it in one rename, and is removed if anything fails."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+def write_text_atomic(files: Mapping[str | Path, str]) -> None:
+    """Write each text of ``files`` to its path, all of them or none: every
+    text first goes to a new file beside its target, then each new file
+    replaces its target in one rename, and the new files are removed if
+    anything fails. A rename that fails after an earlier one has landed
+    leaves that one written, so a caller refuses beforehand a target that
+    no file can be renamed onto, such as an existing directory."""
+    staged = []
     try:
-        with open(tmp, "x", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+            with open(tmp, "x", encoding="utf-8") as handle:
+                staged.append((tmp, path))
+                handle.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "CLASSIFIER_ARCHS",
     "ModelError",
     "align_feature_spans",
+    "bundle_text",
     "serialize_model",
     "load_model",
 ]
@@ -593,8 +594,13 @@ def _require_finite(name: str, values) -> None:
 
 
 def serialize_model(model, path: str | Path) -> None:
-    """Write the model's bundle to ``path``, whole or not at all; a model with
-    a non-finite parameter, which no bundle may hold, is refused."""
+    """Write the model's bundle to ``path``, whole or not at all."""
+    write_text_atomic({path: bundle_text(model)})
+
+
+def bundle_text(model) -> str:
+    """The JSON text of the model's bundle; a model with a non-finite
+    parameter, which no bundle may hold, is refused."""
     parameters = {}
     for name, t in sorted(model.parameters().items()):
         _require_finite(name, t.values)
@@ -614,7 +620,7 @@ def serialize_model(model, path: str | Path) -> None:
     }
     # json.dumps runs the C encoder in one shot, where json.dump streams through
     # the pure-Python one; both write the same bytes
-    write_text_atomic(path, json.dumps(bundle, sort_keys=True, allow_nan=False) + "\n")
+    return json.dumps(bundle, sort_keys=True, allow_nan=False) + "\n"
 
 
 def load_model(path: str | Path):

@@ -275,25 +275,42 @@ def _row_ids(indices, rows: int, op: str, what: str) -> np.ndarray:
     if idx.dtype.kind in "iu" and not isinstance(indices, np.ndarray) and not _BOOLS.isdisjoint(map(type, indices)):
         # numpy reads a bool among integers as 0 or 1: name the first bool
         idx = np.array([i for i in indices if type(i) in _BOOLS])
+    if idx.dtype.kind not in "iu" and (isinstance(indices, (list, tuple)) or idx.dtype == object):
+        # a list, a tuple or an object array names its first id that is not
+        # an integer; if all are, numpy found no integer dtype for them all
+        # (an id beyond int64, or numpy scalars of mixed signedness), and
+        # they are range-checked one by one
+        items = indices if isinstance(indices, (list, tuple)) else idx.tolist()
+        bad = [i for i in items if type(i) in _BOOLS or not isinstance(i, (int, np.integer))]
+        if bad:
+            raise _not_integer(np.asarray(bad[0]).tolist(), idx.dtype, rows)  # a numpy scalar as its Python value
+        bad = [i for i in items if not 0 <= i < rows]
+        if bad:
+            raise _outside(bad[0], rows)
+        idx = np.array(items, dtype=np.intp)
     if idx.dtype.kind not in "iu":
-        # every element of an array has its dtype, so an array names its
-        # first; a list or tuple names its first id that is not an integer
-        first = idx.reshape(-1)[:1].tolist()[0]
-        if isinstance(indices, (list, tuple)):
-            bad = (i for i in indices if type(i) in _BOOLS or not isinstance(i, (int, np.integer)))
-            first = np.asarray(next(bad, first)).tolist()  # a numpy scalar as its Python value
-        raise ValueError(f"row id {first!r} is not an integer ({idx.dtype}) for a table of {rows} rows")
-    idx = idx.astype(np.intp, copy=False)
+        # every element of a typed array has its dtype, so it names its first
+        raise _not_integer(idx[:1].tolist()[0], idx.dtype, rows)
+    ids = idx.astype(np.intp, copy=False)
     if type(indices) is list and len(indices) <= _SHORT:
         # Python's min and max scan a short list faster than a ufunc
         # reduction sets up; its integer dtype says they compare as integers
         in_range = min(indices) >= 0 and max(indices) < rows
     else:
-        in_range = _max(idx.view(np.uintp)) < rows  # one pass: a negative id reads as a huge unsigned one
+        in_range = _max(ids.view(np.uintp)) < rows  # one pass: a negative id reads as a huge unsigned one
     if not in_range:
-        bad = idx[(idx < 0) | (idx >= rows)][0]
-        raise ValueError(f"row id {bad} is outside [0, {rows}) for a table of {rows} rows")
-    return idx
+        # named from the ids as given: an unsigned id past the intp range
+        # turns negative in ``ids``
+        raise _outside(idx[(idx < 0) | (idx >= rows)][0], rows)
+    return ids
+
+
+def _not_integer(bad, dtype, rows: int) -> ValueError:
+    return ValueError(f"row id {bad!r} is not an integer ({dtype}) for a table of {rows} rows")
+
+
+def _outside(bad, rows: int) -> ValueError:
+    return ValueError(f"row id {bad} is outside [0, {rows}) for a table of {rows} rows")
 
 
 def _sum_by_id(ids: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -667,8 +684,9 @@ def lstm_sequence(table: Tensor, ids, fwd: Sequence[Tensor], bwd: Sequence[Tenso
     the schedule of ``_time_major``: step t is one (b_t, 2h) @ (2h, 8h)
     product over the b_t rows still running, with no padding and no
     masking, and its slot p reads packed position ``index[p]`` in the
-    forward direction and ``reverse[p]`` in the backward one. A lone row
-    runs its positions by a slice.
+    forward direction and ``reverse[p]`` in the backward one. Off a tape
+    the node is its forward alone, as ``conv_relu_max`` is, and a lone row
+    runs its positions by a slice; a taped call always runs the schedule.
 
     The input projection does not depend on the step, so it is lifted out
     of the recurrence (Appleyard et al. 2016) and made once per table row,
@@ -699,8 +717,10 @@ def lstm_sequence(table: Tensor, ids, fwd: Sequence[Tensor], bwd: Sequence[Tenso
                 f"lstm_sequence {name} parameter shapes disagree with table {table.shape} and hidden size {hd}: "
                 f"wx {wx.shape}, wh {wh.shape}, b {b.shape}"
             )
-    if lengths is None or len(lengths) == 1:
-        # one row: its steps are its positions, and slices order them
+    taping = bool(_TAPES)
+    lone = not taping and (lengths is None or len(lengths) == 1)
+    if lone:
+        # one row off a tape: its steps are its positions, and slices order them
         _packed_rows(lengths, n)
         index, reverse, rows = slice(None), slice(None, None, -1), 1
     else:
@@ -732,10 +752,10 @@ def lstm_sequence(table: Tensor, ids, fwd: Sequence[Tensor], bwd: Sequence[Tenso
     h_all = np.zeros((rows + n, width))
     c_all = np.zeros((rows + n, width))
     tc_all = np.empty((n, width))  # tanh of the new cell state
-    # a step's arrays are rows of these with one row, blocks of rows otherwise
-    lead = () if rows == 1 else (slice(None),)
+    # a step's arrays are rows of these for a lone row, blocks of rows otherwise
+    lead = () if lone else (slice(None),)
     in_cols, forget_cols, cand_cols, out_cols = (lead + (slice(k * width, (k + 1) * width),) for k in range(4))
-    if rows == 1:
+    if lone:
         steps = zip(gates, xz, h_all, h_all[1:], c_all, c_all[1:], tc_all)
     else:
         steps = (
@@ -757,11 +777,13 @@ def lstm_sequence(table: Tensor, ids, fwd: Sequence[Tensor], bwd: Sequence[Tenso
     out_values[index, :hd] = h_all[rows:, :hd]
     out_values[reverse, hd:] = h_all[rows:, hd:]
     out = Tensor(out_values)
+    if not taping:
+        return out
 
     def backward() -> None:
         # the state row each slot starts from: zero row r at step 0, else
         # the state its row left one step earlier
-        prev = slice(0, n) if rows == 1 else np.concatenate((np.arange(rows), rows + previous))
+        prev = np.concatenate((np.arange(rows), rows + previous))
         i, f, g, o = (gates[:, k * width : (k + 1) * width] for k in range(4))
         # dz of slot p is [dc*gate_scale[p, 0:3], dh*out_scale[p]] block by block
         gate_scale = np.stack(
@@ -779,23 +801,18 @@ def lstm_sequence(table: Tensor, ids, fwd: Sequence[Tensor], bwd: Sequence[Tenso
         # a row that has not started yet keeps zeros
         dh_next = np.zeros((rows, width))
         dc_next = np.zeros((rows, width))
-        if rows == 1:
-            views = zip(dz, dz_blocks, dh_out, cell_scale, gate_scale, out_scale, f,
-                        [dh_next[0]] * n, [dc_next[0]] * n)
-        else:
-            views = (
-                (dz[lo:hi], dz_blocks[lo:hi], dh_out[lo:hi], cell_scale[lo:hi], gate_scale[lo:hi],
-                 out_scale[lo:hi], f[lo:hi], dh_next[: hi - lo], dc_next[: hi - lo])
-                for lo, hi, _ in spans
-            )
-        spread, gate_blocks, out_block = lead + (None,), lead + (slice(0, 3),), lead + (3,)
-        for dz_t, dz_t_blocks, dh_t, cell_t, gate_t, out_t, f_t, dh_prev, dc_prev in reversed(list(views)):
+        views = [
+            (dz[lo:hi], dz_blocks[lo:hi], dh_out[lo:hi], cell_scale[lo:hi], gate_scale[lo:hi],
+             out_scale[lo:hi], f[lo:hi], dh_next[: hi - lo], dc_next[: hi - lo])
+            for lo, hi, _ in spans
+        ]
+        for dz_t, dz_t_blocks, dh_t, cell_t, gate_t, out_t, f_t, dh_prev, dc_prev in reversed(views):
             dh = dh_t + dh_prev
             dc = dh * cell_t
             dc += dc_prev
             np.multiply(dc, f_t, out=dc_prev)  # before dz_t overwrites f_t
-            np.multiply(dc[spread], gate_t, out=dz_t_blocks[gate_blocks])
-            np.multiply(dh, out_t, out=dz_t_blocks[out_block])
+            np.multiply(dc[:, None], gate_t, out=dz_t_blocks[:, :3])
+            np.multiply(dh, out_t, out=dz_t_blocks[:, 3])
             np.dot(dz_t, wh_t, out=dh_prev)
         # free the step inputs before the gradient products below
         del views, gate_scale, out_scale, cell_scale, dh_out, dh_t, cell_t, gate_t, out_t

@@ -74,6 +74,21 @@ class TestGenData:
         ]) == 1
         assert "mood" in capsys.readouterr().err
 
+    def test_writes_all_three_splits_or_none(self, tmp_path, capsys):
+        # a split that cannot be written is refused before any is generated,
+        # so the others are neither written nor reported
+        (tmp_path / "train.jsonl").write_bytes(b"old\n")
+        (tmp_path / "test.jsonl").mkdir()
+        assert run([
+            "gen-data", "--out-dir", str(tmp_path), "--train-size", "5",
+            "--dev-size", "2", "--test-size", "2",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot write {tmp_path / 'test.jsonl'}: it is a directory"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["test.jsonl", "train.jsonl"]
+        assert (tmp_path / "train.jsonl").read_bytes() == b"old\n"
+
 
 class TestTrain:
     def test_classifier_bundle_round_trips(self, corpus_dir, tmp_path):
@@ -98,6 +113,37 @@ class TestTrain:
         lines = history_path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("epoch=1 train_loss=")
+
+    def test_writes_bundle_and_history_or_neither(self, corpus_dir, tmp_path, capsys):
+        # a history path that is a directory is refused before training, so
+        # the bundle already at the model path keeps its bytes
+        model_path, history_path = tmp_path / "cnn.json", tmp_path / "history"
+        model_path.write_bytes(b"old bundle\n")
+        history_path.mkdir()
+        code = run(train_args(
+            "span-cnn", corpus_dir, model_path, "--dimension", "tense", *TINY_CLASSIFIER,
+            "--history", str(history_path),
+        ))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot write {history_path}: it is a directory"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cnn.json", "history"]
+        assert model_path.read_bytes() == b"old bundle\n"
+        assert list(history_path.iterdir()) == []
+
+    def test_history_at_the_model_path_rejected_before_training(self, corpus_dir, tmp_path, capsys):
+        # the history would replace the bundle, leaving no model behind
+        model_path = tmp_path / "cnn.json"
+        code = run(train_args(
+            "span-cnn", corpus_dir, model_path, "--dimension", "tense", *TINY_CLASSIFIER,
+            "--history", str(model_path),
+        ))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: cannot write {model_path}: another output is written there"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_tagger_trains_and_saves(self, corpus_dir, tmp_path):
         model_path = tmp_path / "intent.json"
@@ -413,6 +459,17 @@ class TestEval:
         ])
         assert code == 1
         assert "--intent-model" in capsys.readouterr().err
+
+    def test_intent_model_needs_pipeline(self, corpus_dir, trained, tmp_path, capsys):
+        # refused before any model loads, so a missing file is not reached
+        code = run([
+            "eval", "--model", str(trained["cnn"]),
+            "--corpus", str(corpus_dir / "test.jsonl"), "--intent-model", str(tmp_path / "missing.json"),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --intent-model applies only with --pipeline"]
 
     def test_pipeline_rejects_intent_tagger_target(self, corpus_dir, trained, capsys):
         code = run([

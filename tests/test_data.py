@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -21,6 +22,7 @@ from spanfeat.data import (
     save_corpus,
     utterance_from_json,
     utterance_to_json,
+    write_text_atomic,
 )
 
 FULL = {
@@ -233,6 +235,27 @@ class TestCorpusIO:
             save_corpus(rows(), path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_several_files_written_all_or_none(self, tmp_path, monkeypatch):
+        # every text is written before any target is replaced, and a failure
+        # at either stage removes every new file
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_bytes(b"old\n")
+        with pytest.raises(OSError):  # the second file cannot be opened
+            write_text_atomic({first: "new\n", tmp_path / "missing" / "b.txt": "new\n"})
+        assert sorted(tmp_path.iterdir()) == [first] and first.read_bytes() == b"old\n"
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_text_atomic({first: "new\n", second: "new\n"})
+        assert sorted(tmp_path.iterdir()) == [first] and first.read_bytes() == b"old\n"
+        monkeypatch.undo()
+        write_text_atomic({first: "one\n", second: "two\n"})
+        assert (first.read_text(), second.read_text()) == ("one\n", "two\n")
+        assert sorted(tmp_path.iterdir()) == [first, second]
 
     def test_line_numbers_in_errors(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -642,6 +642,21 @@ class TestFusedKernels:
                 assert len(tape) == 1
                 assert off.shape == (len(lengths), 16) and off.tobytes() == on.tobytes()
 
+    def test_lstm_sequence_same_bytes_on_and_off_the_tape(self):
+        # off a tape a lone row runs by a slice, and on a tape by the step
+        # schedule, as packed rows always do; the values must not depend on it
+        rng = np.random.default_rng(33)
+        table = Tensor(rng.normal(size=(6, 3)))
+        fwd, bwd = ((Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(2, 8))), Tensor(rng.normal(size=8)))
+                    for _ in range(2))
+        for lengths in (None, [9], [3, 1, 5]):
+            ids = rng.integers(0, 6, size=9)
+            off = T.lstm_sequence(table, ids, fwd, bwd, lengths).values
+            with Tape() as tape:
+                on = T.lstm_sequence(table, ids, fwd, bwd, lengths).values
+            assert len(tape) == 1
+            assert off.shape == (9, 4) and off.tobytes() == on.tobytes()
+
     def test_conv_relu_max_needs_one_bias_per_bank(self):
         table = Tensor(np.zeros((5, 2)))
         bank, bias = Tensor(np.zeros((2, 2, 1))), Tensor(np.zeros(1))
@@ -665,6 +680,9 @@ class TestFusedKernels:
         [1, 7, -2, 0], [4, -3, 9], [0] * 40 + [6, -1], [3] * 40 + [-4, 8],
         # a valid id before the first that is not an integer
         [0, 1.5], [2, "a"],
+        # integers beyond int64 (numpy makes an object array of them, or a
+        # uint64 one that intp cannot hold), alone or after a valid id
+        [2**70], [3, 2**64], [2**63], [4, -1, 2**70],
     ])
     def test_bad_ids_rejected_naming_the_id_and_the_row_count(self, ids):
         # the first bad id in order is named, whether the ids come as a list
@@ -674,14 +692,19 @@ class TestFusedKernels:
         bank, bias = [Tensor(np.zeros((2, 2, 1)))], [Tensor(np.zeros(1))]
         bad = next((i for i in ids if type(i) is not int or not 0 <= i < 5), ids[0])
         named = rf"row id {re.escape(repr(bad))} .* 5 rows"
+        if all(type(i) is int for i in ids):  # integer ids are named as out of range
+            named = rf"^row id {bad} is outside \[0, 5\) for a table of 5 rows$"
         for given in (ids, np.array(ids)) if len(set(map(type, ids))) == 1 else (ids,):
             with pytest.raises(ValueError, match=named):
                 T.gather_rows(table, given)
             with pytest.raises(ValueError, match=named):
                 T.conv_relu_max(table, given, bank, bias, [len(ids)])
         assert T.gather_rows(table, np.array([4, 0], dtype=np.uint8)).shape == (2, 2)
-        # numpy integer scalars in a list, and ids at both ends of the table
-        for good in ([np.int64(4), np.uint8(0), np.int32(2)], [0, 4] * 3, [4, 0] * 30):
+        # numpy integer scalars in a list, and ids at both ends of the table;
+        # valid integer ids that numpy gives no integer dtype (signed and
+        # unsigned 64-bit scalars together, or an object array)
+        for good in ([np.int64(4), np.uint8(0), np.int32(2)], [0, 4] * 3, [4, 0] * 30,
+                     [np.uint64(4), np.int64(0)], np.array([1, 4], dtype=object)):
             assert np.array_equal(T.gather_rows(table, good).values, table.values[np.array(good, dtype=np.intp)])
             assert T.conv_relu_max(table, good, bank, bias, [len(good)]).shape == (1, 1)
 
