@@ -56,6 +56,7 @@ from .models import (
     load_model,
 )
 from .synthetic import SyntheticConfig, generate_synthetic
+from .tensor import fixed
 from .training import TrainingError, history_lines, recipe_for, train
 
 DEFAULT_SEED = 13
@@ -66,15 +67,22 @@ class CliError(ValueError):
 
 
 def _resolve_seed(value: int | None, default: int = DEFAULT_SEED) -> int:
+    """The --seed flag, else SPANFEAT_SEED, else ``default``; a negative seed
+    is refused naming its source, before any command reads a file."""
     if value is not None:
+        if value < 0:
+            raise CliError(f"--seed must be a non-negative integer, got {value}")
         return value
     env = os.environ.get("SPANFEAT_SEED")
     if env is None:
         return default
     try:
-        return int(env)
+        seed = int(env)
     except ValueError:
         raise CliError(f"SPANFEAT_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise CliError(f"SPANFEAT_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -472,7 +480,8 @@ def _utf8_stdin():
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     read, written, skipped = 0, 0, []
-    with _utf8_stdin() as stdin:
+    # the parameters stay fixed over the stream, so each conv memo convolves a table row once
+    with fixed(model.parameters().values()), _utf8_stdin() as stdin:
         for lineno, line in enumerate(stdin, start=1):
             if not line.strip():
                 continue

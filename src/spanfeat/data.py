@@ -314,6 +314,8 @@ def utterance_from_json(obj) -> AnnotatedUtterance:
             raise CorpusError(f"span bounds must be integers, got {start!r} and {end!r}")
         if not isinstance(intent, str):
             raise CorpusError(f"span intent must be a string, got {intent!r}")
+        if not intent:  # a tagger would build the tags B-, I-, E- and S- of it
+            raise CorpusError("span intent must be a non-empty string")
         features = raw.get("features", {})
         if not isinstance(features, dict):
             raise CorpusError(f"span features must be an object, got {features!r}")

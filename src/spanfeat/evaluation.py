@@ -14,6 +14,7 @@ from .models import (
     SpanCnnClassifier,
     align_feature_spans,
 )
+from .tensor import fixed
 
 __all__ = [
     "Prf",
@@ -312,6 +313,13 @@ def compare_models(reports: Mapping[str, EvalReport]) -> ComparisonResult:
 # ---------------------------------------------------------------------------
 
 
+def _fixed(*models):
+    """A ``tensor.fixed`` block over every parameter of ``models`` (None
+    skipped): a labelling pass holds them still, so each conv memo the
+    block keeps convolves each table row once per pass."""
+    return fixed(t for model in models if model is not None for t in model.parameters().values())
+
+
 def gold_feature_spans(utterance: AnnotatedUtterance, dimension: str) -> list[IntentSpan]:
     return [
         IntentSpan(s.start, s.end, s.features[dimension]) for s in utterance.spans
@@ -338,12 +346,13 @@ def evaluate_feature_model(
     predicted: list[str] = []
     gold: list[str] = []
     pred_span_lists = []
-    for u in corpus:
-        ref_spans = intent_tagger.tag(u.tokens) if intent_tagger is not None else u.spans
-        fspans = model.feature_spans(u.tokens, ref_spans)
-        predicted.extend(align_feature_spans(u.spans, fspans, dimension))
-        gold.extend(s.features[dimension] for s in u.spans)
-        pred_span_lists.append(fspans)
+    with _fixed(model, intent_tagger):
+        for u in corpus:
+            ref_spans = intent_tagger.tag(u.tokens) if intent_tagger is not None else u.spans
+            fspans = model.feature_spans(u.tokens, ref_spans)
+            predicted.extend(align_feature_spans(u.spans, fspans, dimension))
+            gold.extend(s.features[dimension] for s in u.spans)
+            pred_span_lists.append(fspans)
 
     report = EvalReport(
         model_tag=model.architecture,
@@ -363,7 +372,8 @@ def evaluate_feature_model(
 def evaluate_intent_tagger(
     model: IntentTagger, corpus: Sequence[AnnotatedUtterance], corpus_tag: str = "eval"
 ) -> EvalReport:
-    predicted = [model.tag(u.tokens) for u in corpus]
+    with _fixed(model):
+        predicted = [model.tag(u.tokens) for u in corpus]
     gold = [u.spans for u in corpus]
     return EvalReport(
         model_tag=model.architecture,
@@ -382,16 +392,20 @@ def evaluate_intent_tagger(
 def classifier_accuracy(model, examples: Sequence[MaskedExample]) -> float:
     if not examples:
         return 0.0
-    return sum(model.classify(e) == e.gold for e in examples) / len(examples)
+    with _fixed(model):
+        return sum(model.classify(e) == e.gold for e in examples) / len(examples)
 
 
 def intent_span_f1(model: IntentTagger, utterances: Sequence[AnnotatedUtterance]) -> float:
-    return span_f1([model.tag(u.tokens) for u in utterances], [u.spans for u in utterances]).f1
+    with _fixed(model):
+        predicted = [model.tag(u.tokens) for u in utterances]
+    return span_f1(predicted, [u.spans for u in utterances]).f1
 
 
 def feature_span_f1(model, utterances: Sequence[AnnotatedUtterance]) -> float:
     """Exact-span F1 of a feature tagger's raw spans against gold feature spans."""
-    predicted = [model.feature_spans(u.tokens, u.spans) for u in utterances]
+    with _fixed(model):
+        predicted = [model.feature_spans(u.tokens, u.spans) for u in utterances]
     gold = [gold_feature_spans(u, model.dimension) for u in utterances]
     return span_f1(predicted, gold).f1
 

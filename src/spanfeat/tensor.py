@@ -17,6 +17,15 @@ uses). In a ten-utterance tagger training batch of the synthetic corpus,
 73 % of the positions repeat a token that an earlier position reads; in a
 decoded utterance, 18 %.
 
+Labelling holds the parameters still, and ``fixed(tensors)`` says so: a
+``with`` block in which the given tensors' values are read-only. While a
+block is open, an off-tape ``conv_relu_max`` call whose table, filters and
+biases are all fixed reads the whole table's responses to the banks from a
+memo of the block, convolved at the first such call, so a labelling pass
+convolves the table once (the per-vocabulary precomputation of Devlin et
+al. 2014, "Fast and Robust Neural Network Joint Models for SMT", across
+calls). The memos go when the block closes.
+
 No model runs ``relu``, ``stack_rows``, ``unstack_rows``, ``conv1d_same``,
 ``max_over_time`` or ``lstm_cell``: they are the per-row references the
 fused nodes are tested against, and grad-check does not audit them.
@@ -24,13 +33,15 @@ fused nodes are tested against, and grad-check does not audit them.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import contextlib
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
     "Tape",
+    "fixed",
     "matmul",
     "add",
     "sub",
@@ -132,6 +143,42 @@ class Tape:
 def _record(step: Callable[[], None]) -> None:
     if _TAPES:
         _TAPES[-1]._steps.append(step)
+
+
+# Stack of open ``fixed`` blocks, innermost last: the ids of the arrays each
+# made read-only, and its conv memos (``_conv_memo``) by their number of
+# banks and the ids of their table, filter and bias arrays. The blocks that
+# fix those arrays keep them and close after the memo's block, so the ids
+# name them while the memo lives.
+_FIXED: list[tuple[frozenset[int], dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]]] = []
+
+
+@contextlib.contextmanager
+def fixed(tensors: Iterable[Tensor]) -> Iterator[None]:
+    """A block in which the values of ``tensors`` are read-only, so that
+    work that depends on them alone can be kept for the block's later
+    calls: an off-tape ``conv_relu_max`` whose table and banks are all fixed
+    reads its responses from a memo of the block.
+
+    The labelling passes of ``evaluation`` (``eval``, ``ablate``, every dev
+    metric) and ``predict``'s stdin loop each open one block over the
+    models they read. Each tensor's ``values`` gets ``flags.writeable =
+    False``; gradients are not touched. On exit, however the block ends,
+    every flag is restored to what it was, last set first, and the block's
+    memos are dropped. Blocks nest; an inner block's memos go when it
+    closes.
+    """
+    arrays = list({id(t.values): t.values for t in tensors}.values())
+    flags = [a.flags.writeable for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False
+    _FIXED.append((frozenset(map(id, arrays)), {}))
+    try:
+        yield
+    finally:
+        _FIXED.pop()
+        for a, flag in zip(reversed(arrays), reversed(flags)):
+            a.flags.writeable = flag
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +487,67 @@ def _time_major(lengths, total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return index, reverse, bounds, last, previous
 
 
+def _banks(
+    table: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor]
+) -> tuple[list[int], list[int], np.ndarray]:
+    """The width w and filter count f of each (w, e, f) bank, which must fit
+    the (rows, e) table and carry an (f,) bias, and the biases end to end."""
+    if not filters or len(filters) != len(biases):
+        raise ValueError(
+            f"conv_relu_max needs at least one filter bank and one bias per bank, "
+            f"got {len(filters)} filter banks and {len(biases)} biases"
+        )
+    e = table.values.shape[1]
+    widths, sizes = [], []
+    for filt, bias in zip(filters, biases):
+        w, f = filt.values.shape[0], filt.values.shape[-1]
+        if filt.values.shape != (w, e, f) or bias.values.shape != (f,):
+            raise ValueError(
+                f"conv_relu_max filters {filt.shape} and bias {bias.shape} do not fit the table {table.shape}"
+            )
+        widths.append(w)
+        sizes.append(f)
+    return widths, sizes, np.concatenate([b.values for b in biases]) if len(biases) > 1 else biases[0].values
+
+
+def _bank_responses(
+    source: np.ndarray, filters: Sequence[Tensor], widths: list[int], sizes: list[int]
+) -> np.ndarray:
+    """The (W, source rows, sum of f) shift-major responses of the rows of
+    ``source`` to the banks, W the widest width, one product per bank: row
+    lead + s, lead = W // 2, holds each bank's response to shift s in the
+    bank's own columns (output position t reads input t + s), and zeros
+    where the bank does not read s; bank w's offset j is shift j - w // 2."""
+    widest = max(widths)
+    lead = widest // 2
+    out = (np.empty if min(widths) == widest else np.zeros)((widest, source.shape[0], sum(sizes)))
+    column = 0
+    for filt, w, f in zip(filters, widths, sizes):
+        first = lead - w // 2
+        np.matmul(source, filt.values, out=out[first : first + w, :, column : column + f])
+        column += f
+    return out
+
+
+def _conv_memo(
+    table: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The memo of an open ``fixed`` block for this table and these banks:
+    the whole table's responses (``_bank_responses``) and the banks' biases
+    end to end, made in the innermost block at the first call that reads
+    it; None when any of them is not fixed."""
+    key = (len(filters), id(table.values), *[id(t.values) for t in filters], *[id(t.values) for t in biases])
+    for _, memos in _FIXED:
+        memo = memos.get(key)
+        if memo is not None:
+            return memo
+    if not all(any(k in frozen for frozen, _ in _FIXED) for k in key[1:]):
+        return None
+    widths, sizes, bias = _banks(table, filters, biases)
+    memo = _FIXED[-1][1][key] = (_bank_responses(table.values, filters, widths, sizes), bias)
+    return memo
+
+
 def conv_relu_max(
     table: Tensor, ids, filters: Sequence[Tensor], biases: Sequence[Tensor], lengths
 ) -> Tensor:
@@ -477,6 +585,17 @@ def conv_relu_max(
     ``np.maximum.reduceat``; the forward of a batch of one row needs
     neither the zeroing nor the reduceat.
 
+    Inside a ``fixed`` block that fixes the table, the filters and the
+    biases, an off-tape call reads the whole table's responses from the
+    block's memo (``_conv_memo``), made at the first call and dropped with
+    the block, and every position reads its row's responses by id, as when
+    the table is convolved whole; a memo hit skips the bank checks its
+    creation made. The memo holds W * sum of f floats per table row, 3
+    times the row's embedding at the classifiers' default sizes. A call's
+    values are the per-call ones bit for bit, but for a one-position
+    call's, whose per-call product is numpy's one-row path (to the last
+    bit, about 1e-16).
+
     Off a tape the node is that forward alone: the argmax windows are
     found, and the backward defined, only while a tape records. Backward
     reads the argmax windows only, bank by bank as column blocks: each
@@ -488,43 +607,27 @@ def conv_relu_max(
     tv = table.values
     if tv.ndim != 2:
         raise ValueError(f"conv_relu_max needs a (rows, e) embedding table, got {table.shape}")
-    if not filters or len(filters) != len(biases):
-        raise ValueError(
-            f"conv_relu_max needs at least one filter bank and one bias per bank, "
-            f"got {len(filters)} filter banks and {len(biases)} biases"
-        )
     rows, e = tv.shape
     idx = _row_ids(ids, rows, "conv_relu_max", "packed ids")
     total = idx.size
     lens, starts = _packed_rows(lengths, total)
     bsz = lens.size
+    taping = bool(_TAPES)
+    memo = _conv_memo(table, filters, biases) if _FIXED and not taping else None
     # source: the rows convolved; picked: their table rows (None: all of
     # them, in order); slots: the source row of each position (None: the
     # position's own)
-    if rows <= total:
-        source, picked, slots = tv, None, idx
+    if memo is not None:
+        (responses, bias), slots = memo, idx
     else:
-        source, picked, slots = tv[idx], idx, None
-    widths, sizes = [], []
-    for filt, bias in zip(filters, biases):
-        w, f = filt.values.shape[0], filt.values.shape[-1]
-        if filt.values.shape != (w, e, f) or bias.values.shape != (f,):
-            raise ValueError(
-                f"conv_relu_max filters {filt.shape} and bias {bias.shape} do not fit the table {table.shape}"
-            )
-        widths.append(w)
-        sizes.append(f)
-    # responses[lead + s] holds each bank's response to shift s in its own
-    # columns (output position t reads input t + s), zeros where a bank
-    # does not read s; bank w's offset j is shift j - w // 2
-    widest = max(widths)
+        widths, sizes, bias = _banks(table, filters, biases)
+        if rows <= total:
+            source, picked, slots = tv, None, idx
+        else:
+            source, picked, slots = tv[idx], idx, None
+        responses = _bank_responses(source, filters, widths, sizes)
+    widest = responses.shape[0]
     lead = widest // 2
-    responses = (np.empty if min(widths) == widest else np.zeros)((widest, source.shape[0], sum(sizes)))
-    column = 0
-    for filt, w, f in zip(filters, widths, sizes):
-        first = lead - w // 2
-        np.matmul(source, filt.values, out=responses[first : first + w, :, column : column + f])
-        column += f
     pre = responses[lead] if slots is None else responses[lead].take(slots, axis=0)
     if bsz > 1:
         pos = np.arange(total) - np.repeat(starts, lens)  # position within its row
@@ -543,11 +646,10 @@ def conv_relu_max(
         del shifted
     del responses  # before the argmax pass allocates its own arrays
     pooled = _max(pre, axis=0, keepdims=True) if bsz == 1 else np.maximum.reduceat(pre, starts, axis=0)
-    taping = bool(_TAPES)
     if taping:  # backward needs only where each maximum sits
         at_max = np.where(pre == np.repeat(pooled, lens, axis=0), np.arange(total)[:, None], total)
         argmax = np.minimum.reduceat(at_max, starts, axis=0)
-    pooled += np.concatenate([bias.values for bias in biases]) if len(biases) > 1 else biases[0].values
+    pooled += bias
     out = Tensor(np.maximum(pooled, 0.0, out=pooled))
     if not taping:
         return out

@@ -196,6 +196,24 @@ class TestTrain:
         assert code == 1
         assert "cascaded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arch, extra", [
+        ("intent-tagger", TINY_TAGGER),
+        ("global-local", ["--dimension", "tense", *TINY_CLASSIFIER]),
+    ])
+    def test_empty_intent_names_file_and_line(self, corpus_dir, tmp_path, capsys, arch, extra):
+        # a tagger would build its tags of an empty intent ("B-") and fail
+        # late; every architecture refuses the row as the corpus loads
+        lines = (corpus_dir / "train.jsonl").read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        row["spans"][0]["intent"] = ""
+        lines[2] = json.dumps(row) + "\n"
+        train = tmp_path / "train.jsonl"
+        train.write_text("".join(lines))
+        model = tmp_path / "m.json"
+        assert run(["train", "--arch", arch, "--train", str(train), "--model", str(model), *extra]) == 1
+        assert capsys.readouterr().err == f"error: {train}:3: span intent must be a non-empty string\n"
+        assert not model.exists()
+
     def test_missing_corpus_file(self, tmp_path, capsys):
         code = run([
             "train", "--arch", "span-cnn", "--train", str(tmp_path / "nope.jsonl"),
@@ -538,6 +556,13 @@ class TestPredict:
         assert run(["predict", "--model", str(trained["intent"])]) == 1
         assert "stdin:2: token 1 is an empty string" in capsys.readouterr().err
 
+    def test_empty_intent_names_line(self, trained, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"tokens": ["hi"], "spans": []}\n{"tokens": ["a"], "spans": [{"start": 0, "end": 1, "intent": ""}]}\n'
+        ))
+        assert run(["predict", "--model", str(trained["cnn"])]) == 1
+        assert capsys.readouterr().err == "error: stdin:2: span intent must be a non-empty string\n"
+
     def test_bad_json_names_line(self, trained, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"tokens": ["hi"], "spans": []}\nnot json\n'))
         assert run(["predict", "--model", str(trained["intent"])]) == 1
@@ -684,3 +709,35 @@ class TestSeedsAndErrors:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: cannot write {out}: no directory {out.parent}"]
         assert list(tmp_path.iterdir()) == []
+
+    # the argv, seed left out, of every command that takes a seed; train and
+    # ablate name corpus files that do not exist, so a seed refused after a
+    # file is read would be reported as the missing file instead
+    SEEDED_COMMANDS = {
+        "gen-data": lambda tmp: ["gen-data", "--out-dir", str(tmp / "out"), "--train-size", "3",
+                                 "--dev-size", "1", "--test-size", "1"],
+        "train": lambda tmp: train_args("span-cnn", tmp, tmp / "m.json", "--dimension", "tense"),
+        "ablate": lambda tmp: ["ablate", "--train", str(tmp / "train.jsonl"), "--test", str(tmp / "test.jsonl")],
+        "grad-check": lambda tmp: ["grad-check"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+    def test_negative_seed_flag_refused_first(self, tmp_path, capsys, command):
+        assert run(self.SEEDED_COMMANDS[command](tmp_path) + ["--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+    def test_negative_env_seed_refused_first(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("SPANFEAT_SEED", "-3")
+        assert run(self.SEEDED_COMMANDS[command](tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SPANFEAT_SEED must be a non-negative integer, got '-3'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_zero_seed_accepted(self, tmp_path, capsys):
+        assert run(self.SEEDED_COMMANDS["gen-data"](tmp_path) + ["--seed", "0"]) == 0
+        assert len(load_corpus(tmp_path / "out" / "train.jsonl")) == 3

@@ -332,7 +332,7 @@ def corpus_rows(draw):
             value = draw(st.one_of(st.none(), st.sampled_from(values)))
             if value is not None:
                 features[dim] = value
-        spans.append(IntentSpan(start, end, draw(st.text(max_size=5)), features))
+        spans.append(IntentSpan(start, end, draw(st.text(min_size=1, max_size=5)), features))
     return AnnotatedUtterance(tokens=tokens, spans=spans)
 
 
@@ -360,6 +360,7 @@ def test_mutated_corpus_rows_parse_or_raise_corpus_error(mutate_json, u, data):
     ({"start": 0.0, "end": 1, "intent": "x"}, "bounds must be integers"),
     ({"start": 0, "end": 1, "intent": 7}, "intent must be a string"),
     ({"start": 0, "end": 1, "intent": "x", "features": ["tense"]}, "features must be an object"),
+    ({"start": 0, "end": 1, "intent": ""}, "intent must be a non-empty string"),
 ])
 def test_span_field_types_checked(span, message):
     with pytest.raises(CorpusError, match=message):

@@ -41,7 +41,7 @@ from spanfeat.models import (
     serialize_model,
 )
 from spanfeat.synthetic import SyntheticConfig, generate_synthetic
-from spanfeat.tensor import Tape, conv_relu_max
+from spanfeat.tensor import _FIXED, Tape, conv_relu_max, fixed
 from spanfeat.training import Adadelta, AdadeltaConfig
 
 SMALL_ENCODER = dict(
@@ -1225,3 +1225,67 @@ def test_mutated_bundles_load_or_raise_model_error(mutate_json, serialized_small
             load_model(path)
         except ModelError:
             pass
+
+
+def _labelling_corpus(corpus):
+    """The test split and an utterance with a one-token span."""
+    return corpus[2] + [AnnotatedUtterance(tokens="we install it now".split(), spans=[IntentSpan(1, 2, "install")])]
+
+
+def _in_blocks(model, label, utterances):
+    """``label(utterances)`` outside any block, in one block, and in
+    another block over the utterances in reverse order, put back in order."""
+    outside = label(utterances)
+    with fixed(model.parameters().values()):
+        inside = label(utterances)
+        assert _FIXED[-1][1]  # the conv calls read a memo
+    with fixed(model.parameters().values()):
+        reverse = label(utterances[::-1])
+    return outside, inside, [part[::-1] for part in reverse]
+
+
+class TestFixedBlockOutputs:
+    """A ``fixed`` block changes no label or path: logits agree to 1e-12,
+    bit for bit but where a conv call has one position (a one-token span),
+    and blocks filled in opposite orders agree bit for bit."""
+
+    @pytest.mark.parametrize("role", sorted(COMPARISON_ROLES))
+    def test_classifier_labels_and_logits(self, corpus, vocabs, role):
+        cls, switches = COMPARISON_ROLES[role]
+        model = cls(vocabs[0], "tense", cls.config_type(**switches), seed=2)
+        utterances = _labelling_corpus(corpus)
+
+        def label(utterances):
+            labels = [[s.intent for s in model.feature_spans(u.tokens, u.spans)] for u in utterances]
+            logits = [
+                [model._logits(u.tokens, MaskedExample.for_span(u.tokens, s).mask).values for s in u.spans]
+                for u in utterances
+            ]
+            return labels, logits
+
+        (labels, logits), (labels_in, logits_in), (labels_rev, logits_rev) = _in_blocks(model, label, utterances)
+        assert labels_in == labels_rev == labels
+        spans = [s for u in utterances for s in u.spans]
+        assert any(s.end - s.start == 1 for s in spans)
+        flat = [sum(part, []) for part in (logits, logits_in, logits_rev)]
+        for span, alone, inside, reverse in zip(spans, *flat):
+            assert np.array_equal(inside, reverse)
+            np.testing.assert_allclose(inside, alone, rtol=1e-12, atol=0)
+            if span.end - span.start > 1:
+                assert np.array_equal(inside, alone)
+
+    @pytest.mark.parametrize("arch", ["intent-tagger", "feature-tagger-cascaded"])
+    def test_tagger_paths_and_emissions(self, corpus, vocabs, arch):
+        # the char-CNN is one packed call of many rows through the memo
+        model = next(m for m in all_models(vocabs) if m.architecture == arch)
+        utterances = _labelling_corpus(corpus)
+
+        def label(utterances):
+            return [model.decode(u) for u in utterances], [model._emissions(u).values for u in utterances]
+
+        (paths, emissions), (paths_in, emissions_in), (paths_rev, emissions_rev) = _in_blocks(
+            model, label, utterances
+        )
+        assert paths_in == paths_rev == paths
+        assert all(np.array_equal(a, b) and np.array_equal(a, c)
+                   for a, b, c in zip(emissions, emissions_in, emissions_rev))

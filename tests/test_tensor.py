@@ -869,3 +869,117 @@ def test_determinism_same_ops_same_bits():
     v2, g2 = run()
     assert v1 == v2
     assert np.array_equal(g1, g2)
+
+
+def _conv_bank(rng, rows=9, e=4, widths=(2, 3)):
+    table = Tensor(rng.normal(size=(rows, e)))
+    filters = [Tensor(rng.normal(size=(w, e, 3))) for w in widths]
+    biases = [Tensor(rng.normal(size=3)) for _ in widths]
+    return table, filters, biases
+
+
+class TestFixedBlock:
+    def test_values_read_only_inside(self):
+        t = Tensor(np.ones(3))
+        with T.fixed([t]):
+            with pytest.raises(ValueError, match="read-only"):
+                t.values += 1.0
+            t.grad += 1.0  # gradients stay writable
+        t.values += 1.0
+        assert t.values.tolist() == [2.0, 2.0, 2.0] and t.grad.tolist() == [1.0, 1.0, 1.0]
+
+    def test_flags_restored_also_when_the_body_raises(self):
+        writable, read_only = Tensor(np.ones(2)), Tensor(np.ones(2))
+        read_only.values.flags.writeable = False
+        with pytest.raises(RuntimeError, match="labelling failed"):
+            with T.fixed([writable, read_only, writable]):
+                assert not writable.values.flags.writeable
+                raise RuntimeError("labelling failed")
+        assert writable.values.flags.writeable and not read_only.values.flags.writeable
+        assert T._FIXED == []
+
+    def test_nested_blocks_restore_in_order(self):
+        a, b, c = (Tensor(np.zeros(2)) for _ in range(3))
+        with T.fixed([a, b]):
+            with T.fixed([b, c]):
+                assert not any(t.values.flags.writeable for t in (a, b, c))
+            # b stays fixed by the outer block
+            assert [t.values.flags.writeable for t in (a, b, c)] == [False, False, True]
+        assert all(t.values.flags.writeable for t in (a, b, c))
+
+    def test_memo_never_outlives_its_block(self):
+        table, filters, biases = _conv_bank(np.random.default_rng(3))
+        with T.fixed([table, *filters, *biases]):
+            T.conv_relu_max(table, [0, 1, 2], filters, biases, [3])
+            assert len(T._FIXED[-1][1]) == 1
+            with T.fixed([]):  # an inner block makes its own memo, which goes with it
+                T.conv_relu_max(table, [3, 4], filters, biases, [2])
+            assert len(T._FIXED[-1][1]) == 1
+        assert T._FIXED == []
+
+    def test_next_pass_sees_changed_parameters(self):
+        table, filters, biases = _conv_bank(np.random.default_rng(6))
+        params = [table, *filters, *biases]
+        ids = [0, 3, 3, 5]
+
+        def labelling_pass():
+            with T.fixed(params):
+                return T.conv_relu_max(table, ids, filters, biases, [4]).values
+
+        first = labelling_pass()
+        for t in params:
+            t.values *= 1.5  # as an optimizer step does, in place
+        second = labelling_pass()
+        assert not np.array_equal(first, second)
+        assert np.array_equal(second, T.conv_relu_max(table, ids, filters, biases, [4]).values)
+
+    def test_unfixed_banks_make_no_memo(self):
+        table, filters, biases = _conv_bank(np.random.default_rng(4))
+        with T.fixed([table, *filters]):  # the biases may still change
+            T.conv_relu_max(table, [0, 1, 2], filters, biases, [3])
+            assert T._FIXED[-1][1] == {}
+
+    def test_taped_call_neither_reads_nor_fills_a_memo(self):
+        rng = np.random.default_rng(5)
+        table, filters, biases = _conv_bank(rng)
+        ids, lengths = [0, 4, 4, 1, 7, 2], [4, 2]
+        params = [table, *filters, *biases]
+
+        def taped_grads():
+            for t in params:
+                t.zero_grad()
+            out = run_backward(lambda: _weighted_sum(T.conv_relu_max(table, ids, filters, biases, lengths),
+                                                     np.arange(12.0).reshape(2, 6)), params)
+            return out.values, [t.grad.copy() for t in params]
+
+        expected, expected_grads = taped_grads()
+        with T.fixed(params):
+            got, grads = taped_grads()
+            assert T._FIXED[-1][1] == {}  # not filled
+            T.conv_relu_max(table, [5, 6], filters, biases, [2])
+            [(responses, _)] = T._FIXED[-1][1].values()
+            responses[...] = 0.0  # so that a taped call reading the memo would go wrong
+            got, grads = taped_grads()
+        assert np.array_equal(got, expected)
+        assert all(np.array_equal(g, e) for g, e in zip(grads, expected_grads))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=6), min_size=1, max_size=5),
+           st.integers(0, 2 ** 31 - 1))
+    def test_memo_values_match_per_call_whatever_the_order(self, calls, seed):
+        # every call's values match the per-call node's, to the last bit
+        # but for a one-position call, whichever call made the memo: the
+        # calls run in one order in one block and in the reverse order in
+        # another
+        table, filters, biases = _conv_bank(np.random.default_rng(seed), rows=12, e=5, widths=(1, 3, 4))
+        per_call = [T.conv_relu_max(table, ids, filters, biases, [len(ids)]).values for ids in calls]
+        params = [table, *filters, *biases]
+        with T.fixed(params):
+            forward = [T.conv_relu_max(table, ids, filters, biases, [len(ids)]).values for ids in calls]
+        with T.fixed(params):
+            backward = [T.conv_relu_max(table, ids, filters, biases, [len(ids)]).values for ids in calls[::-1]]
+        for ids, alone, a, b in zip(calls, per_call, forward, backward[::-1]):
+            assert np.array_equal(a, b)
+            np.testing.assert_allclose(a, alone, rtol=1e-12, atol=1e-300)
+            if len(ids) > 1:
+                assert np.array_equal(a, alone)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spanfeat.data import MaskedExample, Vocabulary, build_vocabularies, masked_examples
+from spanfeat.evaluation import classifier_accuracy
 from spanfeat.encoders import EncoderConfig
 from spanfeat.models import GlobalLocalClassifier, GlobalLocalConfig, IntentTagger
 from spanfeat.synthetic import SyntheticConfig, generate_synthetic
@@ -264,3 +265,25 @@ class TestEndToEndSmoke:
         config, clip = recipe_for("intent-tagger", epochs=4, seed=5)
         history = train(model, train_set, config, grad_clip=clip)
         assert history[-1].train_loss < history[0].train_loss
+
+
+def test_training_steps_after_each_dev_metric_pass():
+    # the metric labels the dev set in a fixed block, which hands the
+    # parameters back writable, so the next epoch's steps move them
+    train_set, dev_set, _ = generate_synthetic(SyntheticConfig(train_size=12, dev_size=4, test_size=1))
+    word, _ = build_vocabularies(train_set)
+    model = GlobalLocalClassifier(word, "tense", GlobalLocalConfig(embedding_dim=6, filters_per_width=3), seed=0)
+    params = model.parameters()
+    snapshots = []
+
+    def metric(model, examples):
+        value = classifier_accuracy(model, examples)
+        assert all(t.values.flags.writeable for t in params.values())
+        snapshots.append({name: t.values.copy() for name, t in params.items()})
+        return value
+
+    history = train(model, masked_examples(train_set, "tense"), AdadeltaConfig(epochs=3, batch_size=4, seed=0),
+                    masked_examples(dev_set, "tense"), metric)
+    assert [r.dev_metric is not None for r in history] == [True] * 3
+    for before, after in zip(snapshots, snapshots[1:]):
+        assert any(not np.array_equal(before[name], after[name]) for name in before)
