@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _CLOSED, _split_tag, may_follow
-from .tensor import Tensor, _packed_rows, _record, _time_major, add, index_sum, sub
+from .tensor import Tensor, _check_labels, _packed_rows, _record, _time_major, add, index_sum, sub
 
 __all__ = [
     "NEG_INF",
@@ -310,8 +310,7 @@ def gold_score(emissions: Tensor, params: CrfParams, tag_ids: list[int], lengths
     n, k = _checked_emissions(emissions.values, params)
     if len(tag_ids) != n:
         raise ValueError(f"{len(tag_ids)} tags for {n} positions")
-    if any(not 0 <= t < k for t in tag_ids):
-        raise ValueError(f"tag id out of range for {k} tags: {tag_ids}")
+    _check_labels(tag_ids, k, "tag id", "tags")
     lens, starts = _packed_rows(lengths, n)
     tags = np.asarray(tag_ids, dtype=np.intp)
     em_part = index_sum(emissions, np.arange(n), tags)

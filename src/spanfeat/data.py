@@ -6,9 +6,11 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "FEATURE_DIMENSIONS",
@@ -25,7 +27,6 @@ __all__ = [
     "load_corpus",
     "parse_json",
     "corpus_text",
-    "save_corpus",
     "write_text_atomic",
     "utterance_from_json",
     "utterance_to_json",
@@ -164,9 +165,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._index)
 
-    def encode(self, tokens: Sequence[str]) -> list[int]:
-        get, unk = self._index.get, self.UNK
-        return [get(t, unk) for t in tokens]
+    def encode(self, tokens: Sequence[str]) -> np.ndarray:
+        """The flat intp array of the tokens' indices, UNK for an unseen one."""
+        return np.fromiter(map(self._index.get, tokens, repeat(self.UNK)), np.intp, len(tokens))
 
     def to_dict(self) -> dict[str, int]:
         return dict(self._index)
@@ -369,18 +370,16 @@ def corpus_text(utterances: Iterable[AnnotatedUtterance]) -> str:
     return "".join(json.dumps(utterance_to_json(u), ensure_ascii=False) + "\n" for u in utterances)
 
 
-def save_corpus(utterances: Iterable[AnnotatedUtterance], path: str | Path) -> None:
-    write_text_atomic({path: corpus_text(utterances)})
-
-
 def write_text_atomic(files: Mapping[str | Path, str]) -> None:
     """Write each text of ``files`` to its path, all of them or none: every
     text first goes to a new file beside its target, then each new file
-    replaces its target in one rename, and the new files are removed if
-    anything fails. A rename that fails after an earlier one has landed
-    leaves that one written, so a caller refuses beforehand a target that
-    no file can be renamed onto, such as an existing directory."""
-    staged = []
+    replaces its target in one rename. If anything fails, the new files are
+    removed and every target already replaced is put back as it was: before
+    the first rename, each existing target is hard-linked under a second
+    name, so a filesystem without hard links refuses to replace one. A
+    caller refuses beforehand a target that no file can be renamed onto,
+    such as an existing directory."""
+    staged, kept, landed = [], {}, []
     try:
         for path, text in files.items():
             path = Path(path)
@@ -389,11 +388,27 @@ def write_text_atomic(files: Mapping[str | Path, str]) -> None:
                 staged.append((tmp, path))
                 handle.write(text)
         for tmp, path in staged:
+            old = tmp.with_suffix(".old")
+            try:
+                os.link(path, old, follow_symlinks=False)
+            except FileNotFoundError:  # a new file: rolled back by removing it
+                continue
+            kept[path] = old
+        for tmp, path in staged:
             os.replace(tmp, path)
+            landed.append(path)
     except BaseException:
+        for path in reversed(landed):
+            if path in kept:
+                os.replace(kept.pop(path), path)
+            else:
+                path.unlink()
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
+    finally:
+        for old in kept.values():
+            old.unlink(missing_ok=True)
 
 
 def build_vocabularies(corpus: Iterable[AnnotatedUtterance]) -> tuple[Vocabulary, Vocabulary]:

@@ -397,17 +397,13 @@ def classifier_accuracy(model, examples: Sequence[MaskedExample]) -> float:
 
 
 def intent_span_f1(model: IntentTagger, utterances: Sequence[AnnotatedUtterance]) -> float:
-    with _fixed(model):
-        predicted = [model.tag(u.tokens) for u in utterances]
-    return span_f1(predicted, [u.spans for u in utterances]).f1
+    return evaluate_intent_tagger(model, utterances).span_prf.f1
 
 
-def feature_span_f1(model, utterances: Sequence[AnnotatedUtterance]) -> float:
-    """Exact-span F1 of a feature tagger's raw spans against gold feature spans."""
-    with _fixed(model):
-        predicted = [model.feature_spans(u.tokens, u.spans) for u in utterances]
-    gold = [gold_feature_spans(u, model.dimension) for u in utterances]
-    return span_f1(predicted, gold).f1
+def feature_span_f1(model: FeatureTaggerFlat, utterances: Sequence[AnnotatedUtterance]) -> float:
+    """Exact-span F1 of a feature tagger's raw spans against gold feature
+    spans, over a non-empty corpus."""
+    return evaluate_feature_model(model, utterances).span_prf.f1
 
 
 def report_to_json_text(report: EvalReport) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import asdict, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import Sequence, get_args, get_origin, get_type_hints
 
@@ -359,7 +360,7 @@ class FeatureTaggerCascaded(FeatureTaggerFlat):
                 bits[s.start : s.end] = [INSIDE] * (s.end - s.start)
             pairs += zip(utterance.tokens, bits)
         distinct = {pair: row for row, pair in enumerate(dict.fromkeys(pairs))}
-        boundary = gather_rows(self.boundary_table, [bit for _, bit in distinct])
+        boundary = gather_rows(self.boundary_table, np.array([bit for _, bit in distinct], dtype=np.intp))
         table = self.encoder.embed([token for token, _ in distinct], [boundary])
         return table, np.array([distinct[pair] for pair in pairs], dtype=np.intp)
 
@@ -386,7 +387,7 @@ class GlobalLocalClassifier(_FeatureModel):
     vocab_names = ("word",)
     # (tokens, word ids, pooled global view or None) of the utterance
     # ``feature_spans`` is labelling
-    _held_view: tuple[list[str], list[int], Tensor | None] | None = None
+    _held_view: tuple[list[str], np.ndarray, Tensor | None] | None = None
 
     def __init__(
         self,
@@ -450,27 +451,22 @@ class GlobalLocalClassifier(_FeatureModel):
         """
         if len(tokens) != len(masks) or not tokens:
             raise ModelError("represent needs one mask per token list, and at least one of each")
+        if any(len(mask) != len(toks) for toks, mask in zip(tokens, masks)):
+            raise ModelError("mask length disagrees with token count")
+        span_lengths = [sum(map(bool, mask)) for mask in masks]  # a bit selects its token if true, as in compress
+        if not all(span_lengths):
+            raise ModelError("mask selects no tokens")
         held = self._held_view
         if held is not None and (len(tokens) != 1 or held[0] != tokens[0]):
             held = None
-        encode = self.word_vocab.encode
-        word_ids, span_ids, word_lengths, span_lengths = [], [], [], []
-        for toks, mask in zip(tokens, masks):
-            if len(mask) != len(toks):
-                raise ModelError("mask length disagrees with token count")
-            ids = held[1] if held else encode([t.lower() for t in toks])
-            span = [i for i, bit in zip(ids, mask) if bit]
-            if not span:
-                raise ModelError("mask selects no tokens")
-            word_ids += ids
-            span_ids += span
-            word_lengths.append(len(ids))
-            span_lengths.append(len(span))
+        word_ids = held[1] if held else self.word_vocab.encode([t.lower() for toks in tokens for t in toks])
+        span_ids = word_ids.compress(np.fromiter(chain.from_iterable(masks), bool, word_ids.size))
         if held and held[2] is not None:
             g = held[2]
         elif self.global_view:  # first, so backward frees the local view before the larger global one
             global_ids, global_lengths = (
-                (word_ids, word_lengths) if self.config.use_global_context else (span_ids, span_lengths)
+                (word_ids, [len(toks) for toks in tokens]) if self.config.use_global_context
+                else (span_ids, span_lengths)
             )
             g = self.global_pool.apply(self.global_embedding, global_ids, global_lengths)
         local = self.local_pool.apply(self.local_embedding, span_ids, span_lengths)

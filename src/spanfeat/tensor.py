@@ -303,53 +303,35 @@ def unstack_rows(mat: Tensor) -> list[Tensor]:
     return rows
 
 
-# ndarray.max without its Python wrapper, the longest list of ids that
-# ``_row_ids`` range-checks in Python (past about 40 ids numpy is faster),
-# and the types of the bools it looks for among integer ids
+# ndarray.max without its Python wrapper
 _max = np.maximum.reduce
-_SHORT = 32
-_BOOLS = frozenset((bool, np.bool_))
 
 
 def _row_ids(indices, rows: int, op: str, what: str) -> np.ndarray:
     """``indices`` as a flat intp array of row ids of a table with ``rows``
     rows. An empty or not flat array, a non-integer id (bools included) or
     one outside [0, rows) raises ValueError naming ``op`` and what its ids
-    are, so that no id silently reads another row."""
+    are, so that no id silently reads another row.
+
+    An integer array, the ids every model passes, is range-checked in one
+    pass; any other sequence is checked id by id, naming the first bad one."""
     idx = np.asarray(indices)
     if idx.ndim != 1 or idx.size < 1:
         raise ValueError(f"{op} needs a non-empty flat array of {what}, got shape {idx.shape}")
-    if idx.dtype.kind in "iu" and not isinstance(indices, np.ndarray) and not _BOOLS.isdisjoint(map(type, indices)):
-        # numpy reads a bool among integers as 0 or 1: name the first bool
-        idx = np.array([i for i in indices if type(i) in _BOOLS])
-    if idx.dtype.kind not in "iu" and (isinstance(indices, (list, tuple)) or idx.dtype == object):
-        # a list, a tuple or an object array names its first id that is not
-        # an integer; if all are, numpy found no integer dtype for them all
-        # (an id beyond int64, or numpy scalars of mixed signedness), and
-        # they are range-checked one by one
-        items = indices if isinstance(indices, (list, tuple)) else idx.tolist()
-        bad = [i for i in items if type(i) in _BOOLS or not isinstance(i, (int, np.integer))]
-        if bad:
-            raise _not_integer(np.asarray(bad[0]).tolist(), idx.dtype, rows)  # a numpy scalar as its Python value
-        bad = [i for i in items if not 0 <= i < rows]
-        if bad:
-            raise _outside(bad[0], rows)
-        idx = np.array(items, dtype=np.intp)
-    if idx.dtype.kind not in "iu":
-        # every element of a typed array has its dtype, so it names its first
-        raise _not_integer(idx[:1].tolist()[0], idx.dtype, rows)
-    ids = idx.astype(np.intp, copy=False)
-    if type(indices) is list and len(indices) <= _SHORT:
-        # Python's min and max scan a short list faster than a ufunc
-        # reduction sets up; its integer dtype says they compare as integers
-        in_range = min(indices) >= 0 and max(indices) < rows
-    else:
-        in_range = _max(ids.view(np.uintp)) < rows  # one pass: a negative id reads as a huge unsigned one
-    if not in_range:
-        # named from the ids as given: an unsigned id past the intp range
-        # turns negative in ``ids``
-        raise _outside(idx[(idx < 0) | (idx >= rows)][0], rows)
-    return ids
+    if isinstance(indices, np.ndarray) and idx.dtype.kind in "iu":
+        ids = idx.astype(np.intp, copy=False)
+        if _max(ids.view(np.uintp)) >= rows:  # a negative id reads as a huge unsigned one
+            # named from the ids as given: an unsigned id past the intp range
+            # turns negative in ``ids``
+            raise _outside(idx[(idx < 0) | (idx >= rows)][0], rows)
+        return ids
+    for i in indices:
+        if type(i) is not int and not isinstance(i, np.integer):  # a bool is not an int here
+            bad = np.asarray(i)  # a numpy scalar is named by its Python value
+            raise _not_integer(bad.tolist(), bad.dtype, rows)
+        if not 0 <= i < rows:
+            raise _outside(i, rows)
+    return np.array(indices, dtype=np.intp)
 
 
 def _not_integer(bad, dtype, rows: int) -> ValueError:
@@ -936,6 +918,14 @@ def lstm_sequence(table: Tensor, ids, fwd: Sequence[Tensor], bwd: Sequence[Tenso
     return out
 
 
+def _check_labels(labels, k: int, what: str, among: str) -> None:
+    """Refuse the first of ``labels`` that is not an integer in [0, k): a
+    float or a bool would otherwise be read as the integer it truncates to."""
+    for label in labels:
+        if type(label) is not int and not isinstance(label, np.integer) or not 0 <= label < k:
+            raise ValueError(f"{what} {label!r} out of range for {k} {among}: each is an integer in [0, {k})")
+
+
 def softmax_cross_entropy(logits: Tensor, gold) -> Tensor:
     """Mean over the B rows of (B, c) logits of -log softmax(row b)[gold[b]],
     each by a shifted log-sum-exp. Gradient (softmax - onehot) / B."""
@@ -943,11 +933,11 @@ def softmax_cross_entropy(logits: Tensor, gold) -> Tensor:
     if v.ndim != 2:
         raise ValueError(f"softmax_cross_entropy needs (B, c) logits, got {logits.shape}")
     bsz, c = v.shape
-    golds = np.asarray(gold, dtype=np.intp)
+    golds = np.asarray(gold)
     if golds.shape != (bsz,):
         raise ValueError(f"softmax_cross_entropy needs a flat array of {bsz} gold labels, got {gold!r}")
-    if golds.min() < 0 or golds.max() >= c:
-        raise ValueError(f"gold label {gold} out of range for {c} classes")
+    _check_labels(gold, c, "gold label", "classes")
+    golds = golds.astype(np.intp, copy=False)
     rows = np.arange(bsz)
     m = v.max(axis=1, keepdims=True)
     lse = m + np.log(np.exp(v - m).sum(axis=1, keepdims=True))

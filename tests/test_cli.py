@@ -1,15 +1,20 @@
 """End-to-end command coverage through run(argv): every command, the error
 paths, config-file precedence, and reproducibility."""
 
+import contextlib
+import errno
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanfeat import data
 from spanfeat.cli import _read_config_file, run
 from spanfeat.data import DEFAULT_FEATURE_VALUES, load_corpus, utterance_to_json
 from spanfeat.models import load_model
@@ -741,3 +746,121 @@ class TestSeedsAndErrors:
     def test_zero_seed_accepted(self, tmp_path, capsys):
         assert run(self.SEEDED_COMMANDS["gen-data"](tmp_path) + ["--seed", "0"]) == 0
         assert len(load_corpus(tmp_path / "out" / "train.jsonl")) == 3
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A tiny corpus and a span-cnn bundle trained on it for one epoch."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert run([
+        "gen-data", "--out-dir", str(root), "--train-size", "8", "--dev-size", "2", "--test-size", "3", "--seed", "5",
+    ]) == 0
+    assert run(train_args("span-cnn", root, root / "cnn.json", "--dimension", "tense", *TINY_CLASSIFIER)) == 0
+    return root
+
+
+# every command that writes files: its argv, given the directory of the tiny
+# inputs and an output directory, and the files it writes there
+WRITING_COMMANDS = {
+    "gen-data": (
+        lambda inp, out: ["gen-data", "--out-dir", str(out), "--train-size", "4", "--dev-size", "2", "--test-size", "2"],
+        ("train.jsonl", "dev.jsonl", "test.jsonl"),
+    ),
+    "train": (
+        lambda inp, out: train_args(
+            "span-cnn", inp, out / "model.json", "--dimension", "tense", *TINY_CLASSIFIER,
+            "--history", str(out / "history.txt"),
+        ),
+        ("model.json", "history.txt"),
+    ),
+    "eval": (
+        lambda inp, out: [
+            "eval", "--model", str(inp / "cnn.json"), "--corpus", str(inp / "test.jsonl"), "--out", str(out / "report.json"),
+        ],
+        ("report.json",),
+    ),
+    "ablate": (
+        lambda inp, out: [
+            "ablate", "--train", str(inp / "train.jsonl"), "--test", str(inp / "test.jsonl"), "--dimension", "tense",
+            "--epochs", "1", "--embedding-dim", "8", "--filters", "2", "--out", str(out / "table.json"),
+        ],
+        ("table.json",),
+    ),
+}
+
+
+def _run_with_fault(argv, fault, n):
+    """``run(argv)`` with an OSError at the n-th write or the n-th rename of
+    an output file when ``fault`` is "write" or "rename"; returns the exit
+    code and stderr."""
+    calls = {"write": 0, "rename": 0}
+    real_open, real_replace = open, os.replace
+
+    def count(kind):
+        calls[kind] += 1
+        if kind == fault and calls[kind] == n:
+            raise OSError(errno.ENOSPC, f"injected {kind} failure")
+
+    class Staged:  # the new file an output is written to before its rename
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            count("write")
+            return self.handle.write(text)
+
+    def staging_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return Staged(handle) if mode == "x" else handle
+
+    def replace(src, dst):
+        count("rename")
+        real_replace(src, dst)
+
+    err = io.StringIO()
+    with mock.patch.object(data, "open", staging_open, create=True), mock.patch.object(os, "replace", replace), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=st.data())
+def test_a_failed_command_writes_none_of_its_outputs(tiny_inputs, draw):
+    # a command that fails at a write or a rename of one of its outputs, or
+    # on a malformed config file or corpus, exits 1 with one error line and
+    # leaves its output directory as it was: no new file, and the files
+    # already there, outputs it would have replaced included, byte for byte
+    command = draw.draw(st.sampled_from(sorted(WRITING_COMMANDS)), label="command")
+    argv_of, outputs = WRITING_COMMANDS[command]
+    faults = [(kind, n) for kind in ("write", "rename") for n in range(1, len(outputs) + 1)] + [("config", 0)]
+    if command != "gen-data":
+        faults.append(("corpus", 0))
+    fault, n = draw.draw(st.sampled_from(faults), label="fault")
+    existing = draw.draw(st.lists(st.sampled_from(outputs), unique=True), label="existing outputs")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "other.txt").write_text("another file\n")
+        for name in existing:
+            (out / name).write_text(f"old {name}\n")
+        argv = argv_of(tiny_inputs, out)
+        if fault == "config":
+            (out / "bad.cfg").write_text("a line with no value\n")
+            argv += ["--config", str(out / "bad.cfg")]
+        elif fault == "corpus":
+            (out / "bad.jsonl").write_text('{"tokens": ["hi"], "spans": []}\n{not json\n')
+            argv = [str(out / "bad.jsonl") if arg.endswith(".jsonl") else arg for arg in argv]
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code, err = _run_with_fault(argv, fault, n)
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # the error is the injected one, so the command reached it
+    assert {"write": "injected write", "rename": "injected rename", "config": "bad.cfg", "corpus": "bad.jsonl"}[fault] in err
+    assert after == before

@@ -150,6 +150,10 @@ class TestNll:
         params = CrfParams(3)
         with pytest.raises(ValueError, match="out of range"):
             gold_score(em, params, [0, 3])
+        # a float or a bool would be read as the tag it truncates to
+        for tags, bad in (([1.5, 0], "1.5"), ([0, True], "True")):
+            with pytest.raises(ValueError, match=rf"^tag id {bad} out of range for 3 tags"):
+                gold_score(em, params, tags)
 
     def test_nll_shrinks_along_gradient_step(self):
         rng = np.random.default_rng(9)

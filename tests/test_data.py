@@ -2,6 +2,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +17,10 @@ from spanfeat.data import (
     decode_iobes,
     encode_iobes,
     iobes_tag_set,
-    load_corpus,
     build_vocabularies,
+    corpus_text,
+    load_corpus,
     masked_examples,
-    save_corpus,
     utterance_from_json,
     utterance_to_json,
     write_text_atomic,
@@ -75,7 +76,8 @@ class TestTypes:
 class TestVocabulary:
     def test_reserved_slots(self):
         v = Vocabulary()
-        assert v.encode([Vocabulary.PAD_TOKEN, "never-seen"]) == [0, 1]
+        ids = v.encode([Vocabulary.PAD_TOKEN, "never-seen"])
+        assert ids.dtype == np.intp and ids.tolist() == [0, 1]
 
     def test_min_count_threshold(self):
         v = Vocabulary.build([["a", "a", "b"], ["a", "c", "c"]])
@@ -97,7 +99,7 @@ class TestVocabulary:
     def test_roundtrip(self):
         v = Vocabulary(["x", "y"])
         w = Vocabulary.from_dict(v.to_dict())
-        assert w.encode(["x", "y", "z"]) == v.encode(["x", "y", "z"])
+        assert w.encode(["x", "y", "z"]).tolist() == v.encode(["x", "y", "z"]).tolist()
 
     def test_from_dict_requires_reserved(self):
         with pytest.raises(CorpusError):
@@ -214,7 +216,7 @@ class TestCorpusIO:
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        save_corpus([self._sample()], path)
+        write_text_atomic({path: corpus_text([self._sample()])})
         loaded = load_corpus(path)
         assert len(loaded) == 1
         u = loaded[0]
@@ -224,7 +226,7 @@ class TestCorpusIO:
 
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        save_corpus([self._sample(), self._sample()], path)
+        write_text_atomic({path: corpus_text([self._sample(), self._sample()])})
         before = path.read_bytes()
 
         def rows():
@@ -232,7 +234,7 @@ class TestCorpusIO:
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            save_corpus(rows(), path)
+            write_text_atomic({path: corpus_text(rows())})
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
@@ -282,7 +284,7 @@ class TestCorpusIO:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
-        save_corpus([self._sample()], path)
+        write_text_atomic({path: corpus_text([self._sample()])})
         path.write_text(path.read_text() + "\n\n", encoding="utf-8")
         assert len(load_corpus(path)) == 1
 

@@ -310,6 +310,10 @@ class TestGlobalLocal:
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
         example = MaskedExample(tokens=["i", "install", "printer"], mask=[1, 0, 1], gold=0)
         assert model.labels[model.classify(example)] in model.labels
+        # represent reads a raw mask's bits by truth, as a list filter does
+        tokens = example.tokens
+        truthy = model.represent([tokens], [[2, 0, True]]).values
+        assert np.array_equal(truthy, model.represent([tokens], [[1, 0, 1]]).values)
 
     def test_unmasked_token_moves_global_not_local(self, vocabs):
         model = classifier_fixture(vocabs, GlobalLocalClassifier)
@@ -846,6 +850,44 @@ def test_masked_examples_feed_classifiers(vocabs, corpus):
     with Tape() as tape:
         loss = model.loss(examples[0])
     assert loss.item() > 0
+
+
+@pytest.mark.parametrize("gold", [1.7, True])
+def test_a_gold_label_that_is_not_an_integer_is_refused(vocabs, gold):
+    model = classifier_fixture(vocabs, GlobalLocalClassifier)
+    with pytest.raises(ValueError, match=rf"^gold label {gold!r} out of range"):
+        model.batch_loss([MaskedExample(tokens=["install"], mask=[1], gold=gold)])
+
+
+def test_ids_reach_every_op_as_integer_arrays(vocabs, corpus, monkeypatch):
+    # one training batch and one labelling call of each architecture: every
+    # id argument of gather_rows, conv_relu_max and lstm_sequence is an
+    # integer array, the type that takes _row_ids' one-pass check
+    import spanfeat.tensor
+
+    seen = []
+    check = spanfeat.tensor._row_ids
+
+    def recording(indices, rows, op, what):
+        seen.append((op, indices))
+        return check(indices, rows, op, what)
+
+    monkeypatch.setattr(spanfeat.tensor, "_row_ids", recording)
+    batch = [u for u in corpus[0] if u.spans and {s.intent for s in u.spans} <= {"install", "cancel"}][:4]
+    for model in all_models(vocabs):
+        examples = batch if isinstance(model, (IntentTagger, FeatureTaggerFlat)) else masked_examples(
+            batch, model.dimension
+        )
+        with Tape():
+            model.batch_loss(examples)
+        if isinstance(model, IntentTagger):
+            model.tag(batch[0].tokens)
+        else:
+            model.feature_spans(batch[0].tokens, batch[0].spans)
+    assert {op for op, _ in seen} == {"gather_rows", "conv_relu_max", "lstm_sequence"}
+    assert [
+        (op, type(ids).__name__) for op, ids in seen if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu")
+    ] == []
 
 
 BATCH_VARIANTS = {

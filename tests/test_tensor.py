@@ -91,6 +91,13 @@ class TestForwardValues:
         with pytest.raises(ValueError, match="out of range"):
             T.softmax_cross_entropy(Tensor([[0.0, 0.0]]), [2])
 
+    @pytest.mark.parametrize("gold", [[1.7], [True], [0, np.True_], np.array([1.0]), [-1]])
+    def test_cross_entropy_refuses_a_label_that_is_not_an_integer_class(self, gold):
+        # numpy would read 1.7 and True as class 1; the first bad label is named
+        bad = [g for g in gold if type(g) not in (int, np.int64) or g < 0][0]
+        with pytest.raises(ValueError, match=rf"^gold label {re.escape(repr(bad))} out of range for 3 classes"):
+            T.softmax_cross_entropy(Tensor(np.zeros((len(gold), 3))), gold)
+
     def test_lstm_zero_inputs_forget_bias(self):
         hd = 4
         x = Tensor(np.zeros(3))
