@@ -505,6 +505,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    repeated = sorted({d for d in args.dimension or () if args.dimension.count(d) > 1})
+    if repeated:
+        raise CliError(f"--dimension names {', '.join(map(repr, repeated))} more than once")
     _check_output_parents(args.out)
     seed = _resolve_seed(args.seed)
     train_corpus = load_corpus(args.train_path)

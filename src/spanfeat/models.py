@@ -208,6 +208,9 @@ class _SequenceTagger:
         constrain_training: bool = False,
         extra_input_dim: int = 0,
     ) -> None:
+        if not labels or len(set(labels)) != len(labels):
+            # each label owns four tags, and a repeat would own a second four
+            raise ModelError(f"a tagger needs at least one label and no label twice, got {list(labels)}")
         encoder_config = encoder_config or EncoderConfig()
         self.word_vocab = word_vocab
         self.char_vocab = char_vocab

@@ -2,16 +2,15 @@
 
 Every utterance is one to three clauses, each clause one intent span shaped
 [subject, cue tokens, verb, determiner, object]. Per feature dimension one
-label is drawn for the whole utterance and shared by all its spans, mirroring
-the global-consistency effect this corpus exists to probe: a span carries its
-dimension cue word with probability rho, and a cue no span carried is emitted
-after the spans in a trailing context zone, so the utterance as a whole always
-determines every label while any single span often does not.
+label is drawn uniformly for the whole utterance and shared by all its spans,
+mirroring the global-consistency effect this corpus exists to probe: a span
+carries its dimension cue word with probability rho, and a cue no span carried
+is emitted after the spans in a trailing context zone, so the utterance as a
+whole always determines every label while any single span often does not.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -86,8 +85,6 @@ class SyntheticConfig:
     # per-dimension overrides of rho, e.g. {"tense": 0.0}
     rho_by_dimension: dict[str, float] = field(default_factory=dict)
     max_spans: int = 3
-    # per-dimension label priors in FEATURE_DIMENSIONS order; default uniform
-    priors: dict[str, Sequence[float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if min(self.train_size, self.dev_size, self.test_size) < 1:
@@ -101,27 +98,9 @@ class SyntheticConfig:
                 raise ValueError(f"rho for {dim!r} must be in [0, 1]")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
-        for dim, weights in self.priors.items():
-            labels = FEATURE_DIMENSIONS.get(dim)
-            if labels is None:
-                raise ValueError(f"unknown dimension {dim!r} in priors")
-            # random.choices draws only from finite weights with a finite, positive total
-            if len(weights) != len(labels) or not (
-                all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf
-            ):
-                raise ValueError(f"bad prior weights for {dim!r}: need {len(labels)} finite, non-negative "
-                                 "weights with a finite, positive sum")
 
     def rho_for(self, dimension: str) -> float:
         return self.rho_by_dimension.get(dimension, self.rho)
-
-    def priors_for(self, dimension: str) -> list[float]:
-        labels = FEATURE_DIMENSIONS[dimension]
-        raw = self.priors.get(dimension)
-        if raw is None:
-            return [1.0 / len(labels)] * len(labels)
-        total = float(sum(raw))
-        return [w / total for w in raw]
 
 
 def _one_utterance(rng: random.Random, max_spans: int, dims: list[tuple], objects: Sequence[str]) -> AnnotatedUtterance:
@@ -157,12 +136,13 @@ def generate_utterances(
     rng: random.Random, config: SyntheticConfig, size: int, partition: str
 ) -> list[AnnotatedUtterance]:
     objects = OBJECT_NOUNS[partition]
-    # (dimension, labels, cumulative priors, rho) once per split; choices() makes
-    # the same random() call and bisect given cum_weights as given weights
-    dims = [
-        (dim, FEATURE_DIMENSIONS[dim], list(accumulate(config.priors_for(dim))), config.rho_for(dim))
-        for dim in _DIM_ORDER
-    ]
+    # (dimension, labels, cumulative uniform weights, rho) once per split; the
+    # labels are drawn by choices() over these weights, one random() call each,
+    # so the corpora keep the bytes of every seed
+    dims = []
+    for dim in _DIM_ORDER:
+        labels = FEATURE_DIMENSIONS[dim]
+        dims.append((dim, labels, list(accumulate([1.0 / len(labels)] * len(labels))), config.rho_for(dim)))
     return [_one_utterance(rng, config.max_spans, dims, objects) for _ in range(size)]
 
 
@@ -180,22 +160,12 @@ def generate_synthetic(
 def span_only_bayes_accuracy(config: SyntheticConfig, dimension: str) -> float:
     """Best possible per-span accuracy when only in-span tokens are visible.
 
-    Enumerates the generator's choices that shape span content for one
-    dimension: the label (by prior) and whether the span carries the cue (by
-    rho). A visible cue identifies the label exactly; otherwise the span
-    content is independent of the label and the best guess is the prior mode.
+    A span carries its dimension's cue with probability rho, and a visible cue
+    identifies the label exactly; otherwise the span content is independent
+    of the label, which is uniform over the dimension's L labels, so the best
+    guess is right 1/L of the time: rho + (1 - rho) / L.
     """
     if dimension not in FEATURE_DIMENSIONS:
         raise ValueError(f"unknown dimension {dimension!r}")
     rho = config.rho_for(dimension)
-    priors = config.priors_for(dimension)
-    best_blind_guess = max(range(len(priors)), key=lambda i: priors[i])
-    correct = 0.0
-    for label_index, prior in enumerate(priors):
-        for cue_in_span in (True, False):
-            p_outcome = prior * (rho if cue_in_span else 1.0 - rho)
-            if cue_in_span:
-                correct += p_outcome
-            elif label_index == best_blind_guess:
-                correct += p_outcome
-    return correct
+    return rho + (1.0 - rho) / len(FEATURE_DIMENSIONS[dimension])

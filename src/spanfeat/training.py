@@ -20,6 +20,9 @@ from .models import CLASSIFIER_ARCHS, TAGGER_ARCHS
 from .tensor import Tape, Tensor
 
 __all__ = [
+    "MOMENTUM",
+    "ADADELTA_RHO",
+    "ADADELTA_EPSILON",
     "SgdMomentumConfig",
     "AdadeltaConfig",
     "SgdMomentum",
@@ -36,50 +39,42 @@ class TrainingError(RuntimeError):
     pass
 
 
-def _require_finite(config, *names: str) -> None:
-    for name in names:
-        value = getattr(config, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+# the fixed constants of the two recipes: SGD's momentum, and Adadelta's
+# decay and conditioning term as Zeiler (2012, arXiv:1212.5701) sets them
+MOMENTUM = 0.9
+ADADELTA_RHO = 0.95
+ADADELTA_EPSILON = 1e-6
 
 
 @dataclass
-class SgdMomentumConfig:
-    learning_rate: float = 0.0015
-    momentum: float = 0.9
-    batch_size: int = 10
+class _RecipeConfig:
+    """What a recipe leaves to its caller: step size, batch size, epochs and
+    the seed of the shuffles."""
+
+    learning_rate: float
+    batch_size: int
     epochs: int = 30
     seed: int = 13
 
     def __post_init__(self) -> None:
-        _require_finite(self, "learning_rate", "momentum")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be a finite number, got {self.learning_rate!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be at least 1")
 
 
 @dataclass
-class AdadeltaConfig:
+class SgdMomentumConfig(_RecipeConfig):
+    learning_rate: float = 0.0015
+    batch_size: int = 10
+
+
+@dataclass
+class AdadeltaConfig(_RecipeConfig):
     learning_rate: float = 1.0
     batch_size: int = 50
-    rho: float = 0.95
-    epsilon: float = 1e-6
-    epochs: int = 30
-    seed: int = 13
-
-    def __post_init__(self) -> None:
-        _require_finite(self, "learning_rate", "rho", "epsilon")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be at least 1")
 
 
 class SgdMomentum:
@@ -89,12 +84,12 @@ class SgdMomentum:
         self.velocity = {name: np.zeros_like(t.values) for name, t in self.params.items()}
 
     def step(self) -> None:
-        c = self.config
+        lr = self.config.learning_rate
         for name, t in self.params.items():
             v = self.velocity[name]
-            v *= c.momentum
+            v *= MOMENTUM
             v += t.grad
-            t.values -= c.learning_rate * v
+            t.values -= lr * v
 
 
 class Adadelta:
@@ -108,17 +103,17 @@ class Adadelta:
         self.delta_sq = {name: np.zeros_like(t.values) for name, t in self.params.items()}
 
     def step(self) -> None:
-        c = self.config
+        lr, rho, eps = self.config.learning_rate, ADADELTA_RHO, ADADELTA_EPSILON
         for name, t in self.params.items():
             g = t.grad
             g2 = self.grad_sq[name]
             d2 = self.delta_sq[name]
-            g2 *= c.rho
-            g2 += (1.0 - c.rho) * g * g
-            delta = -c.learning_rate * np.sqrt((d2 + c.epsilon) / (g2 + c.epsilon)) * g
+            g2 *= rho
+            g2 += (1.0 - rho) * g * g
+            delta = -lr * np.sqrt((d2 + eps) / (g2 + eps)) * g
             t.values += delta
-            d2 *= c.rho
-            d2 += (1.0 - c.rho) * delta * delta
+            d2 *= rho
+            d2 += (1.0 - rho) * delta * delta
 
 
 @dataclass

@@ -6,6 +6,8 @@ import errno
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spanfeat
 from spanfeat import data
 from spanfeat.cli import _read_config_file, run
 from spanfeat.data import DEFAULT_FEATURE_VALUES, load_corpus, utterance_to_json
@@ -666,6 +669,23 @@ class TestAblate:
         }
         assert (code == 0) == (blob["verdict"] == "PASS")
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_repeated_dimension_refused_before_any_work(self, tmp_path, capsys, via_config):
+        # the corpus files do not exist, so a check made after loading them
+        # would report them missing instead
+        argv = ["ablate", "--train", str(tmp_path / "train.jsonl"), "--test", str(tmp_path / "test.jsonl")]
+        if via_config:
+            config = tmp_path / "run.cfg"
+            config.write_text('dimension = ["tense", "negation", "tense"]\n')
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--dimension", "tense", "--dimension", "negation", "--dimension", "tense"]
+        assert run(argv + ["--out", str(tmp_path / "table.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --dimension names 'tense' more than once\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if via_config else [])
+
 
 class TestSeedsAndErrors:
     def test_env_seed_fallback(self, corpus_dir, tmp_path, monkeypatch):
@@ -864,3 +884,53 @@ def test_a_failed_command_writes_none_of_its_outputs(tiny_inputs, draw):
     # the error is the injected one, so the command reached it
     assert {"write": "injected write", "rename": "injected rename", "config": "bad.cfg", "corpus": "bad.jsonl"}[fault] in err
     assert after == before
+
+
+# Runs the (name, argv, stdin file or None) commands of its JSON argument in
+# one process, in the current directory, and asserts each exits 0; each
+# command's stdout is kept in a file of its own.
+HASH_SEED_CHILD = r"""
+import contextlib, json, os, sys
+from spanfeat.cli import run
+
+for name, argv, stdin in json.loads(sys.argv[1]):
+    with open(f"{name}.stdout", "w", encoding="utf-8") as stdout, \
+            open(stdin or os.devnull, encoding="utf-8") as sys.stdin, contextlib.redirect_stdout(stdout):
+        assert run(argv) == 0, name
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # criterion 8 compares two runs in one process, which share one string
+    # hash seed; here two processes with different seeds must write the same
+    # corpora, bundles, histories, predictions and reports
+    here = Path(".")  # each child runs in its own directory
+    steps = [
+        ("gen-data", ["gen-data", "--out-dir", ".", "--train-size", "30", "--dev-size", "6",
+                      "--test-size", "6", "--seed", "3"], None),
+        ("train-intent", train_args("intent-tagger", here, "intent.json", "--dev", "dev.jsonl",
+                                    "--history", "intent.history", *TINY_TAGGER), None),
+        ("train-global-local", train_args("global-local", here, "gl.json", "--dimension", "tense",
+                                          "--history", "gl.history", *TINY_CLASSIFIER), None),
+    ]
+    for name in ("intent", "gl"):
+        steps.append((f"predict-{name}", ["predict", "--model", f"{name}.json"], "test.jsonl"))
+        steps.append((f"eval-{name}", ["eval", "--model", f"{name}.json", "--corpus", "test.jsonl",
+                                       "--out", f"eval-{name}.json"], None))
+    children = {}
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(spanfeat.__file__).parents[1])}
+        children[out] = subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_CHILD, json.dumps(steps)], cwd=out, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+    outputs = []
+    for out, child in children.items():
+        log, _ = child.communicate(timeout=120)
+        assert child.returncode == 0, log
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 16
+    assert outputs[0] == outputs[1]

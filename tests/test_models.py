@@ -1248,6 +1248,27 @@ def test_duplicate_filter_widths_rejected(vocabs, tmp_path, index, key):
         load_model(path)
 
 
+@pytest.mark.parametrize("labels", [["install", "install"], ["cancel", "install", "cancel"], []])
+def test_repeated_or_missing_tagger_labels_rejected(vocabs, labels):
+    # each label owns four IOBES tags, so a repeat would build a second,
+    # unreachable set of them and no label would leave only O
+    word, char = vocabs
+    message = rf"^a tagger needs at least one label and no label twice, got {re.escape(str(labels))}$"
+    with pytest.raises(ModelError, match=message):
+        IntentTagger(word, char, labels, EncoderConfig(**SMALL_ENCODER))
+
+
+@pytest.mark.parametrize("labels", [["install", "install"], []])
+def test_bundle_with_repeated_or_missing_labels_rejected(vocabs, tmp_path, labels):
+    # ["install", "install"] keeps the stored tensor shapes of two labels
+    bundle = _set(labels, "config", "labels")(_bundle_of(all_models(vocabs)[0], tmp_path))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bundle))
+    message = rf"^a tagger needs at least one label and no label twice, got {re.escape(str(labels))}$"
+    with pytest.raises(ModelError, match=message):
+        load_model(path)
+
+
 @pytest.fixture(scope="module")
 def serialized_small_models(vocabs):
     with tempfile.TemporaryDirectory() as root:

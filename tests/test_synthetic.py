@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import random
 
 import pytest
@@ -51,11 +50,10 @@ class TestDeterminismAndShape:
             SyntheticConfig(
                 train_size=50, dev_size=10, test_size=10, seed=3, rho=0.2,
                 rho_by_dimension={"tense": 0.0, "negation": 0.9},
-                priors={"tense": [0.6, 0.3, 0.1], "communicative_function": [5, 1, 1, 2, 1]},
             ),
-            "148cb2227fb12bcea40434e5c14fa2202299cb765c354c58ac47e181cf494e75",
+            "798f0225075d89ed4dbd19b180a89510a9c324e7926ed822cddc45d4064da809",
         ),
-    ], ids=["default", "rho-and-priors"])
+    ], ids=["default", "rho-by-dimension"])
     def test_corpus_bytes_are_pinned(self, config, digest):
         # a moved random draw changes these bytes; equality within one run would not see it
         text = "\n".join(corpus_fingerprint(split) for split in generate_synthetic(config))
@@ -153,17 +151,6 @@ class TestRhoContract:
     def test_rho_half_close_to_half(self):
         assert abs(self._carry_rate(0.5) - 0.5) < 0.02
 
-    def test_label_distribution_tracks_priors(self):
-        config = SyntheticConfig(
-            train_size=10000, dev_size=1, test_size=1,
-            priors={"negation": [0.8, 0.2]},
-        )
-        train, _, _ = generate_synthetic(config)
-        for dim, expected in (("negation", 0.8), ("attr_cf", 0.5)):
-            first_label = FEATURE_DIMENSIONS[dim][0]
-            rate = sum(u.spans[0].features[dim] == first_label for u in train) / len(train)
-            assert abs(rate - expected) < 0.02
-
 
 class TestBayesOracle:
     def test_rho_one_is_perfect(self):
@@ -172,9 +159,33 @@ class TestBayesOracle:
             assert span_only_bayes_accuracy(config, dim) == pytest.approx(1.0)
 
     def test_rho_zero_is_majority_rate(self):
-        config = SyntheticConfig(rho=0.0, priors={"negation": [0.7, 0.3]})
-        assert span_only_bayes_accuracy(config, "negation") == pytest.approx(0.7)
+        config = SyntheticConfig(rho=0.0)
+        assert span_only_bayes_accuracy(config, "negation") == pytest.approx(0.5)
         assert span_only_bayes_accuracy(config, "tense") == pytest.approx(1 / 3)
+
+    @staticmethod
+    def _enumerated(rho, labels):
+        # sum over (label, cue in span) outcomes: a span with its cue is read
+        # right, one without it is right only for the label guessed blind
+        correct = 0.0
+        for index in range(labels):
+            for cue_in_span in (True, False):
+                p_outcome = (1.0 / labels) * (rho if cue_in_span else 1.0 - rho)
+                if cue_in_span or index == 0:
+                    correct += p_outcome
+        return correct
+
+    def test_closed_form_matches_enumeration(self):
+        for dim, labels in FEATURE_DIMENSIONS.items():
+            for rho in (0.0, 0.5, 1.0):
+                assert span_only_bayes_accuracy(SyntheticConfig(rho=rho), dim) == self._enumerated(rho, len(labels))
+            for step in range(21):
+                rho = step * 0.05
+                closed = span_only_bayes_accuracy(SyntheticConfig(rho=rho), dim)
+                assert abs(closed - self._enumerated(rho, len(labels))) <= 1e-15
+        # the closed form is exact where the sum rounds: 0.25 + 0.75 / 5
+        assert span_only_bayes_accuracy(SyntheticConfig(rho=0.25), "communicative_function") == 0.4
+        assert self._enumerated(0.25, 5) == 0.39999999999999997
 
     def test_uniform_three_way_at_half(self):
         # half the spans read the cue, the rest fall back on a 1/3 guess
@@ -220,14 +231,6 @@ class TestConfigValidation:
     def test_rejects_unknown_dimension(self):
         with pytest.raises(ValueError, match="unknown dimension"):
             SyntheticConfig(rho_by_dimension={"mood": 0.5})
-
-    def test_rejects_bad_priors(self):
-        with pytest.raises(ValueError):
-            SyntheticConfig(priors={"negation": [1.0]})
-        # weights random.choices cannot draw from: not finite, or a sum that overflows
-        for weights in ([math.nan, 1.0, 1.0], [math.inf, 1.0, 1.0], [1.0, -math.inf, 1.0], [1e308, 1e308, 1.0]):
-            with pytest.raises(ValueError, match="prior weights for 'tense'"):
-                SyntheticConfig(priors={"tense": weights})
 
     def test_rejects_empty_sizes(self):
         with pytest.raises(ValueError):

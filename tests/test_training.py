@@ -8,6 +8,9 @@ from spanfeat.models import GlobalLocalClassifier, GlobalLocalConfig, IntentTagg
 from spanfeat.synthetic import SyntheticConfig, generate_synthetic
 from spanfeat.tensor import Tensor
 from spanfeat.training import (
+    ADADELTA_EPSILON,
+    ADADELTA_RHO,
+    MOMENTUM,
     Adadelta,
     AdadeltaConfig,
     EpochRecord,
@@ -30,28 +33,25 @@ class TestSgdMomentum:
     def test_first_step_is_plain_sgd(self):
         t = Tensor([1.0])
         t.grad[...] = 2.0
-        opt = SgdMomentum({"t": t}, SgdMomentumConfig(learning_rate=0.1, momentum=0.9))
+        opt = SgdMomentum({"t": t}, SgdMomentumConfig(learning_rate=0.1))
         opt.step()
-        assert t.values.tolist() == pytest.approx([1.0 - 0.1 * 2.0])
+        assert t.values.tolist() == [1.0 - 0.1 * 2.0]
 
     def test_two_steps_match_hand_unrolled(self):
         t = Tensor([0.0])
-        opt = SgdMomentum({"t": t}, SgdMomentumConfig(learning_rate=0.1, momentum=0.5))
+        opt = SgdMomentum({"t": t}, SgdMomentumConfig(learning_rate=0.1))
         t.grad[...] = 1.0
         opt.step()  # v=1, theta=-0.1
         t.grad[...] = 1.0
-        opt.step()  # v=1.5, theta=-0.25
-        assert t.values.tolist() == pytest.approx([-0.25], abs=1e-15)
+        opt.step()  # v=0.9*1+1=1.9, theta=-0.29
+        assert t.values.tolist() == pytest.approx([-0.29], abs=1e-15)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SgdMomentumConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            SgdMomentumConfig(momentum=1.0)
-        for name in ("learning_rate", "momentum"):
-            for value in (float("nan"), float("inf")):
-                with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-                    SgdMomentumConfig(**{name: value})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate must be a finite number"):
+                SgdMomentumConfig(learning_rate=value)
 
 
 class TestAdadelta:
@@ -61,20 +61,24 @@ class TestAdadelta:
         opt.step()
         assert t.values.tolist() == [3.0]
 
+    def test_constants_are_zeilers(self):
+        # ADADELTA (Zeiler 2012, arXiv:1212.5701) sets rho 0.95 and epsilon 1e-6
+        assert (ADADELTA_RHO, ADADELTA_EPSILON) == (0.95, 1e-6)
+
     def test_first_step_magnitude(self):
-        lr, rho, eps, g = 1.0, 0.95, 1e-6, 2.0
+        lr, rho, eps, g = 1.0, ADADELTA_RHO, ADADELTA_EPSILON, 2.0
         t = Tensor([0.0])
         t.grad[...] = g
-        opt = Adadelta({"t": t}, AdadeltaConfig(learning_rate=lr, rho=rho, epsilon=eps))
+        opt = Adadelta({"t": t}, AdadeltaConfig(learning_rate=lr))
         opt.step()
         expected = -lr * g * np.sqrt(eps) / np.sqrt((1 - rho) * g * g + eps)
         assert t.values.tolist() == pytest.approx([expected], rel=1e-12)
 
     def test_delta_accumulator_updated_after_step(self):
-        lr, rho, eps, g = 1.0, 0.95, 1e-6, 2.0
+        lr, rho, eps, g = 0.5, ADADELTA_RHO, ADADELTA_EPSILON, 2.0
         t = Tensor([0.0])
         t.grad[...] = g
-        opt = Adadelta({"t": t}, AdadeltaConfig(learning_rate=lr, rho=rho, epsilon=eps))
+        opt = Adadelta({"t": t}, AdadeltaConfig(learning_rate=lr))
         opt.step()
         first_delta = t.values[0]
         assert opt.delta_sq["t"][0] == pytest.approx((1 - rho) * first_delta**2, rel=1e-12)
@@ -98,14 +102,13 @@ class TestAdadelta:
         assert np.all(np.sign(moved[nz]) == -np.sign(t.grad[nz]))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdadeltaConfig(rho=1.0)
-        with pytest.raises(ValueError):
-            AdadeltaConfig(epsilon=0.0)
-        for name in ("learning_rate", "rho", "epsilon"):
-            for value in (float("nan"), float("inf"), float("-inf")):
-                with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-                    AdadeltaConfig(**{name: value})
+        with pytest.raises(ValueError, match="learning_rate must be positive"):
+            AdadeltaConfig(learning_rate=-1.0)
+        with pytest.raises(ValueError, match="batch_size and epochs must be at least 1"):
+            AdadeltaConfig(batch_size=0)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="learning_rate must be a finite number"):
+                AdadeltaConfig(learning_rate=value)
 
 
 class _QuadraticModel:
@@ -210,20 +213,22 @@ class TestTrainLoop:
 
     def test_batch_mean_matches_full_batch_gradient(self):
         # one batch of 4 identical examples must take exactly one plain SGD
-        # step with the mean gradient
+        # step with the mean gradient (the first step has no velocity yet)
         model = _QuadraticModel([2.0])
-        train(model, [0, 0, 0, 0], SgdMomentumConfig(learning_rate=0.1, momentum=0.0, epochs=1, batch_size=4, seed=0))
+        train(model, [0, 0, 0, 0], SgdMomentumConfig(learning_rate=0.1, epochs=1, batch_size=4, seed=0))
         # grad of (x-2)^2 at x=0 is -4; mean over batch still -4; step +0.4
         assert model.x.values.tolist() == pytest.approx([0.4])
+        # a second epoch steps by the velocity MOMENTUM * 4 + 3.2, the gradient at 0.4 being -3.2
+        model = _QuadraticModel([2.0])
+        train(model, [0, 0, 0, 0], SgdMomentumConfig(learning_rate=0.1, epochs=2, batch_size=4, seed=0))
+        assert model.x.values.tolist() == pytest.approx([0.4 + 0.1 * (MOMENTUM * 4.0 + 3.2)])
 
 
 class TestRecipes:
     def test_tagger_recipe(self):
         config, clip = recipe_for("intent-tagger", epochs=5, seed=2)
         assert isinstance(config, SgdMomentumConfig)
-        assert config.learning_rate == 0.0015
-        assert config.momentum == 0.9
-        assert config.batch_size == 10
+        assert config == SgdMomentumConfig(learning_rate=0.0015, batch_size=10, epochs=5, seed=2)
         assert clip == 5.0
 
     def test_classifier_recipe(self):
