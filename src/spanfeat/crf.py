@@ -17,6 +17,7 @@ values and gradients stay finite either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,21 +352,27 @@ def viterbi(
     """Highest-scoring tag sequence; score ties go to the lowest tag index.
 
     With constraints, each argmax runs over legal predecessors only: the
-    -inf mask leaves an illegal one below every legal score.
+    -inf mask leaves an illegal one below every legal score. A NaN or +inf
+    score (from non-finite inputs or a sum that overflows) spreads to every
+    later position and wins the final argmax, so when no path has a finite
+    score the call raises ValueError instead of returning one.
     """
     em = np.asarray(emissions, dtype=np.float64)
     n, k = _checked_emissions(em, params)
     start, end = params.start_index, params.end_index
     masked = _masked_transitions(params, constraints)
 
-    best = masked[start, :k] + em[0]
-    back = np.empty((n, k), dtype=np.intp)
-    for t in range(1, n):
-        scores = best[:, None] + masked[:k, :k]
-        back[t] = scores.argmax(axis=0)
-        best = scores[back[t], np.arange(k)] + em[t]
-    final = best + masked[:k, end]
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = masked[start, :k] + em[0]
+        back = np.empty((n, k), dtype=np.intp)
+        for t in range(1, n):
+            scores = best[:, None] + masked[:k, :k]
+            back[t] = scores.argmax(axis=0)
+            best = scores[back[t], np.arange(k)] + em[t]
+        final = best + masked[:k, end]
     tag = int(final.argmax())
+    if not math.isfinite(final[tag]):
+        raise ValueError("no tag path has a finite score: a score is not finite or a path's sum overflows")
     path = [tag]
     for t in range(n - 1, 0, -1):
         tag = int(back[t, tag])

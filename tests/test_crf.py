@@ -15,7 +15,9 @@ from spanfeat.crf import (
     log_partition,
     viterbi,
 )
-from spanfeat.data import decode_iobes, iobes_tag_set
+from spanfeat.data import Vocabulary, decode_iobes, iobes_tag_set
+from spanfeat.encoders import EncoderConfig
+from spanfeat.models import IntentTagger, load_model, serialize_model
 from spanfeat.tensor import Tape, Tensor
 
 
@@ -352,6 +354,50 @@ class TestLargeEmissions:
             legal = brute_force_scores(em.values, params.transitions.values, k, constraints)
             best = max(legal, key=lambda sp: sp[0])
             assert viterbi(em.values, params, constraints) == list(best[1])
+
+
+class TestNoFinitePath:
+    """Viterbi raises, rather than returns a path, when no path has a finite score."""
+
+    TAGS = iobes_tag_set(["x"])
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_emission(self, value, constrained):
+        em = np.zeros((3, len(self.TAGS)))
+        em[0, self.TAGS.index("I-x")] = value
+        constraints = build_iobes_constraints(self.TAGS) if constrained else None
+        with pytest.raises(ValueError, match="no tag path has a finite score"):
+            viterbi(em, CrfParams(len(self.TAGS)), constraints)
+
+    def test_overflowing_sum(self):
+        em = np.full((3, len(self.TAGS)), 1e308)
+        with pytest.raises(ValueError, match="no tag path has a finite score"):
+            viterbi(em, CrfParams(len(self.TAGS)), build_iobes_constraints(self.TAGS))
+
+    def test_finite_emissions_far_below_overflow_still_decode(self):
+        em = np.zeros((3, len(self.TAGS)))
+        em[1, self.TAGS.index("S-x")] = 1e307
+        path = viterbi(em, CrfParams(len(self.TAGS)), build_iobes_constraints(self.TAGS))
+        assert [self.TAGS[i] for i in path] == ["O", "S-x", "O"]
+
+    def test_loaded_bundle_whose_scores_overflow(self, tmp_path):
+        """Every value of this bundle is finite, so it loads; its emissions
+        plus transitions overflow, so decoding raises instead of returning
+        an illegal path."""
+        tokens = ["please", "install", "the", "printer", "now"]
+        word = Vocabulary.build([tokens], min_count=1)
+        char = Vocabulary.build([list(t) for t in tokens], min_count=1)
+        encoder = EncoderConfig(
+            word_embedding_dims=[5], char_embedding_dim=3, char_filters=3, char_filter_width=2, lstm_hidden=4
+        )
+        model = IntentTagger(word, char, ["install"], encoder, seed=1)
+        model.projection.weight.values[...] = 1e307
+        model.crf.transitions.values[...] = 1e308
+        serialize_model(model, tmp_path / "tagger.json")
+        loaded = load_model(tmp_path / "tagger.json")
+        with pytest.raises(ValueError, match="no tag path has a finite score"):
+            loaded.tag(tokens)
 
 
 def value_and_gradients(function, em, params, constraints, lengths):

@@ -1,9 +1,12 @@
 """The audit harness itself: coverage, budgets, and failure reporting."""
 
-from spanfeat import crf
+import pytest
+
+from spanfeat import crf, gradcheck
 from spanfeat.gradcheck import (
     MODEL_BUDGET,
     PRIMITIVE_BUDGET,
+    _PRIMITIVES,
     CheckResult,
     _tiny_setup,
     check_architectures,
@@ -20,7 +23,7 @@ from spanfeat.models import (
     SpanCnnClassifier,
     SpanCnnConfig,
 )
-from spanfeat.tensor import Tape
+from spanfeat.tensor import Tape, grad_check
 
 
 # instance-name prefix of the ops whose check instances are named after
@@ -117,3 +120,38 @@ def test_fallback_instance_audits_the_log_space_recursion(monkeypatch):
     assert results["crf-log-partition-fallback"].passed
     # every call that fell back holds the instance's -1000 emission, give or take the step
     assert refused and all(value < -999.0 for value in refused)
+
+
+def _audit_table(table):
+    """``check_primitives`` over ``table``, by name: each instance's max error
+    and the bytes of the input values its check started from."""
+    started = []
+
+    def spy(function, inputs, **kwargs):
+        started.append([t.values.tobytes() for t in inputs])
+        return grad_check(function, inputs, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gradcheck, "_PRIMITIVES", table)
+        patch.setattr(gradcheck, "grad_check", spy)
+        results = check_primitives()
+    assert [r.name for r in results] == list(table)
+    return {r.name: (r.max_error, inputs) for r, inputs in zip(results, started)}
+
+
+@pytest.fixture(scope="module")
+def full_table():
+    return _audit_table(_PRIMITIVES)
+
+
+def test_each_instance_alone_matches_the_full_table(full_table):
+    """An instance built by itself draws the same inputs and gets the same
+    result, bit for bit, as within the table."""
+    for name, build in _PRIMITIVES.items():
+        assert _audit_table({name: build}) == {name: full_table[name]}, name
+
+
+@pytest.mark.parametrize("dropped", list(_PRIMITIVES))
+def test_dropping_an_instance_moves_no_other(full_table, dropped):
+    rest = {name: build for name, build in _PRIMITIVES.items() if name != dropped}
+    assert _audit_table(rest) == {name: full_table[name] for name in rest}
