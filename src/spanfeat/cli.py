@@ -56,7 +56,6 @@ from .models import (
     load_model,
 )
 from .synthetic import SyntheticConfig, generate_synthetic
-from .tensor import fixed
 from .training import TrainingError, history_lines, recipe_for, train
 
 DEFAULT_SEED = 13
@@ -480,8 +479,7 @@ def _utf8_stdin():
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     read, written, skipped = 0, 0, []
-    # the parameters stay fixed over the stream, so each conv memo convolves a table row once
-    with fixed(model.parameters().values()), _utf8_stdin() as stdin:
+    with _utf8_stdin() as stdin:
         for lineno, line in enumerate(stdin, start=1):
             if not line.strip():
                 continue

@@ -624,7 +624,14 @@ def bundle_text(model) -> str:
 
 def load_model(path: str | Path):
     """Read a bundle of format 1 (values as lists of JSON numbers) or 2
-    (values as base64 float64); a malformed one raises one ``ModelError``."""
+    (values as base64 float64); a malformed one raises one ``ModelError``.
+
+    Each parameter of the model is a read-only view over an immutable
+    ``bytes`` buffer: format 2's decoded base64 as it is, format 1's parsed
+    values as bytes. numpy refuses to make such a view writeable, so a
+    loaded model's values never change: ``train`` refuses it, and
+    ``tensor.conv_relu_max`` keeps its conv memos as long as the model
+    lives, with no ``fixed`` block."""
     try:
         bundle = parse_json(Path(path).read_bytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
@@ -670,9 +677,9 @@ def load_model(path: str | Path):
             if len(values) != t.values.size:
                 raise ModelError(f"tensor {name!r} has {len(values)} values, expected {t.values.size}")
             try:
-                values = np.array(values, dtype=np.float64)
+                raw = np.array(values, dtype="<f8").tobytes()
             except OverflowError:  # an integer beyond the float range
-                values = None
+                raw = None
         else:  # base64 of the little-endian float64 bytes
             try:
                 raw = base64.b64decode(values, validate=True)
@@ -680,7 +687,7 @@ def load_model(path: str | Path):
                 raise ModelError(f"tensor {name!r} holds values that are not a base64 string") from None
             if len(raw) != 8 * t.values.size:
                 raise ModelError(f"tensor {name!r} has {len(raw)} value bytes, expected {8 * t.values.size}")
-            values = np.frombuffer(raw, "<f8")
+        values = None if raw is None else np.frombuffer(raw, "<f8")
         _require_finite(name, values)
-        t.values[...] = values.reshape(t.shape)
+        t.values = values.reshape(t.shape)
     return model

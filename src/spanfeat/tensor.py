@@ -17,14 +17,17 @@ uses). In a ten-utterance tagger training batch of the synthetic corpus,
 73 % of the positions repeat a token that an earlier position reads; in a
 decoded utterance, 18 %.
 
-Labelling holds the parameters still, and ``fixed(tensors)`` says so: a
-``with`` block in which the given tensors' values are read-only. While a
-block is open, an off-tape ``conv_relu_max`` call whose table, filters and
-biases are all fixed reads the whole table's responses to the banks from a
-memo of the block, convolved at the first such call, so a labelling pass
-convolves the table once (the per-vocabulary precomputation of Devlin et
-al. 2014, "Fast and Robust Neural Network Joint Models for SMT", across
-calls). The memos go when the block closes.
+Labelling holds the parameters still, and two things say so. A parameter
+that ``models.load_model`` read is a view over an immutable ``bytes``
+buffer, read-only for good; and ``fixed(tensors)`` opens a ``with`` block in
+which the given tensors' values are read-only. An off-tape
+``conv_relu_max`` call whose table, filters and biases are all held still
+either way reads the whole table's responses to the banks from a memo,
+convolved at the first such call, so labelling convolves each table row
+once (the per-vocabulary precomputation of Devlin et al. 2014, "Fast and
+Robust Neural Network Joint Models for SMT", across calls). The memo lives
+on the table tensor: as long as the tensor when every array is read-only
+for good, and until the block closes otherwise.
 
 No model runs ``relu``, ``stack_rows``, ``unstack_rows``, ``conv1d_same``,
 ``max_over_time`` or ``lstm_cell``: they are the per-row references the
@@ -67,7 +70,9 @@ __all__ = [
 class Tensor:
     """A dense float64 array plus an accumulated-gradient buffer of the same shape."""
 
-    __slots__ = ("values", "_grad")
+    # _memos: the conv memos of a table tensor (``_conv_memo``), unset until
+    # its first one
+    __slots__ = ("values", "_grad", "_memos")
 
     def __init__(self, values) -> None:
         v = np.asarray(values, dtype=np.float64)
@@ -146,11 +151,9 @@ def _record(step: Callable[[], None]) -> None:
 
 
 # Stack of open ``fixed`` blocks, innermost last: the ids of the arrays each
-# made read-only, and its conv memos (``_conv_memo``) by their number of
-# banks and the ids of their table, filter and bias arrays. The blocks that
-# fix those arrays keep them and close after the memo's block, so the ids
-# name them while the memo lives.
-_FIXED: list[tuple[frozenset[int], dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]]] = []
+# made read-only, and the conv memos it made, by their table tensor and key
+# (``_conv_memo``), which go when it closes.
+_FIXED: list[tuple[frozenset[int], dict[tuple[Tensor, tuple[int, ...]], tuple[np.ndarray, np.ndarray]]]] = []
 
 
 @contextlib.contextmanager
@@ -158,15 +161,17 @@ def fixed(tensors: Iterable[Tensor]) -> Iterator[None]:
     """A block in which the values of ``tensors`` are read-only, so that
     work that depends on them alone can be kept for the block's later
     calls: an off-tape ``conv_relu_max`` whose table and banks are all fixed
-    reads its responses from a memo of the block.
+    reads its responses from a memo that goes when the block closes.
 
     The labelling passes of ``evaluation`` (``eval``, ``ablate``, every dev
-    metric) and ``predict``'s stdin loop each open one block over the
-    models they read. Each tensor's ``values`` gets ``flags.writeable =
-    False``; gradients are not touched. On exit, however the block ends,
-    every flag is restored to what it was, last set first, and the block's
-    memos are dropped. Blocks nest; an inner block's memos go when it
-    closes.
+    metric) each open one block over the models they read, which may still
+    be training. A loaded model needs none: its values are read-only for
+    good (``models.load_model``), and its memos live as long as it does.
+    Each tensor's ``values`` gets ``flags.writeable = False``; gradients are
+    not touched. On exit, however the block ends, the block's memos are
+    dropped and every flag is restored to what it was, last set first, so
+    a loaded model's stay False. Blocks nest; an inner block's memos go
+    when it closes.
     """
     arrays = list({id(t.values): t.values for t in tensors}.values())
     flags = [a.flags.writeable for a in arrays]
@@ -176,7 +181,8 @@ def fixed(tensors: Iterable[Tensor]) -> Iterator[None]:
     try:
         yield
     finally:
-        _FIXED.pop()
+        for table, key in _FIXED.pop()[1]:
+            del table._memos[key]
         for a, flag in zip(reversed(arrays), reversed(flags)):
             a.flags.writeable = flag
 
@@ -511,22 +517,45 @@ def _bank_responses(
     return out
 
 
+def _read_only_for_good(a: np.ndarray) -> bool:
+    """Whether ``a`` is a view over a ``bytes`` object: numpy refuses to make
+    such an array writeable, so no code can change its values."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return type(a) is bytes
+
+
 def _conv_memo(
     table: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor]
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The memo of an open ``fixed`` block for this table and these banks:
-    the whole table's responses (``_bank_responses``) and the banks' biases
-    end to end, made in the innermost block at the first call that reads
-    it; None when any of them is not fixed."""
+    """The memo of this table and these banks: the whole table's responses
+    (``_bank_responses``) and the banks' biases end to end, made at the
+    first call that reads it; None when any of their arrays may change.
+
+    Memos live on the table tensor, by their number of banks and the ids of
+    their table, filter and bias arrays, each beside the arrays it was made
+    from, so that no id names another array while the memo lives. A memo
+    whose arrays are all read-only for good (``_read_only_for_good``) lives
+    as long as the table tensor; one that reads an array fixed by an open
+    ``fixed`` block goes when the innermost block closes."""
+    memos = getattr(table, "_memos", None)
+    if not memos and not _FIXED and not _read_only_for_good(table.values):
+        return None  # the common call off a tape: a model still training, outside a block
     key = (len(filters), id(table.values), *[id(t.values) for t in filters], *[id(t.values) for t in biases])
-    for _, memos in _FIXED:
-        memo = memos.get(key)
-        if memo is not None:
-            return memo
-    if not all(any(k in frozen for frozen, _ in _FIXED) for k in key[1:]):
+    entry = memos.get(key) if memos else None
+    if entry is not None:
+        return entry[0]
+    arrays = (table.values, *[t.values for t in filters], *[t.values for t in biases])
+    changeable = [a for a in arrays if not _read_only_for_good(a)]
+    if changeable and not all(any(id(a) in frozen for frozen, _ in _FIXED) for a in changeable):
         return None
     widths, sizes, bias = _banks(table, filters, biases)
-    memo = _FIXED[-1][1][key] = (_bank_responses(table.values, filters, widths, sizes), bias)
+    memo = (_bank_responses(table.values, filters, widths, sizes), bias)
+    if memos is None:
+        memos = table._memos = {}
+    memos[key] = (memo, arrays)
+    if changeable:
+        _FIXED[-1][1][table, key] = memo
     return memo
 
 
@@ -567,16 +596,16 @@ def conv_relu_max(
     ``np.maximum.reduceat``; the forward of a batch of one row needs
     neither the zeroing nor the reduceat.
 
-    Inside a ``fixed`` block that fixes the table, the filters and the
-    biases, an off-tape call reads the whole table's responses from the
-    block's memo (``_conv_memo``), made at the first call and dropped with
-    the block, and every position reads its row's responses by id, as when
-    the table is convolved whole; a memo hit skips the bank checks its
-    creation made. The memo holds W * sum of f floats per table row, 3
-    times the row's embedding at the classifiers' default sizes. A call's
-    values are the per-call ones bit for bit, but for a one-position
-    call's, whose per-call product is numpy's one-row path (to the last
-    bit, about 1e-16).
+    An off-tape call whose table, filters and biases are all held still, by
+    a loaded model or by an open ``fixed`` block, reads the whole table's
+    responses from their memo (``_conv_memo``), made at the first such call,
+    and every position reads its row's responses by id, as when the table
+    is convolved whole; a memo hit skips the bank checks its creation made.
+    The memo holds W * sum of f floats per table row, 3 times the row's
+    embedding at the classifiers' default sizes; a loaded model's live as
+    long as it does. A call's values are the per-call ones bit for bit, but
+    for a one-position call's, whose per-call product is numpy's one-row
+    path (to the last bit, about 1e-16).
 
     Off a tape the node is that forward alone: the argmax windows are
     found, and the backward defined, only while a tape records. Backward
@@ -595,7 +624,7 @@ def conv_relu_max(
     lens, starts = _packed_rows(lengths, total)
     bsz = lens.size
     taping = bool(_TAPES)
-    memo = _conv_memo(table, filters, biases) if _FIXED and not taping else None
+    memo = None if taping else _conv_memo(table, filters, biases)
     # source: the rows convolved; picked: their table rows (None: all of
     # them, in order); slots: the source row of each position (None: the
     # position's own)

@@ -157,7 +157,8 @@ def train(
     non-finite loss aborts with the offending epoch and batch in the message.
     With no dev set (or no metric) the final parameters are kept; an empty
     dev set with a metric is an error, since its metric could not rank
-    the epochs.
+    the epochs. A model with a read-only parameter, such as a loaded one,
+    is refused before the first batch.
     """
     if not examples:
         raise TrainingError("training corpus is empty")
@@ -165,6 +166,9 @@ def train(
     if track_dev and not dev_examples:
         raise TrainingError("dev set is empty")
     params = model.parameters()
+    read_only = next((name for name, t in params.items() if not t.values.flags.writeable), None)
+    if read_only is not None:  # a loaded model's, say: the first step would fail to write it
+        raise TrainingError(f"parameter {read_only!r} is read-only, so the model cannot be trained")
     if isinstance(config, SgdMomentumConfig):
         optimizer = SgdMomentum(params, config)
     else:

@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanfeat
-from spanfeat import data
+from spanfeat import cli, data, tensor
 from spanfeat.cli import _read_config_file, run
 from spanfeat.data import DEFAULT_FEATURE_VALUES, load_corpus, utterance_to_json
-from spanfeat.models import load_model
+from spanfeat.models import GlobalLocalClassifier, IntentTagger, load_model, serialize_model
+from spanfeat.synthetic import SyntheticConfig, generate_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -934,3 +935,34 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(outputs[0]) == 16
     assert outputs[0] == outputs[1]
+
+
+def test_predict_convolves_each_bank_set_of_loaded_bundles_once(tmp_path, monkeypatch):
+    # A loaded model's values are read-only for good, so labelling it needs no
+    # fixed block: the whole table is convolved with each bank set at the
+    # first line, and every later line reads those responses.
+    train_set, _, test_set = generate_synthetic(SyntheticConfig(train_size=200, dev_size=1, test_size=20, seed=1))
+    word, char = data.build_vocabularies(train_set)
+    intents = sorted({s.intent for u in train_set for s in u.spans})
+    loaded = []
+    for i, model in enumerate([IntentTagger(word, char, intents, seed=1), GlobalLocalClassifier(word, "tense", seed=1)]):
+        serialize_model(model, tmp_path / f"{i}.json")
+        loaded.append(load_model(tmp_path / f"{i}.json"))
+    products = []  # the filter arrays of each bank product
+    bank_responses = tensor._bank_responses
+
+    def counted(source, filters, widths, sizes):
+        products.append(tuple(id(f.values) for f in filters))
+        return bank_responses(source, filters, widths, sizes)
+
+    monkeypatch.setattr(tensor, "_bank_responses", counted)
+    assert tensor._FIXED == []
+    made = []  # products made so far, after each line
+    for utterance in test_set:
+        assert utterance.spans
+        for model in loaded:
+            cli._predict_utterance(model, utterance)
+        made.append(len(products))
+    # the tagger's char-CNN, and global-local's global and local pools
+    assert len(set(products)) == 3
+    assert made == [3] * len(test_set)

@@ -1,8 +1,11 @@
 import base64
+import gc
 import hashlib
 import json
 import re
+import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -487,10 +490,18 @@ class TestSerialization:
             serialize_model(loaded, resaved)
             assert resaved.read_bytes() == new.read_bytes(), model.architecture
 
-    def test_loaded_parameters_are_writable(self, vocabs, tmp_path):
-        serialize_model(all_models(vocabs)[4], tmp_path / "m.json")
-        for t in load_model(tmp_path / "m.json").parameters().values():
-            t.values += 1.0
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_loaded_parameters_are_read_only_for_good(self, vocabs, tmp_path, version):
+        for model in all_models(vocabs):
+            params = _loaded(model, tmp_path, version).parameters()
+            for t in params.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    t.values += 1.0
+                with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                    t.values.flags.writeable = True
+            with fixed(params.values()):
+                pass
+            assert not any(t.values.flags.writeable for t in params.values()), model.architecture
 
     def test_bundle_that_is_not_utf8_names_file(self, tmp_path):
         path = tmp_path / "m.json"
@@ -1307,10 +1318,21 @@ def _in_blocks(model, label, utterances):
     return outside, inside, [part[::-1] for part in reverse]
 
 
+def _loaded(model, tmp_path, version):
+    """``model`` serialized, as a bundle of format ``version``, and loaded."""
+    bundle = _bundle_of(model, tmp_path)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_as_format_1(bundle) if version == 1 else bundle))
+    return load_model(path)
+
+
 class TestFixedBlockOutputs:
     """A ``fixed`` block changes no label or path: logits agree to 1e-12,
     bit for bit but where a conv call has one position (a one-token span),
-    and blocks filled in opposite orders agree bit for bit."""
+    and blocks filled in opposite orders agree bit for bit. A loaded model
+    labels outside any block as its freshly built self does inside a block
+    and outside one: its logits and emissions equal the block's bit for
+    bit, and the per-call ones but in a one-position call's last bit."""
 
     @pytest.mark.parametrize("role", sorted(COMPARISON_ROLES))
     def test_classifier_labels_and_logits(self, corpus, vocabs, role):
@@ -1352,3 +1374,90 @@ class TestFixedBlockOutputs:
         assert paths_in == paths_rev == paths
         assert all(np.array_equal(a, b) and np.array_equal(a, c)
                    for a, b, c in zip(emissions, emissions_in, emissions_rev))
+
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("role", sorted(COMPARISON_ROLES))
+    def test_loaded_classifier_labels_and_logits(self, corpus, vocabs, tmp_path, role, seed, version):
+        cls, switches = COMPARISON_ROLES[role]
+        fresh = cls(vocabs[0], "tense", cls.config_type(**switches), seed=seed)
+        loaded = _loaded(fresh, tmp_path, version)
+        utterances = _labelling_corpus(corpus)
+
+        def label(model):
+            labels = [[s.intent for s in model.feature_spans(u.tokens, u.spans)] for u in utterances]
+            logits = [
+                model._logits(u.tokens, MaskedExample.for_span(u.tokens, s).mask).values
+                for u in utterances for s in u.spans
+            ]
+            return labels, logits
+
+        labels, logits = label(loaded)
+        assert _FIXED == []
+        fresh_labels, fresh_logits = label(fresh)
+        with fixed(fresh.parameters().values()):
+            fixed_labels, fixed_logits = label(fresh)
+        assert labels == fresh_labels == fixed_labels
+        spans = [s for u in utterances for s in u.spans]
+        assert any(s.end - s.start == 1 for s in spans)
+        for span, got, alone, inside in zip(spans, logits, fresh_logits, fixed_logits):
+            assert np.array_equal(got, inside)
+            if span.end - span.start > 1:
+                assert np.array_equal(got, alone)
+            else:
+                np.testing.assert_allclose(got, alone, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("arch", ["intent-tagger", "feature-tagger-cascaded"])
+    def test_loaded_tagger_paths_and_emissions(self, corpus, vocabs, tmp_path, arch, seed, version):
+        word, char = vocabs
+        encoder = EncoderConfig(**SMALL_ENCODER)
+        if arch == "intent-tagger":
+            fresh = IntentTagger(word, char, ["install", "cancel"], encoder, seed=seed)
+        else:
+            fresh = FeatureTaggerCascaded(word, char, "negation", encoder, seed=seed, boundary_dim=3)
+        loaded = _loaded(fresh, tmp_path, version)
+        utterances = _labelling_corpus(corpus)
+
+        def label(model):
+            return [model.decode(u) for u in utterances], [model._emissions(u).values for u in utterances]
+
+        paths, emissions = label(loaded)
+        assert _FIXED == []
+        fresh_paths, fresh_emissions = label(fresh)
+        with fixed(fresh.parameters().values()):
+            fixed_paths, fixed_emissions = label(fresh)
+        assert paths == fresh_paths == fixed_paths
+        assert all(np.array_equal(a, b) and np.array_equal(a, c)
+                   for a, b, c in zip(emissions, fresh_emissions, fixed_emissions))
+
+
+def _module_containers() -> dict[tuple[str, str], int]:
+    """The size of every list, dict and set held by a spanfeat module."""
+    return {
+        (name, attr): len(value)
+        for name, module in list(sys.modules.items()) if name.startswith("spanfeat")
+        for attr, value in vars(module).items() if type(value) in (list, dict, set)
+    }
+
+
+@pytest.mark.parametrize("index", [0, 4], ids=["intent-tagger", "global-local"])
+def test_memos_of_a_loaded_model_go_with_it(corpus, vocabs, tmp_path, index):
+    # the memos live on the model's table tensors, not in module state, so a
+    # dropped model's arrays are freed and repeated loads do not accumulate
+    path = tmp_path / "m.json"
+    serialize_model(all_models(vocabs)[index], path)
+    utterances = _labelling_corpus(corpus)
+    before = _module_containers()
+    for _ in range(20):
+        model = load_model(path)
+        for u in utterances:
+            model.feature_spans(u.tokens, u.spans) if index else model.tag(u.tokens)
+        assert any(getattr(t, "_memos", None) for t in model.parameters().values())
+        arrays = [weakref.ref(t.values) for t in model.parameters().values()]
+        del model
+        gc.collect()
+        assert all(ref() is None for ref in arrays)
+    assert _module_containers() == before

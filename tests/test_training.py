@@ -4,7 +4,7 @@ import pytest
 from spanfeat.data import MaskedExample, Vocabulary, build_vocabularies, masked_examples
 from spanfeat.evaluation import classifier_accuracy
 from spanfeat.encoders import EncoderConfig
-from spanfeat.models import GlobalLocalClassifier, GlobalLocalConfig, IntentTagger
+from spanfeat.models import GlobalLocalClassifier, GlobalLocalConfig, IntentTagger, load_model, serialize_model
 from spanfeat.synthetic import SyntheticConfig, generate_synthetic
 from spanfeat.tensor import Tensor
 from spanfeat.training import (
@@ -292,3 +292,21 @@ def test_training_steps_after_each_dev_metric_pass():
     assert [r.dev_metric is not None for r in history] == [True] * 3
     for before, after in zip(snapshots, snapshots[1:]):
         assert any(not np.array_equal(before[name], after[name]) for name in before)
+
+
+def test_train_refuses_a_loaded_model_before_its_first_batch(tmp_path):
+    # a loaded model's values are read-only for good, so the first optimizer
+    # step could not write them
+    train_set, _, _ = generate_synthetic(SyntheticConfig(train_size=12, dev_size=1, test_size=1))
+    word, _ = build_vocabularies(train_set)
+    serialize_model(GlobalLocalClassifier(word, "tense", GlobalLocalConfig(embedding_dim=6, filters_per_width=3)),
+                    tmp_path / "m.json")
+    model = load_model(tmp_path / "m.json")
+    first = next(iter(model.parameters()))
+
+    def batch_loss(batch):
+        raise AssertionError("a batch ran")
+
+    model.batch_loss = batch_loss
+    with pytest.raises(TrainingError, match=f"parameter '{first}' is read-only, so the model cannot be trained"):
+        train(model, masked_examples(train_set, "tense"), AdadeltaConfig(epochs=1, batch_size=4))
